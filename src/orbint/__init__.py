@@ -8,6 +8,7 @@ identity limits), tannaka (reconstruction from sampled tau-functions).
 """
 
 from .errors import (
+    ConsistencyError,
     LimitPathError,
     ReconstructionError,
     SingularPointError,
@@ -20,6 +21,7 @@ from .toruschar import ConjugacyDescriptor, TorusPoint, parse_torus_point
 __all__ = [
     "CartanDatum",
     "ConjugacyDescriptor",
+    "ConsistencyError",
     "KClass",
     "LimitPathError",
     "RealFormSpec",

@@ -1,8 +1,9 @@
 """Command-line front end: preset catalogue, evaluation commands, identity
 suite, and deterministic JSON output.
 
-Exit codes: 0 success, 2 validation error, 3 singular evaluation point,
-4 identity-suite failure.
+Exit codes: 0 success, 2 validation error (including non-finite torus
+coordinates), 3 singular evaluation point, 4 identity-suite or internal
+consistency-check failure.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ import sys
 from dataclasses import dataclass
 
 from . import jsonio
-from .errors import LimitPathError, ReconstructionError, SingularPointError, ValidationError
+from .errors import (
+    ConsistencyError, LimitPathError, ReconstructionError, SingularPointError, ValidationError,
+)
 from .ktrace import lds_character, lds_character_sum, tau_generator, tau_value_to_json
 from .realform import (
     KClass,
@@ -147,10 +150,6 @@ def parse_class(spec: RealFormSpec, args) -> KClass:
     raise ValidationError("give --lambda or --class")
 
 
-def _complex_record(z: complex) -> complex:
-    return complex(z)
-
-
 def emit(obj) -> None:
     sys.stdout.write(jsonio.dumps(obj) + "\n")
 
@@ -211,7 +210,7 @@ def cmd_stable(config: Config, args) -> int:
     spec = resolve_spec(config)
     g = parse_torus_point(args.t)
     x = parse_class(spec, args)
-    emit({"t": serialize_torus_point(g), "value": _complex_record(stable_tau(spec, x, g))})
+    emit({"t": serialize_torus_point(g), "value": stable_tau(spec, x, g)})
     return 0
 
 
@@ -223,7 +222,7 @@ def cmd_packet(config: Config, args) -> int:
         {
             "Lambda2": list(lam_hc.coords2),
             "t": serialize_torus_point(g),
-            "value": _complex_record(lpacket_sum(spec, lam_hc, g)),
+            "value": lpacket_sum(spec, lam_hc, g),
         }
     )
     return 0
@@ -239,10 +238,8 @@ def cmd_limit(config: Config, args) -> int:
     emit(
         {
             "direction": serialize_torus_point(report.limit.direction),
-            "samples": [
-                {"scale": s, "value": _complex_record(v)} for s, v in report.limit.samples
-            ],
-            "extrapolated": _complex_record(report.limit.extrapolated),
+            "samples": [{"scale": s, "value": v} for s, v in report.limit.samples],
+            "extrapolated": report.limit.extrapolated,
             "residual": report.limit.residual,
             "tau_e": report.tau_e_value,
             "deviation": report.deviation,
@@ -283,8 +280,8 @@ def cmd_schmid(config: Config, args) -> int:
         {
             "Lambda2": list(lam_hc.coords2),
             "t": serialize_torus_point(g),
-            "terms": [_complex_record(v) for v in terms],
-            "value": _complex_record(lds_character_sum(spec, lam_hc, systems, g)),
+            "terms": terms,
+            "value": lds_character_sum(spec, lam_hc, systems, g),
         }
     )
     return 0
@@ -341,14 +338,12 @@ def cmd_demo_sl2(config: Config, args) -> int:
             "t": serialize_torus_point(g),
             "phi": phi,
             "tau": record,
-            "expected": _complex_record(expected),
+            "expected": expected,
             "abs_error": abs(record["value"] - expected),
-            "stable": _complex_record(stable_tau(spec, x, g)),
-            "lds_plus": _complex_record(lds_character(spec, Weight((0,)), pos, g)),
-            "lds_minus": _complex_record(lds_character(spec, Weight((0,)), negated_system(pos), g)),
-            "packet_sum": _complex_record(lds_character_sum(
-                spec, Weight((0,)), [pos, negated_system(pos)], g
-            )),
+            "stable": stable_tau(spec, x, g),
+            "lds_plus": lds_character(spec, Weight((0,)), pos, g),
+            "lds_minus": lds_character(spec, Weight((0,)), negated_system(pos), g),
+            "packet_sum": lds_character_sum(spec, Weight((0,)), [pos, negated_system(pos)], g),
             "formal_degree": formal_degree(spec, Weight((0,))),
         }
     )
@@ -476,6 +471,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValidationError, ReconstructionError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
+    except ConsistencyError as err:
+        sys.stderr.write(f"consistency check failed: {err}\n")
+        return 4
 
 
 if __name__ == "__main__":

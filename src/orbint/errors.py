@@ -18,6 +18,11 @@ class SingularPointError(ValueError):
         self.root = root
 
 
+class ConsistencyError(ArithmeticError):
+    """Two independently computed routes to the same value disagree beyond
+    their tolerance (the dual-path and packet/stable guards)."""
+
+
 class LimitPathError(RuntimeError):
     """A near-identity limit path hit the singular locus; try another direction."""
 

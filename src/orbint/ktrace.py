@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import ValidationError
+from .errors import ConsistencyError, ValidationError
 from .realform import (
     GeneratorKey,
     KClass,
@@ -83,7 +83,7 @@ def tau_generator(spec: RealFormSpec, key: GeneratorKey, g: TorusPoint) -> TauVa
     path_b = (-1) ** m * chi_v / delta_p_char(g, spec)
     scale = max(1.0, abs(path_a), abs(path_b))
     if abs(path_a - path_b) > max(DUAL_PATH_TOL, 1e-12 * scale):
-        raise ArithmeticError(
+        raise ConsistencyError(
             f"dual-path disagreement {abs(path_a - path_b):.3e} at {g}"
         )
     return TauValue(path_a, path_a, path_b)

@@ -22,7 +22,7 @@ from .rootsys import (
     pairing,
     positive_roots,
     reflection_subgroup,
-    rho_or_zero,
+    rho,
     weyl_group,
 )
 
@@ -136,12 +136,12 @@ def weyl_k(spec: RealFormSpec) -> WeylGroup:
 
 @functools.lru_cache(maxsize=None)
 def rho_c(spec: RealFormSpec) -> Weight:
-    return rho_or_zero(spec.compact_positive, spec.rank)
+    return rho(spec.compact_positive, spec.rank)
 
 
 @functools.lru_cache(maxsize=None)
 def rho_n(spec: RealFormSpec) -> Weight:
-    return rho_or_zero(spec.noncompact_positive, spec.rank)
+    return rho(spec.noncompact_positive, spec.rank)
 
 
 @functools.lru_cache(maxsize=None)

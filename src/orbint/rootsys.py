@@ -319,10 +319,6 @@ def simple_reflection_matrix(datum: CartanDatum, i: int) -> IntMatrix:
     )
 
 
-def act(w: WeylElement, lam: Weight) -> Weight:
-    return w.apply(lam)
-
-
 def _bfs_closure(rank: int, gen_matrices: Sequence[IntMatrix]) -> list[tuple[IntMatrix, int]]:
     """Breadth-first closure over the generators; returns (matrix, word length) pairs."""
     ident = _identity(rank)
@@ -453,10 +449,6 @@ def rho(roots: Iterable[Weight], rank: int | None = None) -> Weight:
     for r in roots[1:]:
         total = total + r
     return total.halved()
-
-
-def rho_or_zero(roots: Sequence[Weight], rank: int) -> Weight:
-    return rho(roots, rank)
 
 
 # ---------------------------------------------------------------------------

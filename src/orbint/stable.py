@@ -5,9 +5,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
-from .errors import LimitPathError, SingularPointError, ValidationError
+from .errors import ConsistencyError, LimitPathError, SingularPointError, ValidationError
 from .ktrace import lds_character, tau_class
 from .realform import (
     KClass,
@@ -19,7 +19,7 @@ from .realform import (
     rho_c,
     weyl_k,
 )
-from .rootsys import Weight, act, pairing, positive_roots, rho, weyl_group
+from .rootsys import Weight, pairing, positive_roots, rho, weyl_group
 from .toruschar import (
     ConjugacyDescriptor,
     TorusPoint,
@@ -51,7 +51,7 @@ def lpacket_sum(spec: RealFormSpec, lam_hc: Weight, g: TorusPoint) -> complex:
     """
     pos = spec.positive_system
     total = _csum(
-        lds_character(spec, act(v, lam_hc), transformed_system(v, pos), g)
+        lds_character(spec, v.apply(lam_hc), transformed_system(v, pos), g)
         for v in coset_reps(spec)
     )
     try:
@@ -61,7 +61,7 @@ def lpacket_sum(spec: RealFormSpec, lam_hc: Weight, g: TorusPoint) -> complex:
     if key is not None:
         other = stable_tau(spec, KClass.generator(key), g)
         if abs(total - other) > max(PACKET_TOL, 1e-12 * max(1.0, abs(total), abs(other))):
-            raise ArithmeticError(
+            raise ConsistencyError(
                 f"packet sum and stable integral disagree by {abs(total - other):.3e}"
             )
     return total
@@ -80,6 +80,20 @@ class LimitReport:
     residual: float
 
 
+def richardson(values: Sequence, order: int = 3) -> list:
+    """Last column of the Neville table that extrapolates samples at halving
+    scales t_k = t_0 2^{-k} to t = 0, at most ``order`` columns deep.  With
+    t_{k-j} = 2^j t_k the update is the classical Richardson form
+    (2^j T[k][j-1] - T[k-1][j-1]) / (2^j - 1)."""
+    column = list(values)
+    for j in range(1, min(order, len(column) - 1) + 1):
+        factor = 2.0**j
+        column = [
+            (factor * column[i] - column[i - 1]) / (factor - 1.0) for i in range(1, len(column))
+        ]
+    return column
+
+
 def limit_at_identity(
     evaluator: Callable[[TorusPoint], complex],
     direction: TorusPoint,
@@ -93,7 +107,6 @@ def limit_at_identity(
         direction = TorusPoint.real_point(float(c) for c in direction.coords)
     if levels < 1:
         raise ValidationError("need at least two scales to extrapolate")
-    order = min(order, levels)
     scales = [start_scale * 2.0 ** (-k) for k in range(levels + 1)]
     samples = []
     for s in scales:
@@ -105,16 +118,7 @@ def limit_at_identity(
                 f"limit path hit the singular locus at scale {s} ({err}); "
                 "choose a different direction"
             ) from err
-    # Neville extrapolation to 0; with t_{k-j} = 2^j t_k the update is the
-    # classical Richardson form (2^j T[k][j-1] - T[k-1][j-1]) / (2^j - 1).
-    table = [[v for _, v in samples]]
-    for j in range(1, order + 1):
-        prev = table[-1]
-        factor = 2.0**j
-        table.append(
-            [(factor * prev[i] - prev[i - 1]) / (factor - 1.0) for i in range(1, len(prev))]
-        )
-    final = table[order]
+    final = richardson([v for _, v in samples], order)
     extrapolated = final[-1]
     residual = abs(final[-1] - final[-2]) if len(final) >= 2 else 0.0
     return LimitReport(direction, tuple(samples), extrapolated, residual)
@@ -179,7 +183,7 @@ def char_identity_check(spec: RealFormSpec, nu: Weight, g: TorusPoint) -> float:
     pos = spec.positive_system
     lhs = ab_fixed_sum(nu, g, weyl_group(spec.datum), pos)
     parts = [
-        ab_fixed_sum(act(v, nu), g, weyl_k(spec), transformed_system(v, pos))
+        ab_fixed_sum(v.apply(nu), g, weyl_k(spec), transformed_system(v, pos))
         for v in coset_reps(spec)
     ]
     return abs(lhs - _csum(parts))

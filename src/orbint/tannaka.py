@@ -21,7 +21,8 @@ from .errors import ReconstructionError, ValidationError
 from .ktrace import tau_generator
 from .realform import GeneratorKey, RealFormSpec
 from .rootsys import CartanDatum, Weight, is_dominant, positive_roots
-from .toruschar import TorusPoint
+from .stable import richardson
+from .toruschar import TorusPoint, is_regular, min_root_phase, root_phase
 
 RAY_LEVELS = 6
 RAY_START_SCALE = 1e-2
@@ -90,25 +91,15 @@ class ChiFamily:
 # forward synthesis
 
 def _sin_margin(datum: CartanDatum, coords: Sequence[float]) -> float:
-    worst = 2.0
-    for alpha in positive_roots(datum):
-        u = math.fsum(f * t for f, t in zip(alpha.halved().coords2, coords))
-        worst = min(worst, abs(math.sin(math.pi * u)))
-    return worst
-
-
-def _min_pairing(datum: CartanDatum, direction: Sequence[float]) -> float:
-    return min(
-        abs(math.fsum(f * t for f, t in zip(alpha.halved().coords2, direction)))
-        for alpha in positive_roots(datum)
-    )
+    g = TorusPoint.real_point(coords)
+    return min(abs(math.sin(math.pi * root_phase(alpha, g))) for alpha in positive_roots(datum))
 
 
 def _pick_ray_direction(datum: CartanDatum, seed: int) -> tuple[float, ...]:
     rng = random.Random(seed)
     for _ in range(200):
         cand = tuple(rng.uniform(0.3, 1.0) for _ in range(datum.rank))
-        if _min_pairing(datum, cand) >= 0.02:
+        if min_root_phase(datum, TorusPoint.real_point(cand)) >= 0.02:
             return cand
     raise ValidationError("could not place a regular ray direction")
 
@@ -122,11 +113,11 @@ def _pick_probes(datum: CartanDatum, grid_len: int) -> tuple[list[ProbeSpec], li
         direction = tuple(
             1.0 if j == axis else 0.1373 + 0.0691 * ((axis + j) % 3) for j in range(rank)
         )
-        if _min_pairing(datum, direction) < 0.02:
+        if min_root_phase(datum, TorusPoint.real_point(direction)) < 0.02:
             direction = tuple(
                 1.0 if j == axis else 0.2141 + 0.0577 * ((axis + 2 * j) % 5) for j in range(rank)
             )
-        if _min_pairing(datum, direction) < 0.02:
+        if min_root_phase(datum, TorusPoint.real_point(direction)) < 0.02:
             raise ValidationError("could not place probe directions")
         found = 0
         for base in PROBE_BASES:
@@ -146,19 +137,10 @@ def _pick_probes(datum: CartanDatum, grid_len: int) -> tuple[list[ProbeSpec], li
 
 def _grid_offsets(datum: CartanDatum, seed: int = 0) -> tuple[Fraction, ...]:
     """Per-axis fractional offsets r/97 making every lattice point exact-regular."""
-    roots = positive_roots(datum)
     for attempt in range(200):
         rng = random.Random(seed + attempt)
         offs = tuple(Fraction(rng.randrange(1, 97), 97) for _ in range(datum.rank))
-        ok = True
-        for alpha in roots:
-            total = Fraction(0)
-            for f, c in zip(alpha.halved().coords2, offs):
-                total += f * c
-            if total.denominator == 1:
-                ok = False
-                break
-        if ok:
+        if is_regular(TorusPoint.exact_point(offs), datum):
             return offs
     raise ValidationError("could not choose regular grid offsets")
 
@@ -211,16 +193,6 @@ def synth_family(
 # ---------------------------------------------------------------------------
 # recovery
 
-def _richardson_real(values: Sequence[float], order: int = 3) -> float:
-    """Extrapolate a sequence sampled at geometrically halving scales to 0."""
-    table = [float(v) for v in values]
-    order = min(order, len(table) - 1)
-    for j in range(1, order + 1):
-        factor = 2.0**j
-        table = [(factor * table[i] - table[i - 1]) / (factor - 1.0) for i in range(1, len(table))]
-    return table[-1]
-
-
 def recover_dims(family: ChiFamily) -> dict:
     """K-type dimensions from ratio limits along the near-identity ray.
 
@@ -236,7 +208,7 @@ def recover_dims(family: ChiFamily) -> dict:
     for label in family.labels:
         vals = family.ray_values(label)
         ratio = [abs(v) / abs(w) for v, w in zip(vals, ref_vals)]
-        limits[label] = _richardson_real(ratio)
+        limits[label] = richardson(ratio)[-1]
     j0 = min(family.labels, key=lambda lab: limits[lab])  # ties: label order via min
     dims = {}
     for label in family.labels:
@@ -283,7 +255,7 @@ def recover_characters(family: ChiFamily, dims: dict) -> CharacterRecovery:
             raise ReconstructionError(f"sign of {label} unresolved near the identity")
         units[label] = unit
         ratio_ray = [vals[k] / v0_ray[k] for k in range(len(vals))]
-        char_limits[label] = _richardson_real([r.real for r in ratio_ray])
+        char_limits[label] = richardson([r.real for r in ratio_ray])[-1]
         v = family.values[label]
         v0 = family.values[j0]
         char_lattice[label] = tuple(v[i] / v0[i] for i in range(size))
@@ -399,7 +371,7 @@ def _log_derivatives(family: ChiFamily, chars: CharacterRecovery) -> list[float]
 
 
 def _model_term(w: Weight, probe: ProbeSpec) -> float:
-    u = math.fsum(f * t for f, t in zip(w.halved().coords2, probe.direction))
+    u = root_phase(w, TorusPoint.real_point(probe.direction))
     x = math.pi * probe.base * u
     s = math.sin(x)
     if abs(s) < 1e-12:

@@ -27,6 +27,9 @@ from .rootsys import (
 
 # Real-mode singularity guard on |e^{alpha/2} - e^{-alpha/2}|; exact mode decides exactly.
 SINGULAR_GUARD = 1e-13
+# Real coordinates count mod 2; a double of magnitude 2**52 or more has no
+# fractional part left, and far larger ones overflow the root pairings.
+MAX_REAL_COORD = 2.0**52
 
 
 @dataclass(frozen=True)
@@ -48,7 +51,10 @@ class TorusPoint:
 
     @staticmethod
     def real_point(values: Iterable) -> "TorusPoint":
-        return TorusPoint(tuple(float(v) for v in values), False)
+        coords = tuple(float(v) for v in values)
+        if not all(abs(c) < MAX_REAL_COORD for c in coords):
+            raise ValidationError(f"real torus coordinates {coords} are not all finite and below 2**52")
+        return TorusPoint(coords, False)
 
     @property
     def rank(self) -> int:
@@ -57,7 +63,7 @@ class TorusPoint:
     def scaled(self, factor: float) -> "TorusPoint":
         if self.exact:
             raise ValidationError("scaling is a limit-path (real mode) operation")
-        return TorusPoint(tuple(factor * c for c in self.coords), False)
+        return TorusPoint.real_point(factor * c for c in self.coords)
 
 
 def parse_torus_point(text: str) -> TorusPoint:
@@ -138,37 +144,44 @@ def eval_weight(lam: Weight, g: TorusPoint) -> complex:
     return cmath.exp(1j * math.pi * total)
 
 
+def root_phase(alpha: Weight, g: TorusPoint):
+    """u = <alpha/2, t>, so that e^{alpha/2}(g) = exp(pi i u) and the factor
+    e^{alpha/2} - e^{-alpha/2} = 2i sin(pi u) vanishes iff u is an integer.
+    Exact (a Fraction) at exact points, an fsum float at real ones."""
+    fund = alpha.halved().coords2
+    if g.exact:
+        value = Fraction(0)
+        for f, t in zip(fund, g.coords):
+            value += f * t
+        return value
+    return math.fsum(f * t for f, t in zip(fund, g.coords))
+
+
+def min_root_phase(datum: CartanDatum, g: TorusPoint) -> float:
+    """min |<alpha/2, t>| over the positive roots: how far a real direction
+    stays from the root hyperplanes."""
+    return min(abs(root_phase(alpha, g)) for alpha in positive_roots(datum))
+
+
 def is_regular(g: TorusPoint, datum: CartanDatum) -> bool:
     """Exact regularity: no root pairing lands in the integers.  Real-mode
     points are rejected; regularity is only decided exactly."""
     if not g.exact:
         raise ValidationError("regularity is decided only for exact rational points")
-    for alpha in positive_roots(datum):
-        value = Fraction(0)
-        for f, t in zip(alpha.halved().coords2, g.coords):
-            value += f * t
-        if value.denominator == 1:
-            return False
-    return True
+    return all(root_phase(alpha, g).denominator != 1 for alpha in positive_roots(datum))
 
 
 def guard_nonsingular(g: TorusPoint, roots: Sequence[Weight]) -> None:
     """Raise SingularPointError (carrying the offending root) if any factor
     e^{alpha/2} - e^{-alpha/2} vanishes at g (exactly, or within the real-mode guard)."""
     for alpha in roots:
-        fund = alpha.halved().coords2
-        if g.exact:
-            value = Fraction(0)
-            for f, t in zip(fund, g.coords):
-                value += f * t
-            if value.denominator == 1:
-                raise SingularPointError(f"torus point is singular for root {alpha}", root=alpha)
-        else:
-            u = math.fsum(f * t for f, t in zip(fund, g.coords))
-            if abs(2.0 * math.sin(math.pi * u)) < SINGULAR_GUARD:
-                raise SingularPointError(
-                    f"torus point is numerically singular for root {alpha}", root=alpha
-                )
+        u = root_phase(alpha, g)
+        if g.exact and u.denominator == 1:
+            raise SingularPointError(f"torus point is singular for root {alpha}", root=alpha)
+        if not g.exact and abs(2.0 * math.sin(math.pi * u)) < SINGULAR_GUARD:
+            raise SingularPointError(
+                f"torus point is numerically singular for root {alpha}", root=alpha
+            )
 
 
 def _elements(group) -> Sequence[WeylElement]:

@@ -1,49 +1,30 @@
 """Acceptance criteria, one test per criterion at its stated tolerance.
 
-Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail line
-per criterion.
+Criteria 2-11 run the identity checks of ``orbint.verify``, the same code that
+``orbint check`` runs; the tests add only the timing gates.  Run with
+``pytest tests/test_acceptance.py -v -s`` to see one pass/fail line per
+criterion.
 """
 
 import json
 import math
-import random
 import time
 
 from orbint.cli import main as cli_main
-from orbint.errors import ValidationError
-from orbint.ktrace import (
-    class_is_zero,
-    random_regular_point,
-    tau_class,
-    tau_generator,
+from orbint.verify import (
+    check_ab_vs_quotient,
+    check_char_identity,
+    check_char_oracle,
+    check_continuity,
+    check_denominator_formula,
+    check_dual_path,
+    check_injectivity,
+    check_packet_stable,
+    check_selberg_vanishing,
+    check_stable_invariance,
+    check_tannaka,
+    check_wedge_identity,
 )
-from orbint.realform import KClass, generator_key, hc_parameter, real_form
-from orbint.rootsys import (
-    Weight,
-    build_datum,
-    positive_roots,
-    rho,
-    weight_multiplicities,
-    weyl_group,
-)
-from orbint.stable import char_identity_check, continuity_check, lpacket_sum, stable_tau, tau_e
-from orbint.tannaka import canonical_sign, run_reconstruction
-from orbint.toruschar import (
-    ConjugacyDescriptor,
-    ab_fixed_sum,
-    char_quotient,
-    eval_weight,
-    weyl_act_point,
-    weyl_denominator,
-    weyl_numerator,
-)
-from orbint.verify import continuity_direction
-
-SL2R = real_form("sl2r")
-SU21 = real_form("su21")
-SP4R = real_form("sp4r")
-CA1 = real_form("compact(A1)")
-CA2 = real_form("compact(A2)")
 
 
 def report(criterion, passed, detail):
@@ -51,28 +32,17 @@ def report(criterion, passed, detail):
     assert passed, f"{criterion}: {detail}"
 
 
-def small_keys(spec, count):
-    out = []
-    span = range(0, 16)
-    candidates = (
-        [Weight((a,)) for a in span]
-        if spec.rank == 1
-        else [Weight((a, b)) for a in span for b in span]
-    )
-    for lam in candidates:
-        try:
-            out.append(generator_key(spec, lam))
-        except ValidationError:
-            continue
-        if len(out) == count:
-            break
-    assert len(out) == count
-    return out
-
-
-def random_class(spec, keys, rng):
-    chosen = rng.sample(keys, rng.randrange(1, 6))
-    return KClass.from_pairs((k, rng.choice([-3, -2, -1, 1, 2, 3])) for k in chosen)
+def accept(criterion, *checks, time_limit=None):
+    """Run the checks behind a criterion; with a time limit, the whole run is timed."""
+    start = time.perf_counter()
+    results = [check() for check in checks]
+    elapsed = time.perf_counter() - start
+    passed = all(r.passed for r in results)
+    detail = "; ".join(r.detail for r in results)
+    if time_limit is not None:
+        passed = passed and elapsed < time_limit
+        detail += f"; {elapsed:.2f} s"
+    report(criterion, passed, detail)
 
 
 def test_criterion_1_sl2_regression(capsys):
@@ -100,191 +70,40 @@ def test_criterion_1_sl2_regression(capsys):
 
 
 def test_criterion_2_dual_path():
-    worst = 0.0
-    rng = random.Random(2024)
-    for spec in (SL2R, SU21, SP4R, CA2):
-        keys = small_keys(spec, 5)
-        for _ in range(50):
-            g = random_regular_point(spec.datum, rng)
-            for key in keys:
-                worst = max(worst, tau_generator(spec, key, g).agreement)
-    report("criterion-2 dual-path", worst <= 1e-10, f"max |path_a - path_b| = {worst:.3e}")
+    accept("criterion-2 dual-path", check_dual_path)
 
 
 def test_criterion_3_vanishing_clauses():
-    rng = random.Random(3)
-    exact_zero = True
-    for spec in (SL2R, SU21):
-        keys = small_keys(spec, 6)
-        for _ in range(100):
-            x = random_class(spec, keys, rng)
-            a = tau_class(spec, x, ConjugacyDescriptor.non_elliptic())
-            b = tau_class(spec, x, ConjugacyDescriptor.unequal_rank_ambient())
-            exact_zero = exact_zero and a == 0 and b == 0
-    report("criterion-3 vanishing clauses", exact_zero, "non-elliptic and unequal-rank exactly 0")
+    accept("criterion-3 vanishing", check_selberg_vanishing)
 
 
 def test_criterion_4_denominator_formula():
-    worst = 0.0
-    for name in ("A1", "A2", "B2", "C2", "G2"):
-        datum = build_datum(name)
-        group = weyl_group(datum)
-        pos = positive_roots(datum)
-        r = rho(pos)
-        rng = random.Random(4)
-        for _ in range(200):
-            g = random_regular_point(datum, rng)
-            worst = max(worst, abs(weyl_numerator(r, g, group) - weyl_denominator(g, pos)))
-    report("criterion-4 denominator formula", worst <= 1e-10, f"max residual = {worst:.3e}")
+    accept("criterion-4 denominator", check_denominator_formula)
 
 
 def test_criterion_5_wedge_identity():
-    worst = 0.0
-    for spec in (SL2R, SU21, SP4R, CA1, CA2):
-        m = spec.dim_gk // 2
-        rng = random.Random(5)
-        for _ in range(100):
-            g = random_regular_point(spec.datum, rng)
-            lhs = complex(1.0)
-            for alpha in spec.noncompact_positive:
-                lhs *= (1 - eval_weight(alpha, g)) * (1 - eval_weight(-alpha, g))
-            chi = weyl_denominator(g, spec.noncompact_positive)
-            worst = max(worst, abs(lhs - (-1) ** m * chi * chi))
-    report("criterion-5 wedge identity", worst <= 1e-10, f"max residual = {worst:.3e}")
+    accept("criterion-5 wedge", check_wedge_identity)
 
 
 def test_criterion_6_oracle_equivalence():
-    cases = [
-        (CA1, [Weight((2 * k,)) for k in range(6)]),
-        (CA2, [Weight((2, 0)), Weight((2, 2)), Weight((4, 2))]),
-    ]
-    worst_char = 0.0
-    worst_ab = 0.0
-    for spec, lams in cases:
-        datum = spec.datum
-        group = weyl_group(datum)
-        pos = positive_roots(datum)
-        r = rho(pos)
-        for lam in lams:
-            table = weight_multiplicities(datum, lam)
-            rng = random.Random(6)
-            for _ in range(20):
-                g = random_regular_point(datum, rng)
-                closed = char_quotient(lam + r, g, group, pos)
-                brute = sum(m * eval_weight(mu, g) for mu, m in table.items())
-                worst_char = max(worst_char, abs(closed - brute))
-                local = ab_fixed_sum(lam, g, group, pos)
-                worst_ab = max(worst_ab, abs(local - closed))
-    ok = worst_char <= 1e-9 and worst_ab <= 1e-9
-    report(
-        "criterion-6 oracle equivalence",
-        ok,
-        f"char residual = {worst_char:.3e}, fixed-point residual = {worst_ab:.3e}",
-    )
+    accept("criterion-6 oracles", check_char_oracle, check_ab_vs_quotient)
 
 
 def test_criterion_7_packet_and_stability():
-    worst_packet = 0.0
-    worst_stable = 0.0
-    for spec, coords in ((SL2R, (0,)), (SL2R, (6,)), (SU21, (2, 0)), (SU21, (2, 2))):
-        key = generator_key(spec, Weight(coords))
-        lam_hc = hc_parameter(spec, key)
-        rng = random.Random(7)
-        for _ in range(10):
-            g = random_regular_point(spec.datum, rng)
-            lhs = lpacket_sum(spec, lam_hc, g)
-            x = KClass.generator(key)
-            rhs = stable_tau(spec, x, g)
-            worst_packet = max(worst_packet, abs(lhs - rhs))
-            for w in weyl_group(spec.datum):
-                moved = stable_tau(spec, x, weyl_act_point(w, g))
-                worst_stable = max(worst_stable, abs(moved - rhs))
-    ok = worst_packet <= 1e-10 and worst_stable <= 1e-12
-    report(
-        "criterion-7 packet/stable",
-        ok,
-        f"packet residual = {worst_packet:.3e}, translate residual = {worst_stable:.3e}",
-    )
+    accept("criterion-7 packet/stable", check_packet_stable, check_stable_invariance)
 
 
 def test_criterion_8_continuity():
-    rng = random.Random(8)
-    timings = []
-
-    def run(spec, coords, start_scale):
-        x = KClass.generator(generator_key(spec, Weight(coords)))
-        direction = continuity_direction(spec, rng)
-        t0 = time.perf_counter()
-        result = continuity_check(spec, x, direction, start_scale=start_scale)
-        timings.append(time.perf_counter() - t0)
-        return result
-
-    flat = run(SL2R, (0,), 1e-2)
-    heavy = run(SL2R, (6,), 1e-2)
-    su = run(SU21, (2, 2), 5e-2)
-    expected_su = float(tau_e(SU21, KClass.generator(generator_key(SU21, Weight((2, 2))))))
-    ok = (
-        abs(flat.limit.extrapolated) <= 1e-10
-        and abs(abs(heavy.limit.extrapolated) - 3.0) <= 1e-6
-        and abs(abs(su.limit.extrapolated) - expected_su) <= 1e-6
-        and max(timings) < 1.0
-    )
-    report(
-        "criterion-8 continuity",
-        ok,
-        f"limits (0, 3, {expected_su}) matched; max {max(timings)*1000:.0f} ms",
-    )
+    accept("criterion-8 continuity", check_continuity, time_limit=1.0)
 
 
 def test_criterion_9_class_distinguishing():
-    rng = random.Random(9)
-    ok = True
-    max_samples = 0
-    for spec in (SL2R, SU21):
-        keys = small_keys(spec, 6)
-        for _ in range(100):
-            x = random_class(spec, keys, rng)
-            verdict = class_is_zero(spec, x, samples=20, seed=rng.randrange(10**6))
-            ok = ok and not verdict.is_zero
-            max_samples = max(max_samples, verdict.samples_used)
-    zero_ok = class_is_zero(SL2R, KClass.zero()).is_zero
-    report(
-        "criterion-9 class distinguishing",
-        ok and zero_ok,
-        f"200 random classes witnessed nonzero (worst case {max_samples} samples); zero class zero",
-    )
+    accept("criterion-9 distinguishing", check_injectivity)
 
 
 def test_criterion_10_character_identity():
-    worst = 0.0
-    for spec in (SL2R, SU21, SP4R):
-        rng = random.Random(10)
-        for _ in range(50):
-            g = random_regular_point(spec.datum, rng)
-            nu = Weight(tuple(2 * rng.randrange(-2, 3) for _ in range(spec.rank)))
-            worst = max(worst, char_identity_check(spec, nu, g))
-    report("criterion-10 character identity", worst <= 1e-10, f"max residual = {worst:.3e}")
+    accept("criterion-10 character identity", check_char_identity)
 
 
 def test_criterion_11_tannaka_round_trip():
-    start = time.perf_counter()
-    ca1 = run_reconstruction(CA1, [generator_key(CA1, Weight((2 * k,))) for k in range(3)])
-    su = run_reconstruction(
-        SU21, [generator_key(SU21, Weight(c)) for c in ((0, 0), (2, 0), (0, 2))]
-    )
-    sl = run_reconstruction(SL2R, [generator_key(SL2R, Weight((2 * k,))) for k in range(3)])
-    elapsed = time.perf_counter() - start
-    ok = (
-        ca1.dims == {Weight((0,)): 1, Weight((2,)): 2, Weight((4,)): 3}
-        and all(ca1.highest_weights[lab] == lab for lab in ca1.labels)
-        and su.dims == {Weight((0, 0)): 1, Weight((2, 0)): 2, Weight((0, 2)): 1}
-        and all(su.highest_weights[lab] == lab for lab in su.labels)
-        and su.noncompact_weights == {canonical_sign(a) for a in SU21.noncompact_positive}
-        and sl.noncompact_weights == {canonical_sign(SL2R.noncompact_positive[0])}
-        and elapsed < 10.0
-    )
-    report(
-        "criterion-11 tannaka round trip",
-        ok,
-        f"dims/weights/noncompact sets exact; {elapsed:.2f} s",
-    )
+    accept("criterion-11 tannaka", check_tannaka, time_limit=10.0)

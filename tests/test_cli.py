@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+import orbint.stable
 from orbint.cli import Config, main
 from orbint.jsonio import dumps
 
@@ -84,6 +87,31 @@ def test_exit_codes(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "check", "--only", "weyl_orders")
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tau", "--preset", "sl2r", "--lambda", "1", "--t", "nan"],
+        ["tau", "--preset", "sl2r", "--lambda", "1", "--t", "inf"],
+        ["tau", "--preset", "sl2r", "--lambda", "1", "--t", "1e308"],
+        ["limit", "--preset", "sl2r", "--lambda", "3", "--direction", "nan"],
+        ["limit", "--preset", "sl2r", "--lambda", "3", "--direction", "1.0", "--start-scale", "nan"],
+    ],
+)
+def test_non_finite_torus_input_is_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_consistency_guard_exit_code(capsys, monkeypatch):
+    # a packet sum that disagrees with the stable integral trips the guard
+    stable_tau = orbint.stable.stable_tau
+    monkeypatch.setattr(orbint.stable, "stable_tau", lambda *a: stable_tau(*a) + 1.0)
+    code, out, err = run_cli(capsys, "packet", "--preset", "sl2r", "--Lambda", "3", "--t", "1/7")
+    assert code == 4 and out == ""
+    assert err.startswith("consistency check failed:") and err.count("\n") == 1
 
 
 def test_check_subcommand_single(capsys):

@@ -27,7 +27,7 @@ def test_float_precision():
     assert json.loads(dumps(1e-300)) == 1e-300
 
 
-def test_complex_records():
+def test_complex_numbers():
     assert dumps(1 + 2j) == '{"re": 1.0, "im": 2.0}'
     assert json.loads(dumps(-0.5j)) == {"re": -0.0, "im": -0.5}
 

@@ -25,6 +25,7 @@ from orbint.toruschar import (
     negated_system,
     weyl_act_point,
 )
+from orbint.verify import random_class, small_keys
 
 SL2R = real_form("sl2r")
 SU21 = real_form("su21")
@@ -32,25 +33,6 @@ SP4R = real_form("sp4r")
 CA1 = real_form("compact(A1)")
 CA2 = real_form("compact(A2)")
 PRESETS = [SL2R, SU21, SP4R, CA2]
-
-
-def small_keys(spec, count=5):
-    """First few valid generator keys with small dominant coordinates."""
-    out = []
-    span = range(0, 16)
-    if spec.rank == 1:
-        candidates = [Weight((a,)) for a in span]
-    else:
-        candidates = [Weight((a, b)) for a in span for b in span]
-    for lam in candidates:
-        try:
-            out.append(generator_key(spec, lam))
-        except ValidationError:
-            continue
-        if len(out) == count:
-            break
-    assert len(out) == count
-    return out
 
 
 def test_sl2r_limit_of_discrete_series_value():
@@ -81,7 +63,7 @@ def test_compact_tau_is_the_character():
 def test_dual_paths_agree_everywhere():
     rng = random.Random(42)
     for spec in PRESETS:
-        keys = small_keys(spec)
+        keys = small_keys(spec, 5)
         for _ in range(12):
             g = random_regular_point(spec.datum, rng)
             for key in keys:
@@ -110,7 +92,7 @@ def test_wk_conjugation_invariance():
 
 def test_tau_class_vanishing_and_linearity():
     rng = random.Random(4)
-    keys = small_keys(SU21)
+    keys = small_keys(SU21, 5)
     x = KClass.generator(keys[0], 2) + KClass.generator(keys[3], -1)
     y = KClass.generator(keys[1], 1) + KClass.generator(keys[0], -2)
     assert tau_class(SU21, x, ConjugacyDescriptor.non_elliptic()) == 0
@@ -134,7 +116,7 @@ def test_random_regular_point_determinism():
 
 
 def test_class_is_zero_verdicts():
-    keys = small_keys(SL2R)
+    keys = small_keys(SL2R, 5)
     assert class_is_zero(SL2R, KClass.zero()).is_zero
     cancel = KClass.generator(keys[1]) - KClass.generator(keys[1])
     assert class_is_zero(SL2R, cancel).is_zero
@@ -152,9 +134,7 @@ def test_injectivity_style_sweep():
     for spec in [SL2R, SU21]:
         keys = small_keys(spec, 6)
         for _ in range(25):
-            chosen = rng.sample(keys, rng.randrange(1, 6))
-            coeffs = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in chosen]
-            x = KClass.from_pairs(zip(chosen, coeffs))
+            x = random_class(keys, rng)
             verdict = class_is_zero(spec, x, samples=20, seed=rng.randrange(10**6))
             assert not verdict.is_zero
             assert verdict.samples_used <= 20

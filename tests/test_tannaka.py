@@ -20,7 +20,6 @@ from orbint.tannaka import (
 )
 
 SL2R = real_form("sl2r")
-SU21 = real_form("su21")
 CA1 = real_form("compact(A1)")
 CA2 = real_form("compact(A2)")
 
@@ -55,19 +54,6 @@ def test_sl2r_round_trip():
     family = synth_family(SL2R, keys)
     t = 1e-2 * family.ray_direction[0]
     assert abs(abs(report.psi_ray[0]) - 2 * abs(math.sin(2 * math.pi * t))) <= 1e-10
-
-
-def test_su21_round_trip():
-    keys = keys_of(SU21, [(0, 0), (2, 0), (0, 2)])
-    report = run_reconstruction(SU21, keys)
-    assert report.dims == {Weight((0, 0)): 1, Weight((2, 0)): 2, Weight((0, 2)): 1}
-    assert report.reference_label == Weight((0, 0))
-    assert report.highest_weights[Weight((2, 0))] == Weight((2, 0))
-    assert report.highest_weights[Weight((0, 0))] == Weight((0, 0))
-    assert report.highest_weights[Weight((0, 2))] == Weight((0, 2))
-    assert report.spin_power == 2
-    expected = {canonical_sign(Weight((-2, 4))), canonical_sign(Weight((2, 2)))}
-    assert report.noncompact_weights == expected
 
 
 def test_empty_family():

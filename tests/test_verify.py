@@ -3,7 +3,8 @@
 import pytest
 
 from orbint.errors import ValidationError
-from orbint.verify import ALL_CHECKS, run_checks
+from orbint.realform import real_form
+from orbint.verify import ALL_CHECKS, run_checks, small_keys
 
 
 def test_every_check_passes():
@@ -18,3 +19,10 @@ def test_check_selection():
     assert len(results) == 1 and results[0].name == "weyl-group-orders"
     with pytest.raises(ValidationError):
         run_checks(["nonsense"])
+
+
+def test_small_keys_raises_when_too_few():
+    # rank one offers 16 candidate weights, so 17 keys cannot exist
+    assert len(small_keys(real_form("sl2r"), 6)) == 6
+    with pytest.raises(ValidationError):
+        small_keys(real_form("sl2r"), 17)
