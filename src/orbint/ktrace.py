@@ -23,7 +23,6 @@ from .toruschar import (
     ConjugacyDescriptor,
     TorusPoint,
     _csum,
-    char_quotient,
     delta_p_char,
     guard_nonsingular,
     is_regular,
@@ -76,10 +75,10 @@ def tau_generator(spec: RealFormSpec, key: GeneratorKey, g: TorusPoint) -> TauVa
     lam_hc = hc_parameter(spec, key)
     m = spec.dim_gk // 2
     sign = (-1) ** m * spec.spin_sign
-    group_k = weyl_k(spec)
-    numer = weyl_numerator(lam_hc, g, group_k)
+    numer = weyl_numerator(lam_hc, g, weyl_k(spec))
     path_a = sign * numer / weyl_denominator(g, full_pos)
-    chi_v = char_quotient(lam_hc, g, group_k, spec.compact_positive)
+    # path_b factors the same numerator as the compact character over the spinor
+    chi_v = numer / weyl_denominator(g, spec.compact_positive)
     path_b = (-1) ** m * chi_v / delta_p_char(g, spec)
     scale = max(1.0, abs(path_a), abs(path_b))
     if abs(path_a - path_b) > max(DUAL_PATH_TOL, 1e-12 * scale):

@@ -15,12 +15,14 @@ from .rootsys import (
     Weight,
     WeylElement,
     WeylGroup,
-    _matmul,
+    _matvec,
+    _subsystem_simples,
     all_roots,
     build_datum,
     is_dominant,
     pairing,
     positive_roots,
+    reflection,
     reflection_subgroup,
     rho,
     weyl_group,
@@ -130,8 +132,16 @@ def real_form(preset: str) -> RealFormSpec:
 
 @functools.lru_cache(maxsize=None)
 def weyl_k(spec: RealFormSpec) -> WeylGroup:
-    """Subgroup of the Weyl group generated by reflections in compact roots."""
-    return reflection_subgroup(spec.datum, spec.compact_positive)
+    """W_K, the subgroup of the Weyl group generated by reflections in compact roots.
+
+    The compact roots form a closed root subsystem, so W_K is generated by the
+    reflections in its simple roots alone (the indecomposable roots of
+    R_c^+); element lengths are word lengths in those generators.  A compact
+    form returns ``weyl_group(spec.datum)`` itself.
+    """
+    if spec.is_compact:
+        return weyl_group(spec.datum)
+    return reflection_subgroup(spec.datum, _subsystem_simples(spec.compact_positive))
 
 
 @functools.lru_cache(maxsize=None)
@@ -146,21 +156,26 @@ def rho_n(spec: RealFormSpec) -> Weight:
 
 @functools.lru_cache(maxsize=None)
 def coset_reps(spec: RealFormSpec) -> tuple[WeylElement, ...]:
-    """Minimal-length representatives of the cosets W_K \\ W_G, one per coset.
+    """Minimal-length representatives of the cosets W_K \\ W_G, one per coset,
+    sorted by (length, matrix).
 
-    The W_K-translates of the representatives tile W_G exactly.
+    Chamber test: w is the minimal element of W_K w exactly when
+    w^{-1}(R_c^+) lies in R^+, that is when <w rho, beta^vee> > 0 for every
+    simple root beta of the compact subsystem (Dyer 1990; Bjorner-Brenti,
+    Combinatorics of Coxeter Groups, 2.4), one matrix-vector product per
+    element of W_G.  The W_K-translates of the representatives tile W_G exactly.
     """
     group = weyl_group(spec.datum)
-    subgroup = weyl_k(spec)
-    reps = {}
-    for w in sorted(group, key=lambda e: (e.length, e.matrix)):
-        signature = min(_matmul(u.matrix, w.matrix) for u in subgroup)
-        if signature not in reps:
-            reps[signature] = w
-    chosen = tuple(sorted(reps.values(), key=lambda e: (e.length, e.matrix)))
-    if len(chosen) * subgroup.order != group.order:
+    rho2 = rho(spec.positive_system).coords2
+    coroots = [reflection(spec.datum, beta)[1] for beta in _subsystem_simples(spec.compact_positive)]
+    chosen = []
+    for w in group:
+        w_rho = _matvec(w.matrix, rho2)
+        if all(sum(c * x for c, x in zip(coroot, w_rho)) > 0 for coroot in coroots):
+            chosen.append(w)
+    if len(chosen) * weyl_k(spec).order != group.order:
         raise ValidationError("coset enumeration does not tile the Weyl group")
-    return chosen
+    return tuple(sorted(chosen, key=lambda e: (e.length, e.matrix)))
 
 
 # ---------------------------------------------------------------------------

@@ -177,7 +177,7 @@ class CartanDatum:
 
 
 _SERIES_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 4, "G": 2, "F": 4}
-_MAX_RANK = 6  # desk scale; Weyl groups are enumerated densely
+_MAX_RANK = 6  # desk scale: Weyl groups are listed element by element, 46080 matrices for B6/C6
 
 
 def _series_matrix(series: str, n: int) -> tuple[list[list[int]], list[Fraction]]:
@@ -310,86 +310,107 @@ class WeylGroup:
         return self.elements[0]
 
 
-def simple_reflection_matrix(datum: CartanDatum, i: int) -> IntMatrix:
+# A reflection s = I - a c^T on coords2, stored as the pair (a, c): a is the
+# root in fundamental coordinates and c_j = <omega_j, alpha^vee>, so that
+# s(lambda) = lambda - <lambda, alpha^vee> alpha.
+Reflection = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _simple_reflection(datum: CartanDatum, i: int) -> Reflection:
     # s_i(lambda)_k = lambda_k - A_ki * lambda_i  (column i of the Cartan matrix)
     n = datum.rank
-    return tuple(
-        tuple((1 if k == j else 0) - (datum.cartan[k][i] if j == i else 0) for j in range(n))
-        for k in range(n)
-    )
+    return tuple(datum.cartan[k][i] for k in range(n)), tuple(int(k == i) for k in range(n))
 
 
-def _bfs_closure(rank: int, gen_matrices: Sequence[IntMatrix]) -> list[tuple[IntMatrix, int]]:
-    """Breadth-first closure over the generators; returns (matrix, word length) pairs."""
+def _reflect(refl: Reflection, v: Sequence[int]) -> tuple[int, ...]:
+    a, c = refl
+    k = sum(cj * vj for cj, vj in zip(c, v))
+    return tuple(vj - k * aj for vj, aj in zip(v, a))
+
+
+def _reflection_group(rank: int, gens: Sequence[Reflection]) -> WeylGroup:
+    """Breadth-first closure over the reflections, identity first.  Each element
+    carries its word length and the sign (-1)^length, as every generator has
+    determinant -1.
+
+    Elements are told apart by their image of the regular vector (1, ..., 1),
+    on which the group acts freely, so a candidate costs one reflected vector.
+    Only a new element pays for its matrix, by the rank-one update
+    s.M = M - a (c^T M), which rewrites the rows where a is nonzero."""
+    # sparse (index, entry) lists of a and c
+    steps = [
+        ([(j, x) for j, x in enumerate(a) if x], [(j, x) for j, x in enumerate(c) if x])
+        for a, c in gens
+    ]
     ident = _identity(rank)
-    seen = {ident: 0}
-    frontier = [ident]
-    ordered = [(ident, 0)]
+    start = (1,) * rank
+    seen = {start}
+    frontier = [(ident, start)]
+    elements = [WeylElement(ident, 1, 0)]
     depth = 0
     while frontier:
         depth += 1
         if depth > 100:
             raise ValidationError("reflection closure did not terminate (not finite type?)")
         nxt = []
-        for m in frontier:
-            for g in gen_matrices:
-                prod = _matmul(g, m)
-                if prod not in seen:
-                    seen[prod] = depth
-                    nxt.append(prod)
-                    ordered.append((prod, depth))
+        for m, v in frontier:
+            for a_terms, c_terms in steps:
+                k = 0
+                for j, cj in c_terms:
+                    k += cj * v[j]
+                image = list(v)
+                for j, aj in a_terms:
+                    image[j] -= k * aj
+                image = tuple(image)
+                if image in seen:
+                    continue
+                seen.add(image)
+                row = [0] * rank
+                for j, cj in c_terms:
+                    row = [x + cj * y for x, y in zip(row, m[j])]
+                prod = list(m)
+                for j, aj in a_terms:
+                    prod[j] = tuple(x - aj * y for x, y in zip(m[j], row))
+                prod = tuple(prod)
+                nxt.append((prod, image))
+                elements.append(WeylElement(prod, (-1) ** depth, depth))
         frontier = nxt
-    return ordered
-
-
-def _group_from_matrices(rank: int, gen_matrices: Sequence[IntMatrix]) -> WeylGroup:
-    ordered = _bfs_closure(rank, gen_matrices)
-    elements = []
-    for m, depth in ordered:
-        det = _det_fraction([[Fraction(x) for x in row] for row in m])
-        sign = int(det)
-        if sign != (-1) ** depth:
-            raise ValidationError("determinant disagrees with word length parity")
-        elements.append(WeylElement(m, sign, depth))
-    gens = [e for e in elements if e.matrix in set(gen_matrices)]
-    return WeylGroup(tuple(elements), tuple(gens))
+    return WeylGroup(tuple(elements), tuple(e for e in elements if e.length == 1))
 
 
 @functools.lru_cache(maxsize=None)
 def weyl_group(datum: CartanDatum) -> WeylGroup:
-    gens = [simple_reflection_matrix(datum, i) for i in range(datum.rank)]
-    return _group_from_matrices(datum.rank, gens)
+    """The Weyl group, generated by the simple reflections in index order."""
+    return _reflection_group(datum.rank, [_simple_reflection(datum, i) for i in range(datum.rank)])
 
 
 def reflection_subgroup(datum: CartanDatum, roots: Sequence[Weight]) -> WeylGroup:
-    """Subgroup generated by the reflections in the given roots."""
-    if not roots:
-        ident = WeylElement(_identity(datum.rank), 1, 0)
-        return WeylGroup((ident,), ())
-    gens = [reflection_matrix(datum, alpha) for alpha in roots]
-    return _group_from_matrices(datum.rank, sorted(set(gens)))
+    """Subgroup generated by the reflections in all the given roots.
+
+    Any list of roots is accepted and every one of its reflections is a
+    generator, so element lengths are word lengths in those generators.  The
+    simple roots of a list generate the right group only when the list is the
+    positive part of a closed root subsystem; callers that have one (as
+    ``realform.weyl_k`` does) pass its simple roots to shorten the closure."""
+    return _reflection_group(datum.rank, [reflection(datum, alpha) for alpha in roots])
 
 
-def reflection_matrix(datum: CartanDatum, alpha: Weight) -> IntMatrix:
-    """Matrix of the reflection s_alpha on coords2, exact and integral."""
+def reflection(datum: CartanDatum, alpha: Weight) -> Reflection:
+    """The reflection s_alpha on coords2 as the pair (a, c) with s_alpha = I - a c^T:
+    a is alpha in fundamental coordinates, c_j = <omega_j, alpha^vee>."""
     n = datum.rank
-    alpha_fund = alpha.halved().coords2  # fundamental coords of the root, integers
     norm = pairing(datum, alpha, alpha)
     if norm == 0:
         raise ValidationError("cannot reflect in a null vector")
     # <omega_j, alpha^vee> = 2 (omega_j, alpha) / (alpha, alpha)
     basis = [Weight(tuple(2 if k == j else 0 for k in range(n))) for j in range(n)]
-    coeffs = [2 * pairing(datum, w, alpha) / norm for w in basis]
-    rows = []
-    for k in range(n):
-        row = []
-        for j in range(n):
-            entry = Fraction(1 if k == j else 0) - coeffs[j] * alpha_fund[k]
-            if entry.denominator != 1:
-                raise ValidationError("reflection matrix is not integral")
-            row.append(int(entry))
-        rows.append(tuple(row))
-    return tuple(rows)
+    coroot = []
+    for w in basis:
+        cj = 2 * pairing(datum, w, alpha) / norm
+        if cj.denominator != 1:
+            raise ValidationError("coroot pairing is not integral")
+        coroot.append(int(cj))
+    return alpha.halved().coords2, tuple(coroot)
 
 
 # ---------------------------------------------------------------------------
@@ -400,14 +421,14 @@ def positive_roots(datum: CartanDatum) -> tuple[Weight, ...]:
     """Positive roots in height order, generated by reflection closure of the simple roots."""
     n = datum.rank
     simple = [Weight(tuple(2 * datum.cartan[k][i] for k in range(n))) for i in range(n)]
-    gens = [simple_reflection_matrix(datum, i) for i in range(n)]
+    gens = [_simple_reflection(datum, i) for i in range(n)]
     roots = set(simple)
     frontier = list(simple)
     while frontier:
         nxt = []
         for r in frontier:
             for g in gens:
-                img = Weight(_matvec(g, r.coords2))
+                img = Weight(_reflect(g, r.coords2))
                 if img not in roots and -img not in roots:
                     roots.add(img)
                     nxt.append(img)

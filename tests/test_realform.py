@@ -1,6 +1,7 @@
 """Real-form specs, coset representatives, generator keys, and K-classes."""
 
 import pytest
+from weyl_oracles import all_compact_reflections_group, first_in_each_coset, painted_forms
 
 from orbint.errors import ValidationError
 from orbint.realform import (
@@ -104,6 +105,23 @@ def test_coset_reps_have_minimal_length():
             if any(_matmul(u.matrix, v.matrix) == w.matrix for u in weyl_k(spec)):
                 lengths.append(w.length)
         assert v.length == min(lengths)
+
+
+def test_weyl_k_and_coset_reps_match_first_definitions():
+    # every Vogan painting up to rank 3, and the painted B4 and F4 forms
+    # (alpha1 painted) of the benchmark
+    forms = [
+        spec
+        for name in ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2")
+        for spec in painted_forms(name)
+    ]
+    forms += painted_forms("B4", [(0,)]) + painted_forms("F4", [(0,)])
+    for spec in forms:
+        subgroup = all_compact_reflections_group(spec)
+        assert {(u.matrix, u.sign) for u in weyl_k(spec)} == subgroup, spec.name
+        assert weyl_k(spec).order == len(subgroup), spec.name
+        expected = first_in_each_coset(weyl_group(spec.datum), [m for m, _ in subgroup])
+        assert list(coset_reps(spec)) == expected, spec.name
 
 
 def test_generator_key_validation():

@@ -1,9 +1,11 @@
 """Root systems, Weyl groups, pairings, and the Freudenthal oracle."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from weyl_oracles import matmul_closure, reflection_matrix
 
 from orbint.errors import ValidationError
 from orbint.rootsys import (
@@ -23,6 +25,19 @@ from orbint.rootsys import (
 )
 
 DATUM_NAMES = ["A1", "A2", "B2", "C2", "G2"]
+# every Cartan type up to rank 4
+UP_TO_RANK_4 = [f"A{n}" for n in range(1, 5)] + ["B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "F4"]
+
+
+def closed_form_order(name):
+    series, n = name[0], int(name[1:])
+    if series == "A":
+        return math.factorial(n + 1)
+    if series in "BC":
+        return 2**n * math.factorial(n)
+    if series == "D":
+        return 2 ** (n - 1) * math.factorial(n)
+    return {"G2": 12, "F4": 1152}[name]
 
 
 def test_build_named_presets():
@@ -86,6 +101,18 @@ def test_weyl_group_orders():
     expected = {"A1": 2, "A2": 6, "B2": 8, "C2": 8, "G2": 12}
     for name, order in expected.items():
         assert weyl_group(build_datum(name)).order == order
+    for name in UP_TO_RANK_4 + ["A6", "D6"]:
+        assert weyl_group(build_datum(name)).order == closed_form_order(name)
+
+
+def test_weyl_group_matches_matrix_product_closure():
+    # same matrices, signs (determinants), lengths and breadth-first order
+    for name in UP_TO_RANK_4:
+        datum = build_datum(name)
+        simple = positive_roots(datum)[: datum.rank]
+        gens = [reflection_matrix(datum, alpha) for alpha in simple]
+        expected = matmul_closure(datum.rank, gens)
+        assert [(w.matrix, w.sign, w.length) for w in weyl_group(datum)] == expected
 
 
 def test_weyl_closure_and_uniqueness():
@@ -102,7 +129,7 @@ def test_weyl_closure_and_uniqueness():
 
 
 def test_sign_equals_det_and_length_parity():
-    for name in DATUM_NAMES:
+    for name in UP_TO_RANK_4:
         datum = build_datum(name)
         for w in weyl_group(datum):
             assert w.sign == (-1) ** w.length
@@ -201,6 +228,10 @@ def test_reflection_subgroup():
     assert full.order == 6
     trivial = reflection_subgroup(a2, [])
     assert trivial.order == 1
+    # two short roots and a long one are not a closed subsystem: their
+    # reflections generate all of W(B2), which their simple roots would not
+    b2 = build_datum("B2")
+    assert reflection_subgroup(b2, list(positive_roots(b2)[1:4])).order == 8
 
 
 def test_rank_cap_and_unknown_types():
