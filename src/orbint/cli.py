@@ -192,17 +192,19 @@ def cmd_weyl(config: Config, args) -> int:
     return 0
 
 
-def _tau_record(spec: RealFormSpec, lam: Weight, g: TorusPoint) -> dict:
+def _tau_record(spec: RealFormSpec, lam: Weight, g: TorusPoint, verbose: bool) -> dict:
     value = tau_generator(spec, generator_key(spec, lam), g)
     record = {"lambda2": list(lam.coords2), "t": serialize_torus_point(g)}
     record.update(tau_value_to_json(value))
+    if verbose:
+        record["conditioning"] = value.conditioning
     return record
 
 
 def cmd_tau(config: Config, args) -> int:
     spec = resolve_spec(config)
     g = parse_torus_point(args.t)
-    emit(_tau_record(spec, parse_weight(args.lam), g))
+    emit(_tau_record(spec, parse_weight(args.lam), g, bool(config.verbosity)))
     return 0
 
 
@@ -329,7 +331,7 @@ def cmd_demo_sl2(config: Config, args) -> int:
         raise ValidationError("demo expects an exact rational t")
     phi = 2 * math.pi * float(g.coords[0])
     expected = 1 / (2j * math.sin(phi))
-    record = _tau_record(spec, Weight((0,)), g)
+    record = _tau_record(spec, Weight((0,)), g, bool(config.verbosity))
     key = generator_key(spec, Weight((0,)))
     x = KClass.generator(key)
     pos = spec.positive_system

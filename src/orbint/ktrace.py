@@ -1,14 +1,21 @@
 """The orbital-integral functional tau_g on K-theory classes: generator values
 via the fixed-point character formula, vanishing off the elliptic set, class
 distinguishing by random sampling, and (limits of) discrete-series characters.
+
+Every tau value comes from one batch kernel, ``tau_grid``: per torus point it
+takes the root factors once (``toruschar.root_factors``) and forms the Weyl
+denominator and its compact and noncompact parts from them; per generator it
+adds only the alternating numerator over the cached W_K orbit of the
+Harish-Chandra parameter.  (Limit-of-)discrete-series characters use the
+same factors and orbits.
 """
 
 from __future__ import annotations
 
+import functools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import ConsistencyError, ValidationError
 from .realform import (
@@ -21,14 +28,15 @@ from .realform import (
 from .rootsys import CartanDatum, Weight, positive_roots
 from .toruschar import (
     ConjugacyDescriptor,
+    RootFactors,
+    SignedOrbit,
     TorusPoint,
     _csum,
-    delta_p_char,
-    guard_nonsingular,
     is_regular,
+    orbit_sum,
+    root_factors,
     serialize_torus_point,
-    weyl_denominator,
-    weyl_numerator,
+    signed_orbit,
 )
 
 # Two independently computed routes to the same number must agree this well.
@@ -49,43 +57,111 @@ def _sieve(limit: int) -> tuple[int, ...]:
 PRIMES = tuple(p for p in _sieve(997) if p >= 5)
 
 
-@dataclass(frozen=True)
-class TauValue:
+class TauValue(NamedTuple):
     """Orbital-integral value at a generator, recorded along both routes:
     path_a is the direct numerator/denominator quotient, path_b goes through
-    the compact character divided by the spinor character."""
+    the compact character divided by the spinor character.  conditioning is
+    min |2 sin(pi <alpha/2, t>)| over the positive roots."""
 
     value: complex
     path_a: complex
     path_b: complex
+    conditioning: float
 
     @property
     def agreement(self) -> float:
         return abs(self.path_a - self.path_b)
 
 
+@functools.lru_cache(maxsize=4096)
+def wk_orbit(spec: RealFormSpec, lam_hc: Weight) -> SignedOrbit:
+    """The signed W_K orbit of a Harish-Chandra parameter, built once."""
+    return signed_orbit(lam_hc, weyl_k(spec))
+
+
+@functools.lru_cache(maxsize=None)
+def _root_positions(spec: RealFormSpec) -> tuple[tuple[int, ...], tuple[int, ...], dict]:
+    """Positions in ``positive_system`` of the compact and the noncompact
+    positive roots (in the spec's orders), and root -> (position, sign) for
+    every root."""
+    index = {}
+    for i, alpha in enumerate(spec.positive_system):
+        index[alpha] = (i, 1)
+        index[-alpha] = (i, -1)
+    compact = tuple(index[alpha][0] for alpha in spec.compact_positive)
+    noncompact = tuple(index[alpha][0] for alpha in spec.noncompact_positive)
+    return compact, noncompact, index
+
+
+def _tau_rows(
+    spec: RealFormSpec, keys: Sequence[GeneratorKey], points: Sequence[TorusPoint]
+) -> Iterator[tuple[RootFactors, list[tuple[complex, complex]]]]:
+    """Per point, its root factors and (path_a, path_b) for every key, each
+    pair checked against DUAL_PATH_TOL."""
+    orbits = [wk_orbit(spec, hc_parameter(spec, key)) for key in keys]
+    pos = spec.positive_system
+    compact, noncompact, _ = _root_positions(spec)
+    every = range(len(pos))
+    m = spec.dim_gk // 2
+    sign = (-1) ** m * spec.spin_sign
+    for g in points:
+        factors = root_factors(g, pos)
+        denom = factors.product(every)
+        denom_c = factors.product(compact)
+        delta_p = spec.spin_sign * factors.product(noncompact)
+        pairs = []
+        for orbit in orbits:
+            numer = orbit_sum(orbit, g)
+            path_a = sign * numer / denom
+            # path_b factors the same numerator as the compact character over the spinor
+            path_b = (-1) ** m * (numer / denom_c) / delta_p
+            scale = max(1.0, abs(path_a), abs(path_b))
+            if abs(path_a - path_b) > max(DUAL_PATH_TOL, 1e-12 * scale):
+                raise ConsistencyError(
+                    f"dual-path disagreement {abs(path_a - path_b):.3e} at {g}"
+                )
+            pairs.append((path_a, path_b))
+        yield factors, pairs
+
+
+def tau_grid(
+    spec: RealFormSpec, keys: Sequence[GeneratorKey], points: Sequence[TorusPoint]
+) -> list[tuple[complex, ...]]:
+    """tau_g on several generators at several torus points: entry [i][j] is the
+    value of keys[i] at points[j].
+
+    Sharing: each point's positive roots are paired with it once, which gives
+    the singular guard and the root factors; the Weyl denominator D, its
+    compact part D_c and the spinor character D_n come from those factors and
+    serve every key.  Per key and point only the numerator is summed, over the
+    W_K orbit of lambda_hc, cached per (spec, lambda_hc) in W_K element order
+    with repeated weights kept.
+
+    Bit-identity: every value equals, bit for bit, the per-key formula
+    (-1)^m spin_sign * weyl_numerator(lambda_hc, g, W_K) / weyl_denominator(g, R^+)
+    after guard_nonsingular(g, R^+), with the dual-path check against
+    (-1)^m (numer / weyl_denominator(g, R_c^+)) / delta_p_char(g) kept per key
+    and point.  Exact points are decided exactly; real points keep the
+    SINGULAR_GUARD threshold and real arithmetic.  Errors are raised at the
+    first failing point, in point order; with no keys nothing is evaluated.
+    """
+    columns: list[list[complex]] = [[] for _ in keys]
+    if keys:
+        for _, pairs in _tau_rows(spec, keys, points):
+            for column, (value, _) in zip(columns, pairs):
+                column.append(value)
+    return [tuple(column) for column in columns]
+
+
 def tau_generator(spec: RealFormSpec, key: GeneratorKey, g: TorusPoint) -> TauValue:
-    """tau_g on a single Dirac-induction generator.
+    """tau_g on a single Dirac-induction generator, from the per-point kernel
+    of ``tau_grid``, with both routes and the point's conditioning.
 
     Exact points must be regular; real-mode points (limit paths) rely on the
     denominator-magnitude guard instead.
     """
-    full_pos = spec.positive_system
-    guard_nonsingular(g, full_pos)
-    lam_hc = hc_parameter(spec, key)
-    m = spec.dim_gk // 2
-    sign = (-1) ** m * spec.spin_sign
-    numer = weyl_numerator(lam_hc, g, weyl_k(spec))
-    path_a = sign * numer / weyl_denominator(g, full_pos)
-    # path_b factors the same numerator as the compact character over the spinor
-    chi_v = numer / weyl_denominator(g, spec.compact_positive)
-    path_b = (-1) ** m * chi_v / delta_p_char(g, spec)
-    scale = max(1.0, abs(path_a), abs(path_b))
-    if abs(path_a - path_b) > max(DUAL_PATH_TOL, 1e-12 * scale):
-        raise ConsistencyError(
-            f"dual-path disagreement {abs(path_a - path_b):.3e} at {g}"
-        )
-    return TauValue(path_a, path_a, path_b)
+    factors, [(path_a, path_b)] = next(_tau_rows(spec, [key], [g]))
+    return TauValue(path_a, path_a, path_b, factors.conditioning)
 
 
 def tau_class(spec: RealFormSpec, x: KClass, descriptor: ConjugacyDescriptor) -> complex:
@@ -93,8 +169,8 @@ def tau_class(spec: RealFormSpec, x: KClass, descriptor: ConjugacyDescriptor) ->
     identically zero on non-elliptic and unequal-rank-ambient classes."""
     if descriptor.kind != "elliptic":
         return complex(0)
-    g = descriptor.point
-    return _csum(coeff * tau_generator(spec, key, g).value for key, coeff in x.terms)
+    values = tau_grid(spec, [key for key, _ in x.terms], [descriptor.point])
+    return _csum(coeff * column[0] for (_, coeff), column in zip(x.terms, values))
 
 
 def random_regular_point(
@@ -110,8 +186,7 @@ def random_regular_point(
     raise ValidationError("could not draw a regular point (degenerate datum?)")
 
 
-@dataclass(frozen=True)
-class ZeroVerdict:
+class ZeroVerdict(NamedTuple):
     """Outcome of random-sampling a class against zero; deterministic per seed."""
 
     is_zero: bool
@@ -176,10 +251,25 @@ def lds_character(
     """Coherently-continued (limit of) discrete-series character value at g,
     for the Harish-Chandra parameter lam_hc and the chosen positive system."""
     _validate_positive_system(spec, system)
-    guard_nonsingular(g, spec.positive_system)
+    return lds_value(spec, lam_hc, system, g, root_factors(g, spec.positive_system))
+
+
+def lds_value(
+    spec: RealFormSpec,
+    lam_hc: Weight,
+    system: Sequence[Weight],
+    g: TorusPoint,
+    factors: RootFactors,
+) -> complex:
+    """``lds_character`` from the root factors of ``spec.positive_system`` at g,
+    for a system already known to be valid."""
+    _, _, index = _root_positions(spec)
+    denom = complex(1.0)
+    for beta in system:
+        denom *= factors.factor(*index[beta])
     m = spec.dim_gk // 2
-    numer = weyl_numerator(lam_hc, g, weyl_k(spec))
-    return (-1) ** m * spec.spin_sign * numer / weyl_denominator(g, system)
+    numer = orbit_sum(wk_orbit(spec, lam_hc), g)
+    return (-1) ** m * spec.spin_sign * numer / denom
 
 
 def lds_character_sum(

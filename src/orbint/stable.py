@@ -3,12 +3,11 @@ identity, formal degrees, and the coset-partition character identity check."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import ConsistencyError, LimitPathError, SingularPointError, ValidationError
-from .ktrace import lds_character, tau_class
+from .ktrace import lds_value, tau_class
 from .realform import (
     KClass,
     RealFormSpec,
@@ -25,6 +24,7 @@ from .toruschar import (
     TorusPoint,
     _csum,
     ab_fixed_sum,
+    root_factors,
     transformed_system,
     weyl_act_point,
 )
@@ -47,11 +47,13 @@ def lpacket_sum(spec: RealFormSpec, lam_hc: Weight, g: TorusPoint) -> complex:
     Each coset representative contributes the character with transformed
     parameter and transformed positive system; the result is cross-checked
     against the stable orbital integral of the matching generator whenever
-    lam_hc - rho_c is a valid generator key.
+    lam_hc - rho_c is a valid generator key.  All characters share the root
+    factors of g.
     """
     pos = spec.positive_system
+    factors = root_factors(g, pos)
     total = _csum(
-        lds_character(spec, v.apply(lam_hc), transformed_system(v, pos), g)
+        lds_value(spec, v.apply(lam_hc), transformed_system(v, pos), g, factors)
         for v in coset_reps(spec)
     )
     try:
@@ -70,8 +72,7 @@ def lpacket_sum(spec: RealFormSpec, lam_hc: Weight, g: TorusPoint) -> complex:
 # ---------------------------------------------------------------------------
 # limits at the identity
 
-@dataclass(frozen=True)
-class LimitReport:
+class LimitReport(NamedTuple):
     """Richardson-extrapolated limit along a ray toward the identity."""
 
     direction: TorusPoint
@@ -150,8 +151,7 @@ def tau_e(spec: RealFormSpec, x: KClass) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class ContinuityReport:
+class ContinuityReport(NamedTuple):
     limit: LimitReport
     tau_e_value: Fraction
     deviation: float

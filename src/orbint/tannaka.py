@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ReconstructionError, ValidationError
-from .ktrace import tau_generator
+from .ktrace import tau_grid
 from .realform import GeneratorKey, RealFormSpec
 from .rootsys import CartanDatum, Weight, is_dominant, positive_roots
 from .stable import richardson
@@ -172,9 +172,7 @@ def synth_family(
     probes, probe_coords = _pick_probes(datum, len(lattice) + len(ray_points))
     probe_points = [TorusPoint.real_point(c) for c in probe_coords]
     grid = tuple(lattice + ray_points + probe_points)
-    values = {}
-    for key in keys:
-        values[key.lam] = tuple(tau_generator(spec, key, g).value for g in grid)
+    values = {key.lam: column for key, column in zip(keys, tau_grid(spec, keys, grid))}
     family = ChiFamily(
         labels=tuple(key.lam for key in keys),
         grid=grid,

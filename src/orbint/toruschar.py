@@ -3,15 +3,26 @@ denominators, the spinor character, and the Atiyah-Bott style fixed-point sum.
 
 Lattice pairings are computed exactly (Fractions) before the single
 transcendental call per factor; complex values are machine doubles.
+
+The evaluation kernel shared by tau, stable sums, packets and synthesis has
+two parts.  ``root_factors`` takes one pairing per positive root at a point
+and gives both the singular verdict and every root factor, so a point's
+guard and its denominators come from one pass.  ``signed_orbit`` holds the
+alternating numerator's W_K orbit as flat integer arrays, built once per
+weight, and ``orbit_sum`` evaluates it at a point.  Both reproduce the
+per-weight functions below (``guard_nonsingular``, ``weyl_denominator``,
+``weyl_numerator``) bit for bit; those stay as the independent routes of the
+identity checks.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import SingularPointError, ValidationError
 from .realform import RealFormSpec
@@ -20,6 +31,7 @@ from .rootsys import (
     Weight,
     WeylElement,
     WeylGroup,
+    _matvec,
     _transpose,
     integer_inverse,
     positive_roots,
@@ -182,6 +194,107 @@ def guard_nonsingular(g: TorusPoint, roots: Sequence[Weight]) -> None:
             raise SingularPointError(
                 f"torus point is numerically singular for root {alpha}", root=alpha
             )
+
+
+class RootFactors(NamedTuple):
+    """The exponentials e^{+alpha/2}(g), e^{-alpha/2}(g) and the factors
+    e^{alpha/2}(g) - e^{-alpha/2}(g) of every root of a positive system at one
+    torus point, in the system's order."""
+
+    plus: tuple[complex, ...]
+    minus: tuple[complex, ...]
+    factors: tuple[complex, ...]
+
+    def factor(self, i: int, sign: int) -> complex:
+        """The factor of beta = sign * (root i): a negated root's factor is the
+        same two exponentials subtracted the other way."""
+        return self.factors[i] if sign > 0 else self.minus[i] - self.plus[i]
+
+    def product(self, indices: Iterable[int]) -> complex:
+        """The product of the factors of the given roots, multiplied in that order."""
+        product = complex(1.0)
+        for i in indices:
+            product *= self.factors[i]
+        return product
+
+    @property
+    def conditioning(self) -> float:
+        """min |2 sin(pi <alpha/2, t>)| over the roots: how far g stays from
+        the singular locus, the smallest factor of the Weyl denominator."""
+        return min(abs(f) for f in self.factors)
+
+
+def root_factors(g: TorusPoint, roots: Sequence[Weight]) -> RootFactors:
+    """One pairing u = <alpha/2, t> per root gives both the singular verdict
+    and the factor of alpha.
+
+    Raises the SingularPointError of ``guard_nonsingular`` (same test, same
+    first root, same message).  The exponentials are those of ``eval_weight``
+    bit for bit: e^{i pi (u mod 2)} and e^{i pi (-u mod 2)} at exact points,
+    e^{i pi u} and e^{-i pi u} at real ones, so each factor equals
+    ``eval_weight(alpha/2, g) - eval_weight(-alpha/2, g)``.
+    """
+    plus = []
+    minus = []
+    for alpha in roots:
+        u = root_phase(alpha, g)
+        if g.exact:
+            if u.denominator == 1:
+                raise SingularPointError(f"torus point is singular for root {alpha}", root=alpha)
+            plus.append(cmath.exp(1j * math.pi * float(u % 2)))
+            minus.append(cmath.exp(1j * math.pi * float(-u % 2)))
+        else:
+            if abs(2.0 * math.sin(math.pi * u)) < SINGULAR_GUARD:
+                raise SingularPointError(
+                    f"torus point is numerically singular for root {alpha}", root=alpha
+                )
+            plus.append(cmath.exp(1j * math.pi * u))
+            minus.append(cmath.exp(1j * math.pi * -u))
+    return RootFactors(tuple(plus), tuple(minus), tuple(p - m for p, m in zip(plus, minus)))
+
+
+class SignedOrbit(NamedTuple):
+    """The images w(mu) over a group's elements, in its element order, as flat
+    integer coordinates (``rank`` entries per image) with the signs of the
+    elements.  Repeated images are kept, one term each."""
+
+    rank: int
+    coords: Sequence[int]
+    signs: Sequence[int]
+
+
+def signed_orbit(mu: Weight, group) -> SignedOrbit:
+    """The orbit of mu under the group's elements, with their signs."""
+    elements = _elements(group)
+    signs = array("b", [w.sign for w in elements])
+    try:
+        coords: Sequence[int] = array("i")
+        for w in elements:
+            coords.extend(_matvec(w.matrix, mu.coords2))
+    except OverflowError:  # coordinates beyond 32 bits stay Python ints
+        coords = [c for w in elements for c in _matvec(w.matrix, mu.coords2)]
+    return SignedOrbit(mu.rank, coords, signs)
+
+
+def orbit_sum(orbit: SignedOrbit, g: TorusPoint) -> complex:
+    """sum_w sign(w) e^{w mu}(g) over the orbit: ``weyl_numerator`` bit for bit,
+    each term with the exact phase and exponential of ``eval_weight``."""
+    if orbit.rank != g.rank:
+        raise ValidationError("weight and torus point have different ranks")
+    images = zip(*[iter(orbit.coords)] * orbit.rank)  # consecutive rank-long slices
+    terms = []
+    if g.exact:
+        for sign, image in zip(orbit.signs, images):
+            phase = Fraction(0)
+            for c2, t in zip(image, g.coords):
+                phase += c2 * t
+            phase %= 2
+            terms.append(sign * cmath.exp(1j * math.pi * float(phase)))
+    else:
+        for sign, image in zip(orbit.signs, images):
+            total = math.fsum(c2 * t for c2, t in zip(image, g.coords))
+            terms.append(sign * cmath.exp(1j * math.pi * total))
+    return _csum(terms)
 
 
 def _elements(group) -> Sequence[WeylElement]:

@@ -232,3 +232,22 @@ def test_weyl_verbose_elements(capsys):
     record = json.loads(out)
     assert len(record["elements"]) == 2
     assert record["elements"][0]["matrix"] == [[1]]
+
+
+def test_verbose_tau_reports_conditioning(capsys):
+    import math
+
+    argv = ("tau", "--preset", "su21", "--lambda", "1,0", "--t", "1/5,2/7")
+    _, plain, _ = run_cli(capsys, *argv)
+    code, verbose, _ = run_cli(capsys, "-v", *argv)
+    assert code == 0
+    record = json.loads(verbose)
+    # only the new field differs
+    assert json.loads(plain) == {k: v for k, v in record.items() if k != "conditioning"}
+    assert "conditioning" not in json.loads(plain)
+    # the positive roots of A2 in fundamental coordinates are (2,-1), (-1,2)
+    # and (1,1); e^{alpha/2}(g) = exp(pi i u) with u = alpha . t
+    t = (1 / 5, 2 / 7)
+    phases = [2 * t[0] - t[1], 2 * t[1] - t[0], t[0] + t[1]]
+    expected = min(abs(2 * math.sin(math.pi * u)) for u in phases)
+    assert abs(record["conditioning"] - expected) <= 1e-14

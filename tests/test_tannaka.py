@@ -61,22 +61,6 @@ def test_empty_family():
     assert recover_dims(family) == {}
 
 
-def test_dims_scale_invariance():
-    keys = keys_of(CA1, [(0,), (2,), (4,)])
-    family = synth_family(CA1, keys)
-    dims = recover_dims(family)
-    # multiply every label by the same nonvanishing sample vector
-    import dataclasses
-
-    factor = [1.7 + 0.3 * math.cos(i) for i in range(len(family.grid))]
-    scaled_values = {
-        lab: tuple(v * f for v, f in zip(vals, factor))
-        for lab, vals in family.values.items()
-    }
-    scaled = dataclasses.replace(family, values=scaled_values)
-    assert recover_dims(scaled) == dims
-
-
 def test_fourier_extraction_matches_freudenthal():
     keys = keys_of(CA1, [(0,), (4,)])
     family = synth_family(CA1, keys)
@@ -84,12 +68,6 @@ def test_fourier_extraction_matches_freudenthal():
     chars = recover_characters(family, dims)
     table = fourier_multiplicities(family, chars.char_lattice[Weight((4,))], bound=6)
     assert table == weight_multiplicities(CA1.datum, Weight((4,)))
-
-    keys2 = keys_of(CA2, [(0, 0), (2, 2)])
-    family2 = synth_family(CA2, keys2, axis_count=24)
-    chars2 = recover_characters(family2, recover_dims(family2))
-    table2 = fourier_multiplicities(family2, chars2.char_lattice[Weight((2, 2))], bound=4)
-    assert table2 == weight_multiplicities(CA2.datum, Weight((2, 2)))
 
 
 def test_fourier_coefficient_accuracy():
