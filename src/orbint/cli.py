@@ -9,10 +9,8 @@ consistency-check failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 
 from . import jsonio
 from .errors import (
@@ -37,31 +35,55 @@ from .toruschar import (
     serialize_torus_point,
     transformed_system,
 )
-from .verify import run_checks
+
+# Config fields and their defaults, in JSON order.
+_CONFIG_FIELDS = {
+    "preset": None,
+    "datum": None,
+    "matrix": None,
+    "symmetrizer": None,
+    "compact_indices": None,
+    "spin_sign": None,
+    "lattice": None,
+    "verbosity": 0,
+}
 
 
-@dataclass
 class Config:
-    """CLI configuration; accepted configs round-trip through JSON unchanged."""
+    """CLI configuration; accepted configs round-trip through JSON unchanged.
+    Mutable: ``merge_args`` fills a copy in from the command line."""
 
-    preset: str | None = None
-    datum: str | None = None
-    matrix: list | None = None
-    symmetrizer: list | None = None
-    compact_indices: list | None = None
-    spin_sign: int | None = None
-    lattice: str | None = None
-    verbosity: int = 0
+    __slots__ = tuple(_CONFIG_FIELDS)
+
+    def __init__(self, **fields):
+        unknown = set(fields) - set(_CONFIG_FIELDS)
+        if unknown:
+            raise TypeError(f"unknown config fields {sorted(unknown)}")
+        for name, default in _CONFIG_FIELDS.items():
+            setattr(self, name, fields.get(name, default))
 
     def to_json(self) -> dict:
-        return {k: v for k, v in dataclasses.asdict(self).items()}
+        return {name: getattr(self, name) for name in _CONFIG_FIELDS}
+
+    def replace(self, **changes) -> "Config":
+        return Config(**{**self.to_json(), **changes})
+
+    def __eq__(self, other):
+        if other.__class__ is Config:
+            return self.to_json() == other.to_json()
+        return NotImplemented
+
+    __hash__ = None  # mutable
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.to_json().items())
+        return f"Config({fields})"
 
     @staticmethod
     def from_json(data: dict) -> "Config":
         if not isinstance(data, dict):
             raise ValidationError("config must be a JSON object")
-        allowed = {f.name for f in dataclasses.fields(Config)}
-        unknown = set(data) - allowed
+        unknown = set(data) - set(_CONFIG_FIELDS)
         if unknown:
             raise ValidationError(f"unknown config fields {sorted(unknown)}")
         return Config(**data)
@@ -80,7 +102,7 @@ def load_config(path: str | None) -> Config:
 
 
 def merge_args(config: Config, args: argparse.Namespace) -> Config:
-    out = dataclasses.replace(config)
+    out = config.replace()
     for field in ("preset", "datum", "spin_sign", "lattice"):
         value = getattr(args, field, None)
         if value is not None:
@@ -90,7 +112,10 @@ def merge_args(config: Config, args: argparse.Namespace) -> Config:
     if getattr(args, "symmetrizer", None) is not None:
         out.symmetrizer = [t.strip() for t in args.symmetrizer.split(",")]
     if getattr(args, "compact_indices", None) is not None:
-        out.compact_indices = [int(t) for t in args.compact_indices.split(",") if t.strip()]
+        try:
+            out.compact_indices = [int(t) for t in args.compact_indices.split(",") if t.strip()]
+        except ValueError:
+            raise ValidationError(f"--compact-indices must be integers: {args.compact_indices!r}") from None
     if getattr(args, "verbose", False):
         out.verbosity = max(out.verbosity, 1)
     return out
@@ -98,7 +123,10 @@ def merge_args(config: Config, args: argparse.Namespace) -> Config:
 
 def _parse_matrix(text: str) -> list:
     rows = [r for r in text.split(";") if r.strip()]
-    return [[int(x) for x in row.split(",")] for row in rows]
+    try:
+        return [[int(x) for x in row.split(",")] for row in rows]
+    except ValueError:
+        raise ValidationError(f"--matrix entries must be integers: {text!r}") from None
 
 
 def resolve_datum(config: Config):
@@ -116,7 +144,7 @@ def resolve_spec(config: Config) -> RealFormSpec:
         spec = real_form(config.preset)
     elif config.compact_indices is not None:
         spec = build_real_form(
-            resolve_datum(dataclasses.replace(config, preset=None, compact_indices=None)),
+            resolve_datum(config.replace(preset=None, compact_indices=None)),
             config.compact_indices,
         )
     else:
@@ -124,13 +152,13 @@ def resolve_spec(config: Config) -> RealFormSpec:
     if config.spin_sign is not None:
         if config.spin_sign not in (1, -1):
             raise ValidationError("spin_sign must be +1 or -1")
-        spec = dataclasses.replace(spec, spin_sign=int(config.spin_sign))
+        spec = spec._replace(spin_sign=int(config.spin_sign))
     if config.lattice is not None:
         from .realform import LATTICES
 
         if config.lattice not in LATTICES:
             raise ValidationError(f"unknown character lattice {config.lattice!r}")
-        spec = dataclasses.replace(spec, lattice=config.lattice)
+        spec = spec._replace(lattice=config.lattice)
     return spec
 
 
@@ -353,6 +381,8 @@ def cmd_demo_sl2(config: Config, args) -> int:
 
 
 def cmd_check(config: Config, args) -> int:
+    from .verify import run_checks  # only this command needs the identity suite
+
     names = [t.strip() for t in args.only.split(",")] if args.only else None
     presets = [config.preset] if config.preset else None
     results = run_checks(names, presets)

@@ -8,12 +8,18 @@ denominator and its compact and noncompact parts from them; per generator it
 adds only the alternating numerator over the cached W_K orbit of the
 Harish-Chandra parameter.  (Limit-of-)discrete-series characters use the
 same factors and orbits.
+
+``wk_orbit`` builds each orbit by reflecting the weight itself in the
+compact simple roots, so no element of W_K (or of W) is built for an
+evaluation.  A parameter on a compact wall gets the empty orbit: its
+alternating sum vanishes identically.
 """
 
 from __future__ import annotations
 
 import functools
 import random
+from array import array
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
@@ -23,9 +29,16 @@ from .realform import (
     KClass,
     RealFormSpec,
     hc_parameter,
-    weyl_k,
+    weyl_k,  # noqa: F401 - unused here, but benchmarks/selfcheck.py wraps ktrace.weyl_k
 )
-from .rootsys import CartanDatum, Weight, positive_roots
+from .rootsys import (
+    CartanDatum,
+    Weight,
+    _subsystem_simples,
+    positive_roots,
+    reflection,
+    sparse_reflections,
+)
 from .toruschar import (
     ConjugacyDescriptor,
     RootFactors,
@@ -36,7 +49,6 @@ from .toruschar import (
     orbit_sum,
     root_factors,
     serialize_torus_point,
-    signed_orbit,
 )
 
 # Two independently computed routes to the same number must agree this well.
@@ -73,10 +85,56 @@ class TauValue(NamedTuple):
         return abs(self.path_a - self.path_b)
 
 
+@functools.lru_cache(maxsize=None)
+def _compact_steps(spec: RealFormSpec) -> tuple:
+    """The reflections in the compact simple roots, s(v) = v - <v, beta^vee> beta,
+    in the sparse form of ``rootsys.sparse_reflections``."""
+    simples = _subsystem_simples(spec.compact_positive)
+    return tuple(sparse_reflections([reflection(spec.datum, beta) for beta in simples]))
+
+
 @functools.lru_cache(maxsize=4096)
 def wk_orbit(spec: RealFormSpec, lam_hc: Weight) -> SignedOrbit:
-    """The signed W_K orbit of a Harish-Chandra parameter, built once."""
-    return signed_orbit(lam_hc, weyl_k(spec))
+    """The signed W_K orbit of a Harish-Chandra parameter, built once.
+
+    Breadth-first over the compact simple reflections applied to lam_hc
+    itself: an image first reached at depth d is w(lam_hc) for a unique w of
+    length d, so its sign is (-1)^d.  When a reflection fixes an image,
+    lam_hc lies on a compact wall, each term cancels against its reflected
+    partner, and the orbit is empty.
+    """
+    steps = _compact_steps(spec)
+    start = lam_hc.coords2
+    seen = {start}
+    frontier = [start]
+    coords = list(start)
+    signs = [1]
+    sign = 1
+    while frontier:
+        sign = -sign
+        nxt = []
+        for v in frontier:
+            for a_terms, c_terms in steps:
+                k = 0
+                for j, cj in c_terms:
+                    k += cj * v[j]
+                if k == 0:
+                    return SignedOrbit(lam_hc.rank, (), ())
+                image = list(v)
+                for j, aj in a_terms:
+                    image[j] -= k * aj
+                image = tuple(image)
+                if image not in seen:
+                    seen.add(image)
+                    nxt.append(image)
+                    coords.extend(image)
+                    signs.append(sign)
+        frontier = nxt
+    try:
+        packed = array("i", coords)
+    except OverflowError:  # coordinates beyond 32 bits stay Python ints
+        packed = coords
+    return SignedOrbit(lam_hc.rank, packed, array("b", signs))
 
 
 @functools.lru_cache(maxsize=None)

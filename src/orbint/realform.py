@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
-from typing import Sequence
+from operator import add
+from typing import NamedTuple, Sequence
 
 from .errors import ValidationError
 from .rootsys import (
@@ -34,8 +34,7 @@ from .rootsys import (
 LATTICES = ("spin_descent", "integral")
 
 
-@dataclass(frozen=True)
-class RealFormSpec:
+class RealFormSpec(NamedTuple):
     """Partition of the roots into compact and noncompact, with sign calibration."""
 
     datum: CartanDatum
@@ -76,7 +75,6 @@ def build_real_form(
     addition within the root system, and the noncompact count must be even.
     """
     roots = all_roots(datum)
-    root_set = set(roots)
     try:
         chosen = {roots[i] for i in compact_root_indices}
     except (IndexError, TypeError):
@@ -84,10 +82,13 @@ def build_real_form(
     for alpha in chosen:
         if -alpha not in chosen:
             raise ValidationError(f"compact set is not symmetric: missing {-alpha}")
+    # closure on coordinate tuples, pairs in the set's order
+    root_set2 = {r.coords2 for r in roots}
+    chosen2 = {alpha.coords2 for alpha in chosen}
     for alpha in chosen:
         for beta in chosen:
-            total = alpha + beta
-            if total in root_set and total not in chosen:
+            total = tuple(map(add, alpha.coords2, beta.coords2))
+            if total in root_set2 and total not in chosen2:
                 raise ValidationError(
                     f"compact set is not closed: {alpha} + {beta} leaves it"
                 )
@@ -181,8 +182,7 @@ def coset_reps(spec: RealFormSpec) -> tuple[WeylElement, ...]:
 # ---------------------------------------------------------------------------
 # generator keys and K-classes
 
-@dataclass(frozen=True)
-class GeneratorKey:
+class GeneratorKey(NamedTuple):
     """Index of a Dirac-induction generator: a dominant weight for the
     compact positive system, on the configured character lattice."""
 
@@ -214,8 +214,7 @@ def is_regular_param(spec: RealFormSpec, lam: Weight) -> bool:
     return all(pairing(spec.datum, lam, alpha) != 0 for alpha in positive_roots(spec.datum))
 
 
-@dataclass(frozen=True)
-class KClass:
+class KClass(NamedTuple):
     """Finite integer combination of Dirac-induction generators."""
 
     terms: tuple[tuple[GeneratorKey, int], ...]

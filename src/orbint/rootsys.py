@@ -9,13 +9,47 @@ built from the symmetrized Cartan matrix.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ValidationError
 
 IntMatrix = tuple[tuple[int, ...], ...]
+
+
+class _Frozen:
+    """Base of the small immutable records: each subclass lists its fields in
+    ``__slots__``, in the order of its ``__init__`` parameters, and sets them
+    once, through ``_set``.  Equality, hash and repr are those of a frozen
+    dataclass: equal only to the same class, hashed like the field tuple."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+_set = object.__setattr__
 
 
 # ---------------------------------------------------------------------------
@@ -100,15 +134,27 @@ def integer_inverse(a: IntMatrix) -> IntMatrix:
 # ---------------------------------------------------------------------------
 # weights
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(_Frozen):
     """Element of the half-weight lattice: ``coords2`` equals 2*lambda in
-    fundamental-weight coordinates, so every entry is an exact integer."""
+    fundamental-weight coordinates, so every entry is an exact integer.
 
+    Immutable and hashed like the tuple ``(coords2,)``; equal only to another
+    Weight, never to a plain tuple."""
+
+    __slots__ = ("coords2",)
     coords2: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords2", tuple(int(c) for c in self.coords2))
+    def __init__(self, coords2: Iterable[int]):
+        _set(self, "coords2", tuple(int(c) for c in coords2))
+
+    # the generic _Frozen methods, specialised: weights are dictionary keys in hot loops
+    def __eq__(self, other):
+        if other.__class__ is Weight:
+            return self.coords2 == other.coords2
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coords2,))
 
     @property
     def rank(self) -> int:
@@ -152,7 +198,10 @@ def weight_from_fundamental(coords: Iterable) -> Weight:
     """Build a Weight from fundamental coordinates (ints, Fractions, or 'p/q' strings)."""
     doubled = []
     for c in coords:
-        f = Fraction(c) * 2
+        try:
+            f = Fraction(c) * 2
+        except (ValueError, TypeError, ZeroDivisionError):
+            raise ValidationError(f"coordinate {c!r} is not a rational number") from None
         if f.denominator != 1:
             raise ValidationError(f"coordinate {c} is not in the half-weight lattice")
         doubled.append(int(f))
@@ -166,8 +215,7 @@ def zero_weight(rank: int) -> Weight:
 # ---------------------------------------------------------------------------
 # Cartan data
 
-@dataclass(frozen=True)
-class CartanDatum:
+class CartanDatum(NamedTuple):
     """Finite-type Cartan matrix with a symmetrizer d (d_i A_ij symmetric)."""
 
     rank: int
@@ -177,7 +225,8 @@ class CartanDatum:
 
 
 _SERIES_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 4, "G": 2, "F": 4}
-_MAX_RANK = 6  # desk scale: Weyl groups are listed element by element, 46080 matrices for B6/C6
+# desk scale: a tau value sums one term per element of the W_K orbit, 46080 for compact B6/C6
+_MAX_RANK = 6
 
 
 def _series_matrix(series: str, n: int) -> tuple[list[list[int]], list[Fraction]]:
@@ -224,7 +273,10 @@ def validate_cartan(matrix: Sequence[Sequence[int]], symmetrizer: Sequence) -> N
     n = len(matrix)
     if n == 0 or any(len(row) != n for row in matrix):
         raise ValidationError("Cartan matrix must be square and nonempty")
-    d = [Fraction(x) for x in symmetrizer]
+    try:
+        d = [Fraction(x) for x in symmetrizer]
+    except (ValueError, TypeError, ZeroDivisionError):
+        raise ValidationError(f"symmetrizer entries must be rational numbers: {symmetrizer!r}") from None
     if len(d) != n:
         raise ValidationError("symmetrizer length must equal the rank")
     if any(x <= 0 for x in d):
@@ -265,7 +317,10 @@ def build_datum(spec, symmetrizer=None) -> CartanDatum:
         matrix, d = _series_matrix(series, n)
         validate_cartan(matrix, d)
         return CartanDatum(n, tuple(tuple(row) for row in matrix), tuple(d), name)
-    matrix = [list(int(x) for x in row) for row in spec]
+    try:
+        matrix = [list(int(x) for x in row) for row in spec]
+    except (ValueError, TypeError):
+        raise ValidationError("Cartan matrix entries must be integers") from None
     if symmetrizer is None:
         raise ValidationError("explicit Cartan matrices require a symmetrizer")
     if len(matrix) > _MAX_RANK:
@@ -278,8 +333,7 @@ def build_datum(spec, symmetrizer=None) -> CartanDatum:
 # ---------------------------------------------------------------------------
 # Weyl group
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(NamedTuple):
     """Weyl group element as an integer matrix acting on coords2."""
 
     matrix: IntMatrix
@@ -294,10 +348,14 @@ class WeylElement:
         return self.matrix == _identity(len(self.matrix))
 
 
-@dataclass(frozen=True)
-class WeylGroup:
-    elements: tuple[WeylElement, ...]
-    generators: tuple[WeylElement, ...]
+class WeylGroup(_Frozen):
+    """The elements of a Weyl group (identity first) and its generators."""
+
+    __slots__ = ("elements", "generators")
+
+    def __init__(self, elements: tuple[WeylElement, ...], generators: tuple[WeylElement, ...]):
+        _set(self, "elements", elements)
+        _set(self, "generators", generators)
 
     @property
     def order(self) -> int:
@@ -328,6 +386,14 @@ def _reflect(refl: Reflection, v: Sequence[int]) -> tuple[int, ...]:
     return tuple(vj - k * aj for vj, aj in zip(v, a))
 
 
+def sparse_reflections(gens: Sequence[Reflection]) -> list:
+    """Each reflection (a, c) as sparse lists of (index, entry) of a and of c."""
+    return [
+        ([(j, x) for j, x in enumerate(a) if x], [(j, x) for j, x in enumerate(c) if x])
+        for a, c in gens
+    ]
+
+
 def _reflection_group(rank: int, gens: Sequence[Reflection]) -> WeylGroup:
     """Breadth-first closure over the reflections, identity first.  Each element
     carries its word length and the sign (-1)^length, as every generator has
@@ -337,11 +403,7 @@ def _reflection_group(rank: int, gens: Sequence[Reflection]) -> WeylGroup:
     on which the group acts freely, so a candidate costs one reflected vector.
     Only a new element pays for its matrix, by the rank-one update
     s.M = M - a (c^T M), which rewrites the rows where a is nonzero."""
-    # sparse (index, entry) lists of a and c
-    steps = [
-        ([(j, x) for j, x in enumerate(a) if x], [(j, x) for j, x in enumerate(c) if x])
-        for a, c in gens
-    ]
+    steps = sparse_reflections(gens)
     ident = _identity(rank)
     start = (1,) * rank
     seen = {start}

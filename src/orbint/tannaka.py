@@ -13,9 +13,8 @@ import cmath
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ReconstructionError, ValidationError
 from .ktrace import tau_grid
@@ -32,8 +31,7 @@ DIM_TOL = 1e-3
 FIT_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class ProbeSpec:
+class ProbeSpec(NamedTuple):
     """Derivative stencil along a ray: six points (base + offset) * direction."""
 
     direction: tuple[float, ...]
@@ -47,8 +45,7 @@ class ProbeSpec:
         return (-h, -h / 2, -h / 4, h / 4, h / 2, h)
 
 
-@dataclass(frozen=True)
-class ChiFamily:
+class ChiFamily(NamedTuple):
     """Sampled tau-functions chi_j(g) for a list of generator labels.
 
     The grid is the concatenation of a shifted uniform lattice (exact points,
@@ -220,8 +217,7 @@ def recover_dims(family: ChiFamily) -> dict:
     return dims
 
 
-@dataclass(frozen=True)
-class CharacterRecovery:
+class CharacterRecovery(NamedTuple):
     reference_label: Weight
     psi_ray: tuple[complex, ...]
     units: dict
@@ -346,8 +342,7 @@ def candidate_box(rank: int, bound: int) -> tuple[Weight, ...]:
     return tuple(sorted(seen, key=lambda w: w.coords2))
 
 
-@dataclass(frozen=True)
-class NoncompactRecovery:
+class NoncompactRecovery(NamedTuple):
     weights: frozenset
     residual: float
     spin_power: int
@@ -444,8 +439,7 @@ def recover_noncompact_weights(
 # ---------------------------------------------------------------------------
 # end-to-end pipeline
 
-@dataclass(frozen=True)
-class RecoveryReport:
+class RecoveryReport(NamedTuple):
     labels: tuple[Weight, ...]
     dims: dict
     reference_label: Weight

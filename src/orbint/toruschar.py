@@ -7,20 +7,20 @@ transcendental call per factor; complex values are machine doubles.
 The evaluation kernel shared by tau, stable sums, packets and synthesis has
 two parts.  ``root_factors`` takes one pairing per positive root at a point
 and gives both the singular verdict and every root factor, so a point's
-guard and its denominators come from one pass.  ``signed_orbit`` holds the
-alternating numerator's W_K orbit as flat integer arrays, built once per
-weight, and ``orbit_sum`` evaluates it at a point.  Both reproduce the
-per-weight functions below (``guard_nonsingular``, ``weyl_denominator``,
-``weyl_numerator``) bit for bit; those stay as the independent routes of the
-identity checks.
+guard and its denominators come from one pass.  A ``SignedOrbit`` holds the
+alternating numerator's W_K orbit as flat integer arrays, and ``orbit_sum``
+evaluates it at a point.  ``ktrace.wk_orbit`` builds each orbit once, by
+reflecting the weight itself, and leaves it empty when the weight lies on a
+compact wall, where the alternating sum vanishes identically.  Both parts
+reproduce the per-weight functions below (``guard_nonsingular``,
+``weyl_denominator``, ``weyl_numerator``) bit for bit; those stay as the
+independent routes of the identity checks.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -31,7 +31,8 @@ from .rootsys import (
     Weight,
     WeylElement,
     WeylGroup,
-    _matvec,
+    _Frozen,
+    _set,
     _transpose,
     integer_inverse,
     positive_roots,
@@ -44,8 +45,7 @@ SINGULAR_GUARD = 1e-13
 MAX_REAL_COORD = 2.0**52
 
 
-@dataclass(frozen=True)
-class TorusPoint:
+class TorusPoint(NamedTuple):
     """Torus coordinates t with g = exp(2 pi sum_j t_j x_j) over the simple coroots,
     so e^lambda(g) = exp(2 pi i <lambda, t>) with lambda in fundamental coordinates.
 
@@ -111,13 +111,21 @@ def serialize_torus_point(g: TorusPoint) -> list[str]:
 # ---------------------------------------------------------------------------
 # conjugacy descriptors
 
-@dataclass(frozen=True)
-class ConjugacyDescriptor:
+class ConjugacyDescriptor(_Frozen):
     """Tagged class descriptor: elliptic torus point, non-elliptic class, or a
     class in an ambient group of unequal rank."""
 
+    __slots__ = ("kind", "point")
     kind: str
-    point: TorusPoint | None = None
+    point: TorusPoint | None
+
+    def __init__(self, kind: str, point: TorusPoint | None = None):
+        if kind not in ("elliptic", "non_elliptic", "unequal_rank_ambient"):
+            raise ValidationError(f"unknown descriptor kind {kind!r}")
+        if (kind == "elliptic") != (point is not None):
+            raise ValidationError("exactly the elliptic descriptor carries a point")
+        _set(self, "kind", kind)
+        _set(self, "point", point)
 
     @staticmethod
     def elliptic(point: TorusPoint) -> "ConjugacyDescriptor":
@@ -130,12 +138,6 @@ class ConjugacyDescriptor:
     @staticmethod
     def unequal_rank_ambient() -> "ConjugacyDescriptor":
         return ConjugacyDescriptor("unequal_rank_ambient")
-
-    def __post_init__(self):
-        if self.kind not in ("elliptic", "non_elliptic", "unequal_rank_ambient"):
-            raise ValidationError(f"unknown descriptor kind {self.kind!r}")
-        if (self.kind == "elliptic") != (self.point is not None):
-            raise ValidationError("exactly the elliptic descriptor carries a point")
 
 
 # ---------------------------------------------------------------------------
@@ -254,26 +256,13 @@ def root_factors(g: TorusPoint, roots: Sequence[Weight]) -> RootFactors:
 
 
 class SignedOrbit(NamedTuple):
-    """The images w(mu) over a group's elements, in its element order, as flat
-    integer coordinates (``rank`` entries per image) with the signs of the
-    elements.  Repeated images are kept, one term each."""
+    """The images w(mu) of a weight with the signs of the group elements w, as
+    flat integer coordinates (``rank`` entries per image).  Empty when the
+    alternating sum over them vanishes identically."""
 
     rank: int
     coords: Sequence[int]
     signs: Sequence[int]
-
-
-def signed_orbit(mu: Weight, group) -> SignedOrbit:
-    """The orbit of mu under the group's elements, with their signs."""
-    elements = _elements(group)
-    signs = array("b", [w.sign for w in elements])
-    try:
-        coords: Sequence[int] = array("i")
-        for w in elements:
-            coords.extend(_matvec(w.matrix, mu.coords2))
-    except OverflowError:  # coordinates beyond 32 bits stay Python ints
-        coords = [c for w in elements for c in _matvec(w.matrix, mu.coords2)]
-    return SignedOrbit(mu.rank, coords, signs)
 
 
 def orbit_sum(orbit: SignedOrbit, g: TorusPoint) -> complex:

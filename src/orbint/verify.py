@@ -16,7 +16,7 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ValidationError
 from .ktrace import (
@@ -75,8 +75,7 @@ DATUM_NAMES = ("A1", "A2", "B2", "C2", "G2")
 PRESET_NAMES = ("sl2r", "su21", "sp4r", "compact(A1)", "compact(A2)")
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
@@ -616,8 +615,6 @@ def check_compact_generators(presets=None) -> CheckResult:
 def check_dims_scale_invariance(presets=None) -> CheckResult:
     if not _use(presets, "compact(A1)"):
         return _na("dims-scale-invariance")
-    import dataclasses
-
     from .tannaka import recover_dims, synth_family
 
     spec = real_form("compact(A1)")
@@ -625,8 +622,7 @@ def check_dims_scale_invariance(presets=None) -> CheckResult:
     family = synth_family(spec, keys)
     dims = recover_dims(family)
     factor = [1.7 + 0.3 * math.cos(i) for i in range(len(family.grid))]
-    scaled = dataclasses.replace(
-        family,
+    scaled = family._replace(
         values={
             lab: tuple(v * f for v, f in zip(vals, factor))
             for lab, vals in family.values.items()

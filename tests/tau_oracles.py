@@ -4,13 +4,19 @@ orbint evaluates tau through ``ktrace.tau_grid``, which pairs each point with
 its roots once and sums each key's numerator over a cached W_K orbit.  These
 are the direct per-key, per-point evaluations it replaced: guard, numerator
 and every denominator recomputed from ``toruschar``'s per-weight functions.
+``signed_orbit`` is the orbit that ``ktrace.wk_orbit`` replaced: one image
+per element of the group, each a matrix-vector product.
 """
+
+from array import array
 
 from orbint.errors import ConsistencyError, ValidationError
 from orbint.ktrace import DUAL_PATH_TOL, _validate_positive_system
 from orbint.realform import KClass, coset_reps, generator_key, hc_parameter, rho_c, weyl_k
+from orbint.rootsys import _matvec
 from orbint.stable import PACKET_TOL
 from orbint.toruschar import (
+    SignedOrbit,
     _csum,
     delta_p_char,
     guard_nonsingular,
@@ -19,6 +25,14 @@ from orbint.toruschar import (
     weyl_denominator,
     weyl_numerator,
 )
+
+
+def signed_orbit(mu, group):
+    """The images w(mu) over the group's elements in its element order, with
+    their signs; repeated images are kept."""
+    signs = array("b", [w.sign for w in group])
+    coords = array("i", [c for w in group for c in _matvec(w.matrix, mu.coords2)])
+    return SignedOrbit(mu.rank, coords, signs)
 
 
 def tau_paths(spec, key, g):

@@ -1,12 +1,18 @@
 """CLI subcommands: JSON output, determinism, config round trip, exit codes."""
 
+import ast
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 import orbint.stable
 from orbint.cli import Config, main
 from orbint.jsonio import dumps
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(capsys, *argv):
@@ -103,6 +109,46 @@ def test_non_finite_torus_input_is_rejected(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tau", "--preset", "sl2r", "--lambda=abc", "--t", "1/5"],
+        ["tau", "--preset", "sl2r", "--lambda=1/0", "--t", "1/5"],
+        ["stable", "--preset", "su21", "--lambda=1,z", "--t", "1/5,2/7"],
+        ["packet", "--preset", "su21", "--Lambda=x,1", "--t", "1/5,2/7"],
+        ["schmid", "--preset", "su21", "--Lambda=x,1", "--t", "1/5,2/7"],
+        ["tannaka", "--preset", "su21", "--lambdas", "a,0;1,0"],
+        ["datum", "--matrix", "2,-1;x,2", "--symmetrizer", "1,1"],
+        ["datum", "--matrix", "2,-1;-1,2", "--symmetrizer", "a,1"],
+        ["datum", "--matrix", "2,-1;-1,2", "--symmetrizer", "1/0,1"],
+        ["tau", "--type", "A2", "--compact-indices", "0,x", "--lambda", "0,0", "--t", "1/5,2/7"],
+    ],
+)
+def test_malformed_numbers_are_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_startup_loads_no_dataclasses_or_identity_suite():
+    # the modules benchmarks/tracer.py indexes are loaded by importing the CLI;
+    # the identity suite and dataclasses are not
+    script = (
+        "import sys, orbint.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('orbint') or m == 'dataclasses'))"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    loaded = set(ast.literal_eval(proc.stdout))
+    layers = {f"orbint.{m}" for m in ("rootsys", "realform", "toruschar", "ktrace", "stable", "tannaka")}
+    assert layers <= loaded
+    assert "orbint.verify" not in loaded and "dataclasses" not in loaded
+    check = subprocess.run([sys.executable, "-m", "orbint.cli", "check", "--only", "weyl_orders"],
+                           capture_output=True, text=True, env=env)
+    assert check.returncode == 0 and json.loads(check.stdout)["all_passed"] is True
 
 
 def test_consistency_guard_exit_code(capsys, monkeypatch):

@@ -9,6 +9,7 @@ real-mode points.
 import functools
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from weyl_oracles import painted_forms
 
 from orbint.errors import ConsistencyError, SingularPointError
 from orbint.ktrace import random_regular_point, tau_class, tau_generator, tau_grid, wk_orbit
-from orbint.realform import GeneratorKey, hc_parameter, real_form, rho_c
+from orbint.realform import GeneratorKey, coset_reps, hc_parameter, real_form, rho_c, weyl_k
 from orbint.rootsys import Weight
 from orbint.stable import lpacket_sum, stable_tau
 from orbint.tannaka import synth_family
@@ -70,12 +71,47 @@ def test_tau_grid_and_generator_match_the_per_key_formula(spec):
             assert value.value == value.path_a
 
 
+def signed_images(orbit):
+    """Counter of (image, sign) over an orbit's terms, and its image count."""
+    images = list(zip(*[iter(orbit.coords)] * orbit.rank))
+    assert len(images) == len(orbit.signs)
+    return Counter(zip(images, orbit.signs)), len(images)
+
+
 @pytest.mark.parametrize("spec", FORMS[1:], ids=IDS[1:])
 def test_singular_key_orbit_repeats_weights(spec):
-    # sl2r (FORMS[0]) has W_K = 1, so no orbit of it can repeat
-    orbit = wk_orbit(spec, hc_parameter(spec, singular_key(spec)))
-    images = list(zip(*[iter(orbit.coords)] * orbit.rank))
-    assert len(images) == len(orbit.signs) and len(set(images)) < len(images)
+    # sl2r (FORMS[0]) has W_K = 1, so no orbit of it can repeat.  The group
+    # orbit repeats weights and its signs cancel on every image, so the
+    # alternating sum vanishes identically and wk_orbit returns no terms.
+    lam_hc = hc_parameter(spec, singular_key(spec))
+    assert signed_images(wk_orbit(spec, lam_hc)) == (Counter(), 0)
+    terms, count = signed_images(oracle.signed_orbit(lam_hc, weyl_k(spec)))
+    images = {image for image, _ in terms}
+    assert len(images) < count
+    assert all(terms[(image, 1)] == terms[(image, -1)] for image in images)
+
+
+ORBIT_FORMS = [
+    spec for name in ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2") for spec in painted_forms(name)
+] + [real_form("compact(B5)"), real_form("compact(D5)")]
+
+
+@pytest.mark.parametrize("spec", ORBIT_FORMS, ids=[spec.name for spec in ORBIT_FORMS])
+def test_wk_orbit_matches_the_group_orbit(spec):
+    """Keys and their packet translates v.lambda_hc: the same signed images as
+    the group-matrix orbit, or no terms where that orbit cancels."""
+    group = weyl_k(spec)
+    lams = [hc_parameter(spec, key) for key in small_keys(spec, 3)]
+    lams += [v.apply(lam) for lam in lams for v in coset_reps(spec)]
+    lams.append(hc_parameter(spec, singular_key(spec)))
+    for lam in lams:
+        want, count = signed_images(oracle.signed_orbit(lam, group))
+        images = {image for image, _ in want}
+        if len(images) == count:
+            assert signed_images(wk_orbit(spec, lam)) == (want, count)
+        else:
+            assert signed_images(wk_orbit(spec, lam)) == (Counter(), 0)
+            assert all(want[(image, 1)] == want[(image, -1)] for image in images)
 
 
 @pytest.mark.parametrize("spec", FORMS, ids=IDS)
