@@ -18,6 +18,7 @@ from .errors import (
 )
 from .ktrace import lds_character, lds_character_sum, tau_generator, tau_value_to_json
 from .realform import (
+    LATTICES,
     KClass,
     RealFormSpec,
     build_real_form,
@@ -25,7 +26,9 @@ from .realform import (
     kclass_from_json,
     real_form,
 )
-from .rootsys import Weight, build_datum, positive_roots, weight_from_fundamental, weyl_group
+from .rootsys import (
+    Weight, build_datum, positive_roots, weight_from_fundamental, weyl_group, weyl_order,
+)
 from .stable import continuity_check, formal_degree, lpacket_sum, stable_tau
 from .tannaka import run_reconstruction
 from .toruschar import (
@@ -36,17 +39,25 @@ from .toruschar import (
     transformed_system,
 )
 
-# Config fields and their defaults, in JSON order.
+# Config fields, their defaults, and the type of value each one's command-line
+# flag produces (a list's item type in a 1-tuple), in JSON order.
 _CONFIG_FIELDS = {
-    "preset": None,
-    "datum": None,
-    "matrix": None,
-    "symmetrizer": None,
-    "compact_indices": None,
-    "spin_sign": None,
-    "lattice": None,
-    "verbosity": 0,
+    "preset": (None, str),
+    "datum": (None, str),
+    "matrix": (None, ((int,),)),
+    "symmetrizer": (None, (str,)),
+    "compact_indices": (None, (int,)),
+    "spin_sign": (None, int),
+    "lattice": (None, str),
+    "verbosity": (0, int),
 }
+
+
+def _has_type(value, kind) -> bool:
+    """``type(value) is kind`` (so a bool is no int), item by item for a list kind."""
+    if isinstance(kind, tuple):
+        return isinstance(value, list) and all(_has_type(item, kind[0]) for item in value)
+    return type(value) is kind
 
 
 class Config:
@@ -59,7 +70,7 @@ class Config:
         unknown = set(fields) - set(_CONFIG_FIELDS)
         if unknown:
             raise TypeError(f"unknown config fields {sorted(unknown)}")
-        for name, default in _CONFIG_FIELDS.items():
+        for name, (default, _) in _CONFIG_FIELDS.items():
             setattr(self, name, fields.get(name, default))
 
     def to_json(self) -> dict:
@@ -86,6 +97,10 @@ class Config:
         unknown = set(data) - set(_CONFIG_FIELDS)
         if unknown:
             raise ValidationError(f"unknown config fields {sorted(unknown)}")
+        for name, value in data.items():
+            default, kind = _CONFIG_FIELDS[name]
+            if not (_has_type(value, kind) or (value is None and default is None)):
+                raise ValidationError(f"config field {name!r} has the wrong type: {value!r}")
         return Config(**data)
 
 
@@ -154,8 +169,6 @@ def resolve_spec(config: Config) -> RealFormSpec:
             raise ValidationError("spin_sign must be +1 or -1")
         spec = spec._replace(spin_sign=int(config.spin_sign))
     if config.lattice is not None:
-        from .realform import LATTICES
-
         if config.lattice not in LATTICES:
             raise ValidationError(f"unknown character lattice {config.lattice!r}")
         spec = spec._replace(lattice=config.lattice)
@@ -187,15 +200,14 @@ def emit(obj) -> None:
 
 def cmd_datum(config: Config, args) -> int:
     datum = resolve_datum(config)
-    pos = positive_roots(datum)
     emit(
         {
             "name": datum.name,
             "rank": datum.rank,
             "cartan": [list(row) for row in datum.cartan],
             "symmetrizer": [str(d) for d in datum.symmetrizer],
-            "positive_roots2": [list(r.coords2) for r in pos],
-            "weyl_order": weyl_group(datum).order,
+            "positive_roots2": [list(r.coords2) for r in positive_roots(datum)],
+            "weyl_order": weyl_order(datum),
         }
     )
     return 0
@@ -357,11 +369,10 @@ def cmd_demo_sl2(config: Config, args) -> int:
     g = parse_torus_point(args.t)
     if not g.exact:
         raise ValidationError("demo expects an exact rational t")
+    record = _tau_record(spec, Weight((0,)), g, bool(config.verbosity))  # refuses a singular t
     phi = 2 * math.pi * float(g.coords[0])
     expected = 1 / (2j * math.sin(phi))
-    record = _tau_record(spec, Weight((0,)), g, bool(config.verbosity))
-    key = generator_key(spec, Weight((0,)))
-    x = KClass.generator(key)
+    x = KClass.generator(generator_key(spec, Weight((0,))))
     pos = spec.positive_system
     emit(
         {

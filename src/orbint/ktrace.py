@@ -2,17 +2,15 @@
 via the fixed-point character formula, vanishing off the elliptic set, class
 distinguishing by random sampling, and (limits of) discrete-series characters.
 
-Every tau value comes from one batch kernel, ``tau_grid``: per torus point it
-takes the root factors once (``toruschar.root_factors``) and forms the Weyl
+Every tau value comes from one per-point kernel, ``_tau_rows``: it takes a
+point's root factors once (``toruschar.root_factors``) and forms the Weyl
 denominator and its compact and noncompact parts from them; per generator it
-adds only the alternating numerator over the cached W_K orbit of the
-Harish-Chandra parameter.  (Limit-of-)discrete-series characters use the
-same factors and orbits.
-
-``wk_orbit`` builds each orbit by reflecting the weight itself in the
-compact simple roots, so no element of W_K (or of W) is built for an
-evaluation.  A parameter on a compact wall gets the empty orbit: its
-alternating sum vanishes identically.
+adds only the alternating numerator over a cached orbit of the
+Harish-Chandra parameter, the W_K orbit (``wk_orbit``) for tau and the W
+orbit (``w_orbit``) for the stable integral.  Both orbits walk the weight
+itself through simple reflections (``rootsys.reflection_orbit``), so an
+evaluation builds no group element, and a parameter on a wall of the group
+gets the empty orbit: its alternating sum vanishes identically.
 """
 
 from __future__ import annotations
@@ -21,7 +19,8 @@ import functools
 import random
 from array import array
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from itertools import chain
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import ConsistencyError, ValidationError
 from .realform import (
@@ -37,6 +36,8 @@ from .rootsys import (
     _subsystem_simples,
     positive_roots,
     reflection,
+    reflection_orbit,
+    simple_steps,
     sparse_reflections,
 )
 from .toruschar import (
@@ -48,7 +49,6 @@ from .toruschar import (
     is_regular,
     orbit_sum,
     root_factors,
-    serialize_torus_point,
 )
 
 # Two independently computed routes to the same number must agree this well.
@@ -90,51 +90,44 @@ def _compact_steps(spec: RealFormSpec) -> tuple:
     """The reflections in the compact simple roots, s(v) = v - <v, beta^vee> beta,
     in the sparse form of ``rootsys.sparse_reflections``."""
     simples = _subsystem_simples(spec.compact_positive)
-    return tuple(sparse_reflections([reflection(spec.datum, beta) for beta in simples]))
+    return sparse_reflections([reflection(spec.datum, beta) for beta in simples])
 
 
-@functools.lru_cache(maxsize=4096)
-def wk_orbit(spec: RealFormSpec, lam_hc: Weight) -> SignedOrbit:
-    """The signed W_K orbit of a Harish-Chandra parameter, built once.
-
-    Breadth-first over the compact simple reflections applied to lam_hc
-    itself: an image first reached at depth d is w(lam_hc) for a unique w of
-    length d, so its sign is (-1)^d.  When a reflection fixes an image,
-    lam_hc lies on a compact wall, each term cancels against its reflected
-    partner, and the orbit is empty.
-    """
-    steps = _compact_steps(spec)
-    start = lam_hc.coords2
-    seen = {start}
-    frontier = [start]
-    coords = list(start)
-    signs = [1]
-    sign = 1
-    while frontier:
-        sign = -sign
-        nxt = []
-        for v in frontier:
-            for a_terms, c_terms in steps:
-                k = 0
-                for j, cj in c_terms:
-                    k += cj * v[j]
-                if k == 0:
-                    return SignedOrbit(lam_hc.rank, (), ())
-                image = list(v)
-                for j, aj in a_terms:
-                    image[j] -= k * aj
-                image = tuple(image)
-                if image not in seen:
-                    seen.add(image)
-                    nxt.append(image)
-                    coords.extend(image)
-                    signs.append(sign)
-        frontier = nxt
+def _signed_orbit(steps: tuple, lam: Weight) -> SignedOrbit:
+    """The walk of lam under the steps, packed: an image first reached at depth
+    d is w(lam) for a unique w of length d, so its sign is (-1)^d.  When a
+    reflection fixes an image, lam lies on a wall of the group, each term
+    cancels against its reflected partner, and the orbit is empty."""
+    walk = reflection_orbit(steps, lam.coords2)
+    if walk is None:
+        return SignedOrbit(lam.rank, (), ())
+    images, _, _, depths = walk
+    coords = list(chain.from_iterable(images))
     try:
         packed = array("i", coords)
     except OverflowError:  # coordinates beyond 32 bits stay Python ints
         packed = coords
-    return SignedOrbit(lam_hc.rank, packed, array("b", signs))
+    return SignedOrbit(lam.rank, packed, array("b", [-1 if d & 1 else 1 for d in depths]))
+
+
+@functools.lru_cache(maxsize=4096)
+def wk_orbit(spec: RealFormSpec, lam_hc: Weight) -> SignedOrbit:
+    """The signed W_K orbit of a Harish-Chandra parameter, built once by
+    reflecting it in the compact simple roots; empty on a compact wall."""
+    return _signed_orbit(_compact_steps(spec), lam_hc)
+
+
+@functools.lru_cache(maxsize=4096)
+def w_orbit(spec: RealFormSpec, lam_hc: Weight) -> SignedOrbit:
+    """The signed W orbit of a Harish-Chandra parameter, built once by reflecting
+    it in the simple roots; empty for a singular parameter (a limit of discrete
+    series).  On a compact form W_K = W, and this is ``wk_orbit``'s orbit."""
+    if spec.is_compact:
+        return wk_orbit(spec, lam_hc)
+    return _signed_orbit(simple_steps(spec.datum), lam_hc)
+
+
+OrbitBuilder = Callable[[RealFormSpec, Weight], SignedOrbit]
 
 
 @functools.lru_cache(maxsize=None)
@@ -152,11 +145,16 @@ def _root_positions(spec: RealFormSpec) -> tuple[tuple[int, ...], tuple[int, ...
 
 
 def _tau_rows(
-    spec: RealFormSpec, keys: Sequence[GeneratorKey], points: Sequence[TorusPoint]
+    spec: RealFormSpec,
+    keys: Sequence[GeneratorKey],
+    points: Sequence[TorusPoint],
+    orbit_of: OrbitBuilder = wk_orbit,
 ) -> Iterator[tuple[RootFactors, list[tuple[complex, complex]]]]:
     """Per point, its root factors and (path_a, path_b) for every key, each
-    pair checked against DUAL_PATH_TOL."""
-    orbits = [wk_orbit(spec, hc_parameter(spec, key)) for key in keys]
+    pair checked against DUAL_PATH_TOL.  Each numerator runs over
+    ``orbit_of(spec, lambda_hc)``: the W_K orbit for tau, the W orbit for the
+    stable integral."""
+    orbits = [orbit_of(spec, hc_parameter(spec, key)) for key in keys]
     pos = spec.positive_system
     compact, noncompact, _ = _root_positions(spec)
     every = range(len(pos))
@@ -188,20 +186,14 @@ def tau_grid(
     """tau_g on several generators at several torus points: entry [i][j] is the
     value of keys[i] at points[j].
 
-    Sharing: each point's positive roots are paired with it once, which gives
-    the singular guard and the root factors; the Weyl denominator D, its
-    compact part D_c and the spinor character D_n come from those factors and
-    serve every key.  Per key and point only the numerator is summed, over the
-    W_K orbit of lambda_hc, cached per (spec, lambda_hc) in W_K element order
-    with repeated weights kept.
+    Each point's guard and denominators D, D_c and D_n serve every key; per
+    key and point only the numerator is summed, over the cached W_K orbit.
 
-    Bit-identity: every value equals, bit for bit, the per-key formula
-    (-1)^m spin_sign * weyl_numerator(lambda_hc, g, W_K) / weyl_denominator(g, R^+)
-    after guard_nonsingular(g, R^+), with the dual-path check against
-    (-1)^m (numer / weyl_denominator(g, R_c^+)) / delta_p_char(g) kept per key
-    and point.  Exact points are decided exactly; real points keep the
-    SINGULAR_GUARD threshold and real arithmetic.  Errors are raised at the
-    first failing point, in point order; with no keys nothing is evaluated.
+    Every value equals, bit for bit, (-1)^m spin_sign weyl_numerator(lambda_hc,
+    g, W_K) / weyl_denominator(g, R^+) after guard_nonsingular(g, R^+), with
+    the dual path (-1)^m (numer / D_c) / delta_p_char(g) checked per key and
+    point.  Errors are raised at the first failing point, in point order; with
+    no keys nothing is evaluated.
     """
     columns: list[list[complex]] = [[] for _ in keys]
     if keys:
@@ -212,14 +204,22 @@ def tau_grid(
 
 
 def tau_generator(spec: RealFormSpec, key: GeneratorKey, g: TorusPoint) -> TauValue:
-    """tau_g on a single Dirac-induction generator, from the per-point kernel
-    of ``tau_grid``, with both routes and the point's conditioning.
-
-    Exact points must be regular; real-mode points (limit paths) rely on the
-    denominator-magnitude guard instead.
-    """
+    """tau_g on a single Dirac-induction generator, with both routes and the
+    point's conditioning.  Exact points must be regular; real-mode points
+    (limit paths) rely on the denominator-magnitude guard instead."""
     factors, [(path_a, path_b)] = next(_tau_rows(spec, [key], [g]))
     return TauValue(path_a, path_a, path_b, factors.conditioning)
+
+
+def class_sum(
+    spec: RealFormSpec, x: KClass, g: TorusPoint, orbit_of: OrbitBuilder = wk_orbit
+) -> complex:
+    """sum coeff * path_a over the class's terms at g, each numerator over
+    ``orbit_of`` (see ``_tau_rows``); the zero class evaluates nothing."""
+    if x.is_zero:
+        return complex(0)
+    _, pairs = next(_tau_rows(spec, [key for key, _ in x.terms], [g], orbit_of))
+    return _csum(coeff * value for (_, coeff), (value, _) in zip(x.terms, pairs))
 
 
 def tau_class(spec: RealFormSpec, x: KClass, descriptor: ConjugacyDescriptor) -> complex:
@@ -227,8 +227,7 @@ def tau_class(spec: RealFormSpec, x: KClass, descriptor: ConjugacyDescriptor) ->
     identically zero on non-elliptic and unequal-rank-ambient classes."""
     if descriptor.kind != "elliptic":
         return complex(0)
-    values = tau_grid(spec, [key for key, _ in x.terms], [descriptor.point])
-    return _csum(coeff * column[0] for (_, coeff), column in zip(x.terms, values))
+    return class_sum(spec, x, descriptor.point)
 
 
 def random_regular_point(
@@ -270,22 +269,7 @@ def class_is_zero(
 
 
 def tau_value_to_json(value: TauValue) -> dict:
-    return {
-        "value": value.value,
-        "path_a": value.path_a,
-        "path_b": value.path_b,
-    }
-
-
-def zero_verdict_to_json(verdict: ZeroVerdict) -> dict:
-    record: dict = {
-        "is_zero": verdict.is_zero,
-        "samples_used": verdict.samples_used,
-    }
-    if verdict.witness is not None:
-        record["witness"] = serialize_torus_point(verdict.witness)
-        record["witness_value"] = verdict.witness_value
-    return record
+    return {"value": value.value, "path_a": value.path_a, "path_b": value.path_b}
 
 
 def _validate_positive_system(spec: RealFormSpec, system: Sequence[Weight]) -> None:

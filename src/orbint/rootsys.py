@@ -4,6 +4,11 @@ All lattice arithmetic is exact.  Weights are stored as doubled integer
 coordinates (``coords2 = 2*lambda`` in the fundamental-weight basis) so that
 half-sums of roots and half-roots stay in the lattice; pairings are Fractions
 built from the symmetrized Cartan matrix.
+
+Weyl groups and weight orbits come from one breadth-first walk,
+``reflection_orbit``: W (and W_K) is the walk of the regular vector
+(1, ..., 1), each element's matrix built from its parent's, and the orbits
+that tau and the stable integral sum over are walks of the weight itself.
 """
 
 from __future__ import annotations
@@ -69,11 +74,6 @@ def _matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 def _matvec(a: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
-
-
-def _transpose(a: IntMatrix) -> IntMatrix:
-    n = len(a)
-    return tuple(tuple(a[j][i] for j in range(n)) for i in range(n))
 
 
 def _det_fraction(rows: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -343,19 +343,14 @@ class WeylElement(NamedTuple):
     def apply(self, w: Weight) -> Weight:
         return Weight(_matvec(self.matrix, w.coords2))
 
-    @property
-    def is_identity(self) -> bool:
-        return self.matrix == _identity(len(self.matrix))
-
 
 class WeylGroup(_Frozen):
-    """The elements of a Weyl group (identity first) and its generators."""
+    """The elements of a Weyl group, identity first."""
 
-    __slots__ = ("elements", "generators")
+    __slots__ = ("elements",)
 
-    def __init__(self, elements: tuple[WeylElement, ...], generators: tuple[WeylElement, ...]):
+    def __init__(self, elements: tuple[WeylElement, ...]):
         _set(self, "elements", elements)
-        _set(self, "generators", generators)
 
     @property
     def order(self) -> int:
@@ -386,64 +381,81 @@ def _reflect(refl: Reflection, v: Sequence[int]) -> tuple[int, ...]:
     return tuple(vj - k * aj for vj, aj in zip(v, a))
 
 
-def sparse_reflections(gens: Sequence[Reflection]) -> list:
-    """Each reflection (a, c) as sparse lists of (index, entry) of a and of c."""
-    return [
-        ([(j, x) for j, x in enumerate(a) if x], [(j, x) for j, x in enumerate(c) if x])
+def sparse_reflections(gens: Sequence[Reflection]) -> tuple:
+    """Each reflection (a, c) as sparse tuples of (index, entry) of a and of c."""
+    return tuple(
+        (tuple((j, x) for j, x in enumerate(a) if x), tuple((j, x) for j, x in enumerate(c) if x))
         for a, c in gens
-    ]
+    )
 
 
-def _reflection_group(rank: int, gens: Sequence[Reflection]) -> WeylGroup:
-    """Breadth-first closure over the reflections, identity first.  Each element
-    carries its word length and the sign (-1)^length, as every generator has
-    determinant -1.
+@functools.lru_cache(maxsize=None)
+def simple_steps(datum: CartanDatum) -> tuple:
+    """The simple reflections in index order, in the sparse form of ``sparse_reflections``."""
+    return sparse_reflections([_simple_reflection(datum, i) for i in range(datum.rank)])
 
-    Elements are told apart by their image of the regular vector (1, ..., 1),
-    on which the group acts freely, so a candidate costs one reflected vector.
-    Only a new element pays for its matrix, by the rank-one update
-    s.M = M - a (c^T M), which rewrites the rows where a is nonzero."""
-    steps = sparse_reflections(gens)
-    ident = _identity(rank)
-    start = (1,) * rank
+
+def reflection_orbit(steps: Sequence, start: tuple[int, ...]) -> tuple[list, list, list, list] | None:
+    """Breadth-first walk of ``start`` (coords2) under the sparse reflections
+    ``steps``: (images, parent, step, depth), four lists in discovery order,
+    where image i > 0 is steps[step[i]] applied to image parent[i] and lies
+    depth[i] reflections from image 0.  None as soon as a reflection fixes an
+    image; otherwise the group acts freely on the orbit, so image i is w(start)
+    for exactly one w, and depth[i] is the word length of w in the steps."""
+    images, parent, step, depth = [start], [-1], [-1], [0]
     seen = {start}
-    frontier = [(ident, start)]
-    elements = [WeylElement(ident, 1, 0)]
-    depth = 0
-    while frontier:
-        depth += 1
-        if depth > 100:
-            raise ValidationError("reflection closure did not terminate (not finite type?)")
-        nxt = []
-        for m, v in frontier:
-            for a_terms, c_terms in steps:
-                k = 0
-                for j, cj in c_terms:
-                    k += cj * v[j]
-                image = list(v)
-                for j, aj in a_terms:
-                    image[j] -= k * aj
-                image = tuple(image)
-                if image in seen:
-                    continue
+    indexed = [(s, a_terms, c_terms) for s, (a_terms, c_terms) in enumerate(steps)]
+    for i, v in enumerate(images):  # images grows behind the loop: a breadth-first queue
+        d = depth[i] + 1
+        for s, a_terms, c_terms in indexed:
+            k = 0
+            for j, cj in c_terms:
+                k += cj * v[j]
+            if k == 0:
+                return None
+            image = list(v)
+            for j, aj in a_terms:
+                image[j] -= k * aj
+            image = tuple(image)
+            if image not in seen:
                 seen.add(image)
-                row = [0] * rank
-                for j, cj in c_terms:
-                    row = [x + cj * y for x, y in zip(row, m[j])]
-                prod = list(m)
-                for j, aj in a_terms:
-                    prod[j] = tuple(x - aj * y for x, y in zip(m[j], row))
-                prod = tuple(prod)
-                nxt.append((prod, image))
-                elements.append(WeylElement(prod, (-1) ** depth, depth))
-        frontier = nxt
-    return WeylGroup(tuple(elements), tuple(e for e in elements if e.length == 1))
+                images.append(image)
+                parent.append(i)
+                step.append(s)
+                depth.append(d)
+    return images, parent, step, depth
+
+
+def _reflection_group(rank: int, steps: Sequence) -> WeylGroup:
+    """The group the sparse reflections generate, in the order of the walk of
+    the regular vector (1, ..., 1): identity first, each element with its word
+    length and the sign (-1)^length, as every generator has determinant -1.
+    An element's matrix is its parent's after the rank-one update
+    s.M = M - a (c^T M), which rewrites the rows where a is nonzero."""
+    _, parents, links, depths = reflection_orbit(steps, (1,) * rank)
+    matrices = [_identity(rank)]
+    for parent, link in zip(parents[1:], links[1:]):
+        m = matrices[parent]
+        a_terms, c_terms = steps[link]
+        row = [0] * rank
+        for j, cj in c_terms:
+            row = [x + cj * y for x, y in zip(row, m[j])]
+        prod = list(m)
+        for j, aj in a_terms:
+            prod[j] = tuple(x - aj * y for x, y in zip(m[j], row))
+        matrices.append(tuple(prod))
+    return WeylGroup(tuple(WeylElement(m, -1 if d & 1 else 1, d) for m, d in zip(matrices, depths)))
 
 
 @functools.lru_cache(maxsize=None)
 def weyl_group(datum: CartanDatum) -> WeylGroup:
     """The Weyl group, generated by the simple reflections in index order."""
-    return _reflection_group(datum.rank, [_simple_reflection(datum, i) for i in range(datum.rank)])
+    return _reflection_group(datum.rank, simple_steps(datum))
+
+
+def weyl_order(datum: CartanDatum) -> int:
+    """|W| from the walk of the regular vector (1, ..., 1), building no matrix."""
+    return len(reflection_orbit(simple_steps(datum), (1,) * datum.rank)[0])
 
 
 def reflection_subgroup(datum: CartanDatum, roots: Sequence[Weight]) -> WeylGroup:
@@ -454,7 +466,7 @@ def reflection_subgroup(datum: CartanDatum, roots: Sequence[Weight]) -> WeylGrou
     simple roots of a list generate the right group only when the list is the
     positive part of a closed root subsystem; callers that have one (as
     ``realform.weyl_k`` does) pass its simple roots to shorten the closure."""
-    return _reflection_group(datum.rank, [reflection(datum, alpha) for alpha in roots])
+    return _reflection_group(datum.rank, sparse_reflections([reflection(datum, alpha) for alpha in roots]))
 
 
 def reflection(datum: CartanDatum, alpha: Weight) -> Reflection:

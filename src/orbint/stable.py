@@ -1,5 +1,13 @@
 """Stable orbital integrals, L-packet sums, the continuity limit at the
-identity, formal degrees, and the coset-partition character identity check."""
+identity, formal degrees, and the coset-partition character identity check.
+
+Summed over the coset translates v.g, the W_K numerators of tau make up the
+W numerator, and D(v.g) = sign(v) D(g), so the stable integral is one W-orbit
+sum, (-1)^m spin_sign N_W(lambda_hc)(g) / D(g): tau's kernel with
+``ktrace.w_orbit``, which builds no group element and gives a parameter on a
+wall the empty orbit, an exact zero.  ``lpacket_sum`` keeps the coset route,
+the independent side of its packet/stable guard.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +15,8 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import ConsistencyError, LimitPathError, SingularPointError, ValidationError
-from .ktrace import lds_value, tau_class
+from .ktrace import class_sum, lds_value, w_orbit
+from .ktrace import tau_class  # noqa: F401 - unused here, but benchmarks/selfcheck.py wraps stable.tau_class
 from .realform import (
     KClass,
     RealFormSpec,
@@ -19,37 +28,23 @@ from .realform import (
     weyl_k,
 )
 from .rootsys import Weight, pairing, positive_roots, rho, weyl_group
-from .toruschar import (
-    ConjugacyDescriptor,
-    TorusPoint,
-    _csum,
-    ab_fixed_sum,
-    root_factors,
-    transformed_system,
-    weyl_act_point,
-)
+from .toruschar import TorusPoint, _csum, ab_fixed_sum, root_factors, transformed_system
 
 PACKET_TOL = 1e-10
 
 
 def stable_tau(spec: RealFormSpec, x: KClass, g: TorusPoint) -> complex:
     """Stable orbital integral: the sum of tau over the ordinary conjugacy
-    classes inside the stable class of g, one Weyl-coset translate each."""
-    return _csum(
-        tau_class(spec, x, ConjugacyDescriptor.elliptic(weyl_act_point(v, g)))
-        for v in coset_reps(spec)
-    )
+    classes inside the stable class of g, as one W-orbit numerator over D(g)
+    per term of the class (see the module docstring)."""
+    return class_sum(spec, x, g, w_orbit)
 
 
 def lpacket_sum(spec: RealFormSpec, lam_hc: Weight, g: TorusPoint) -> complex:
-    """Sum of the (limit of) discrete-series characters in the packet of lam_hc.
-
-    Each coset representative contributes the character with transformed
-    parameter and transformed positive system; the result is cross-checked
-    against the stable orbital integral of the matching generator whenever
-    lam_hc - rho_c is a valid generator key.  All characters share the root
-    factors of g.
-    """
+    """Sum of the (limit of) discrete-series characters in the packet of lam_hc:
+    per coset representative v, the character of v(lam_hc) on v(R^+), all from
+    the root factors of g.  Checked against ``stable_tau`` of the generator
+    lam_hc - rho_c whenever that is a valid key."""
     pos = spec.positive_system
     factors = root_factors(g, pos)
     total = _csum(

@@ -4,17 +4,15 @@ denominators, the spinor character, and the Atiyah-Bott style fixed-point sum.
 Lattice pairings are computed exactly (Fractions) before the single
 transcendental call per factor; complex values are machine doubles.
 
-The evaluation kernel shared by tau, stable sums, packets and synthesis has
-two parts.  ``root_factors`` takes one pairing per positive root at a point
-and gives both the singular verdict and every root factor, so a point's
-guard and its denominators come from one pass.  A ``SignedOrbit`` holds the
-alternating numerator's W_K orbit as flat integer arrays, and ``orbit_sum``
-evaluates it at a point.  ``ktrace.wk_orbit`` builds each orbit once, by
-reflecting the weight itself, and leaves it empty when the weight lies on a
-compact wall, where the alternating sum vanishes identically.  Both parts
-reproduce the per-weight functions below (``guard_nonsingular``,
-``weyl_denominator``, ``weyl_numerator``) bit for bit; those stay as the
-independent routes of the identity checks.
+The evaluation kernel of tau, stable sums, packets and synthesis has two
+parts.  ``root_factors`` pairs a point with each positive root once, which
+gives both the singular verdict and every root factor.  A ``SignedOrbit``
+holds an alternating numerator's orbit as flat integer arrays (the W_K orbit
+of tau or the W orbit of the stable integral, which ``ktrace`` builds by
+walking the weight with ``rootsys.reflection_orbit``), and ``orbit_sum``
+evaluates it at a point.  Both reproduce the per-weight functions below
+(``guard_nonsingular``, ``weyl_denominator``, ``weyl_numerator``) bit for
+bit; those stay as the independent routes of the identity checks.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from .rootsys import (
     WeylGroup,
     _Frozen,
     _set,
-    _transpose,
     integer_inverse,
     positive_roots,
 )
@@ -341,7 +338,7 @@ def ab_fixed_sum(nu: Weight, g: TorusPoint, group, roots: Sequence[Weight]) -> c
 
 def weyl_act_point(w: WeylElement, g: TorusPoint) -> TorusPoint:
     """Transform torus coordinates so that e^mu(w.g) = e^{w^{-1} mu}(g)."""
-    mat = _transpose(integer_inverse(w.matrix))
+    mat = tuple(zip(*integer_inverse(w.matrix)))  # the transpose
     if g.exact:
         coords = tuple(
             sum(row[j] * g.coords[j] for j in range(len(row))) % 2 for row in mat

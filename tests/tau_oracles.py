@@ -4,8 +4,10 @@ orbint evaluates tau through ``ktrace.tau_grid``, which pairs each point with
 its roots once and sums each key's numerator over a cached W_K orbit.  These
 are the direct per-key, per-point evaluations it replaced: guard, numerator
 and every denominator recomputed from ``toruschar``'s per-weight functions.
-``signed_orbit`` is the orbit that ``ktrace.wk_orbit`` replaced: one image
-per element of the group, each a matrix-vector product.
+``signed_orbit`` is the orbit that ``ktrace.wk_orbit`` and ``ktrace.w_orbit``
+replaced: one image per element of the group, each a matrix-vector product.
+``stable_tau`` is the coset-translate route that the W-orbit sum replaced,
+and ``mp_stable_tau`` the same W-orbit sum in 40-digit mpmath.
 """
 
 from array import array
@@ -13,7 +15,7 @@ from array import array
 from orbint.errors import ConsistencyError, ValidationError
 from orbint.ktrace import DUAL_PATH_TOL, _validate_positive_system
 from orbint.realform import KClass, coset_reps, generator_key, hc_parameter, rho_c, weyl_k
-from orbint.rootsys import _matvec
+from orbint.rootsys import _matvec, weyl_group
 from orbint.stable import PACKET_TOL
 from orbint.toruschar import (
     SignedOrbit,
@@ -63,6 +65,31 @@ def tau_class(spec, x, g):
 
 def stable_tau(spec, x, g):
     return _csum(tau_class(spec, x, weyl_act_point(v, g)) for v in coset_reps(spec))
+
+
+def mp_stable_tau(spec, x, g, dps=40):
+    """(-1)^m spin_sign sum_w sign(w) e^{w lambda_hc}(g) / prod_{R+} (e^{a/2} - e^{-a/2})(g)
+    per term of the class, over the elements of W, at an exact point: each
+    phase exact, each exponential and the arithmetic at ``dps`` digits."""
+    import mpmath
+
+    def exp(coords2):  # e^lambda(g) = exp(pi i sum_j coords2_j t_j)
+        phase = sum(c * t for c, t in zip(coords2, g.coords)) % 2
+        return mpmath.expjpi(mpmath.mpf(phase.numerator) / phase.denominator)
+
+    with mpmath.workdps(dps):
+        denom = mpmath.mpc(1)
+        for alpha in spec.positive_system:
+            half = alpha.halved()
+            denom *= exp(half.coords2) - exp((-half).coords2)
+        sign = (-1) ** (spec.dim_gk // 2) * spec.spin_sign
+        total = mpmath.mpc(0)
+        for key, coeff in x.terms:
+            lam_hc = hc_parameter(spec, key)
+            group = weyl_group(spec.datum)
+            numer = mpmath.fsum(w.sign * exp(_matvec(w.matrix, lam_hc.coords2)) for w in group)
+            total += coeff * sign * numer / denom
+        return complex(total)
 
 
 def lds_character(spec, lam_hc, system, g):

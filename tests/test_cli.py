@@ -132,6 +132,13 @@ def test_malformed_numbers_are_rejected(capsys, argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("t", ["0", "2"])
+def test_demo_sl2_refuses_a_singular_point(capsys, t):
+    code, out, err = run_cli(capsys, "demo-sl2", "--t", t)
+    assert code == 3 and out == ""
+    assert err.startswith("singular evaluation point:") and err.count("\n") == 1
+
+
 def test_startup_loads_no_dataclasses_or_identity_suite():
     # the modules benchmarks/tracer.py indexes are loaded by importing the CLI;
     # the identity suite and dataclasses are not
@@ -226,6 +233,27 @@ def test_config_file_drives_commands(capsys, tmp_path):
     bad.write_text(json.dumps({"nonsense": 1}))
     code, _, _ = run_cli(capsys, "--config", str(bad), "datum", "--type", "A1")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "fields, argv",
+    [
+        ({"preset": 5}, ["tau", "--lambda", "0", "--t", "1/5"]),
+        ({"preset": ["sl2r"]}, ["tau", "--lambda", "0", "--t", "1/5"]),
+        ({"verbosity": "x"}, ["-v", "datum", "--type", "A1"]),
+        ({"verbosity": "x"}, ["datum", "--type", "A1"]),
+        ({"verbosity": None}, ["datum", "--type", "A1"]),
+        ({"spin_sign": True}, ["tau", "--preset", "sl2r", "--lambda", "0", "--t", "1/5"]),
+        ({"matrix": [[2, "-1"], [-1, 2]], "symmetrizer": ["1", "1"]}, ["datum"]),
+        ({"compact_indices": "0"}, ["tau", "--type", "A2", "--lambda", "0,0", "--t", "1/5,2/7"]),
+    ],
+)
+def test_config_field_types_are_checked(capsys, tmp_path, fields, argv):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(fields))
+    code, out, err = run_cli(capsys, "--config", str(path), *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: config field") and err.count("\n") == 1
 
 
 def test_spin_sign_override(capsys):

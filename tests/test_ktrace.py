@@ -180,7 +180,7 @@ def test_invalid_positive_system_rejected():
 
 def test_value_serializers():
     from orbint.jsonio import dumps
-    from orbint.ktrace import tau_value_to_json, zero_verdict_to_json
+    from orbint.ktrace import tau_value_to_json
 
     key = generator_key(SL2R, Weight((0,)))
     g = TorusPoint.exact_point([Fraction(1, 5)])
@@ -188,13 +188,3 @@ def test_value_serializers():
     assert set(record) == {"value", "path_a", "path_b"}
     text = dumps(record)
     assert '"re"' in text and '"im"' in text
-
-    verdict = class_is_zero(SL2R, KClass.generator(key))
-    record = zero_verdict_to_json(verdict)
-    assert record["is_zero"] is False
-    assert record["samples_used"] == verdict.samples_used
-    assert isinstance(record["witness"], list)
-    assert zero_verdict_to_json(class_is_zero(SL2R, KClass.zero())) == {
-        "is_zero": True,
-        "samples_used": 0,
-    }

@@ -1,9 +1,11 @@
 """The batch kernel reproduces the per-key formulas it replaced, bit for bit.
 
-Every comparison is ``==``: ``tau_grid``, ``tau_generator``, ``tau_class``,
-``stable_tau``, ``synth_family`` and ``lpacket_sum`` against the oracles in
-``tau_oracles.py``, on the five presets and three painted forms, at exact and
-real-mode points.
+``tau_grid``, ``tau_generator``, ``tau_class``, ``synth_family`` and
+``lpacket_sum`` are compared ``==`` against the oracles in ``tau_oracles.py``,
+on the five presets and three painted forms, at exact and real-mode points.
+``stable_tau`` sums over the W orbit instead of the coset translates, so it
+is compared within 1e-12 relative to the translate route and to a 40-digit
+W-orbit sum.
 """
 
 import functools
@@ -17,9 +19,18 @@ import tau_oracles as oracle
 from weyl_oracles import painted_forms
 
 from orbint.errors import ConsistencyError, SingularPointError
-from orbint.ktrace import random_regular_point, tau_class, tau_generator, tau_grid, wk_orbit
-from orbint.realform import GeneratorKey, coset_reps, hc_parameter, real_form, rho_c, weyl_k
-from orbint.rootsys import Weight
+from orbint.ktrace import random_regular_point, tau_class, tau_generator, tau_grid, w_orbit, wk_orbit
+from orbint.realform import (
+    GeneratorKey,
+    KClass,
+    coset_reps,
+    hc_parameter,
+    is_regular_param,
+    real_form,
+    rho_c,
+    weyl_k,
+)
+from orbint.rootsys import Weight, weyl_group
 from orbint.stable import lpacket_sum, stable_tau
 from orbint.tannaka import synth_family
 from orbint.toruschar import ConjugacyDescriptor, TorusPoint, is_regular
@@ -98,20 +109,21 @@ ORBIT_FORMS = [
 
 @pytest.mark.parametrize("spec", ORBIT_FORMS, ids=[spec.name for spec in ORBIT_FORMS])
 def test_wk_orbit_matches_the_group_orbit(spec):
-    """Keys and their packet translates v.lambda_hc: the same signed images as
-    the group-matrix orbit, or no terms where that orbit cancels."""
-    group = weyl_k(spec)
+    """Keys and their packet translates v.lambda_hc: ``wk_orbit`` and ``w_orbit``
+    give the same signed images as the group-matrix orbits over W_K and W, or
+    no terms where that orbit cancels."""
     lams = [hc_parameter(spec, key) for key in small_keys(spec, 3)]
     lams += [v.apply(lam) for lam in lams for v in coset_reps(spec)]
     lams.append(hc_parameter(spec, singular_key(spec)))
-    for lam in lams:
-        want, count = signed_images(oracle.signed_orbit(lam, group))
-        images = {image for image, _ in want}
-        if len(images) == count:
-            assert signed_images(wk_orbit(spec, lam)) == (want, count)
-        else:
-            assert signed_images(wk_orbit(spec, lam)) == (Counter(), 0)
-            assert all(want[(image, 1)] == want[(image, -1)] for image in images)
+    for orbit, group in ((wk_orbit, weyl_k(spec)), (w_orbit, weyl_group(spec.datum))):
+        for lam in lams:
+            want, count = signed_images(oracle.signed_orbit(lam, group))
+            images = {image for image, _ in want}
+            if len(images) == count:
+                assert signed_images(orbit(spec, lam)) == (want, count)
+            else:
+                assert signed_images(orbit(spec, lam)) == (Counter(), 0)
+                assert all(want[(image, 1)] == want[(image, -1)] for image in images)
 
 
 @pytest.mark.parametrize("spec", FORMS, ids=IDS)
@@ -121,7 +133,44 @@ def test_class_and_stable_values_match(spec):
     for g in exact_points(spec, 64, 2) + real_points(spec, 65)[:1]:
         x = random_class(keys, rng)
         assert tau_class(spec, x, ConjugacyDescriptor.elliptic(g)) == oracle.tau_class(spec, x, g)
-        assert stable_tau(spec, x, g) == oracle.stable_tau(spec, x, g)
+        value = stable_tau(spec, x, g)
+        assert abs(value - oracle.stable_tau(spec, x, g)) <= 1e-12 * max(1.0, abs(value))
+
+
+@pytest.mark.parametrize("spec", FORMS, ids=IDS)
+def test_stable_tau_is_the_w_orbit_sum(spec):
+    """Within 1e-12 relative of the 40-digit W-orbit sum; ``==`` tau on a
+    compact form, where W_K = W; an exact zero for a parameter on a wall."""
+    pytest.importorskip("mpmath")
+    keys = keys_of(spec)
+    walls = [
+        key for key in keys + [singular_key(spec)] if not is_regular_param(spec, hc_parameter(spec, key))
+    ]
+    assert walls
+    rng = random.Random(71)
+    for g in exact_points(spec, 72, 2):
+        x = random_class(keys, rng)
+        value = stable_tau(spec, x, g)
+        ref = oracle.mp_stable_tau(spec, x, g)
+        assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
+        if spec.is_compact:
+            assert value == tau_class(spec, x, ConjugacyDescriptor.elliptic(g))
+        for key in walls:
+            assert stable_tau(spec, KClass.generator(key), g) == 0
+
+
+def test_stable_tau_builds_no_weyl_group_element():
+    cases = []
+    for name in ("F4", "B4"):
+        (spec,) = painted_forms(name, [(0,)])
+        x = random_class(small_keys(spec, 4), random.Random(73))
+        cases.append((spec, x, exact_points(spec, 74, 1)[0]))
+    weyl_group.cache_clear()
+    coset_reps.cache_clear()
+    for spec, x, g in cases:
+        stable_tau(spec, x, g)
+    assert weyl_group.cache_info().currsize == 0
+    assert coset_reps.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("spec", FORMS, ids=IDS)
@@ -186,15 +235,14 @@ def test_empty_keys_and_points():
 
 
 def test_packet_guard_refuses_the_same_disagreement():
-    # the painted-F4 packet query whose two routes differ by 7.1e-10
+    # the painted-F4 packet query whose two routes differ by about 7.1e-10
+    # (7.107e-10 against the translate route, 7.07e-10 against the W orbit)
     (spec,) = painted_forms("F4", [(0,)])
     g = TorusPoint.exact_point([Fraction(1, 7), Fraction(2, 11), Fraction(3, 13), Fraction(1, 17)])
     lam_hc = Weight((6, 2, 2, 2))
-    with pytest.raises(ConsistencyError) as want:
-        oracle.lpacket_sum(spec, lam_hc, g)
-    with pytest.raises(ConsistencyError) as got:
-        lpacket_sum(spec, lam_hc, g)
-    assert str(got.value) == str(want.value)
+    for route in (oracle.lpacket_sum, lpacket_sum):
+        with pytest.raises(ConsistencyError, match="packet sum and stable integral disagree by"):
+            route(spec, lam_hc, g)
 
 
 def test_weights_beyond_32_bits():
