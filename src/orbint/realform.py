@@ -76,6 +76,8 @@ def build_real_form(
     """
     roots = all_roots(datum)
     try:
+        if min(compact_root_indices, default=0) < 0:  # no Python-style wrap-around
+            raise IndexError
         chosen = {roots[i] for i in compact_root_indices}
     except (IndexError, TypeError):
         raise ValidationError("compact root indices must index all_roots(datum)") from None

@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -154,15 +155,16 @@ def synth_family(
     """Sample chi_j(g) = tau_g(generator_j) over a shifted uniform lattice, a
     near-identity ray, and derivative probes."""
     datum = spec.datum
-    rank = datum.rank
-    n = default_axis_count(rank) if axis_count is None else int(axis_count)
+    n = default_axis_count(datum.rank) if axis_count is None else int(axis_count)
     if n < 4:
         raise ValidationError("grid too coarse")
     offsets = _grid_offsets(datum)
-    lattice = [
-        TorusPoint.exact_point(Fraction(k, n) + off / n for k, off in zip(index, offsets))
-        for index in itertools.product(range(n), repeat=rank)
+    # coordinate k of an axis with offset r/d is (k + r/d)/n, already in [0, 1)
+    axes = [
+        [Fraction(k * off.denominator + off.numerator, n * off.denominator) for k in range(n)]
+        for off in offsets
     ]
+    lattice = [TorusPoint(coords, True) for coords in itertools.product(*axes)]
     ray_direction = _pick_ray_direction(datum, seed=101)
     scales = tuple(RAY_START_SCALE * 2.0 ** (-k) for k in range(RAY_LEVELS + 1))
     ray_points = [TorusPoint.real_point(tuple(s * c for c in ray_direction)) for s in scales]
@@ -256,32 +258,34 @@ def recover_characters(family: ChiFamily, dims: dict) -> CharacterRecovery:
     return CharacterRecovery(j0, psi_ray, units, char_lattice, char_limits)
 
 
-def lattice_fourier(family: ChiFamily, samples: Sequence[complex], bound: int) -> dict:
-    """Discrete Fourier inner products <chi, e^mu> over the shifted lattice, for
-    all integral mu with fundamental coordinates in [-bound, bound]."""
+def lattice_twiddles(family: ChiFamily, bound: int) -> list[dict]:
+    """The factors e^{-2 pi i f (k + offset) / n} per axis and frequency |f| <= bound."""
     n = family.axis_count
-    rank = family.rank
     if n <= 2 * bound:
         raise ValidationError("grid too coarse for the requested frequency box")
-    offs = [float(o) for o in family.offsets]
-    freqs = list(range(-bound, bound + 1))
-    twiddles = [
+    return [
         {
-            f: [cmath.exp(-2j * math.pi * f * (k + offs[axis]) / n) for k in range(n)]
-            for f in freqs
+            f: [cmath.exp(-2j * math.pi * f * (k + float(off)) / n) for k in range(n)]
+            for f in range(-bound, bound + 1)
         }
-        for axis in range(rank)
+        for off in family.offsets
     ]
+
+
+def lattice_fourier(family: ChiFamily, samples: Sequence[complex], bound: int, twiddles=None) -> dict:
+    """Discrete Fourier inner products <chi, e^mu> over the shifted lattice, for all integral
+    mu with fundamental coordinates in [-bound, bound]; ``twiddles`` as lattice_twiddles'."""
+    n = family.axis_count
+    rank = family.rank
+    if twiddles is None:
+        twiddles = lattice_twiddles(family, bound)
     blocks = {(): list(samples[: family.lattice_size])}
     for axis in range(rank - 1, -1, -1):
         new: dict = {}
         for suffix, vec in blocks.items():
-            size = len(vec) // n
-            for f in freqs:
-                tw = twiddles[axis][f]
-                new[(f,) + suffix] = [
-                    sum(vec[i * n + k] * tw[k] for k in range(n)) for i in range(size)
-                ]
+            rows = [vec[i : i + n] for i in range(0, len(vec), n)]
+            for f, tw in twiddles[axis].items():
+                new[(f,) + suffix] = [sum(map(operator.mul, row, tw)) for row in rows]
         blocks = new
     total = n**rank
     return {
@@ -309,8 +313,9 @@ def recover_highest_weights(
     """Per label: the lexicographically greatest dominant weight whose Fourier
     coefficient exceeds 1/2."""
     out = {}
+    twiddles = lattice_twiddles(family, bound)
     for label in family.labels:
-        coeffs = lattice_fourier(family, chars.char_lattice[label], bound)
+        coeffs = lattice_fourier(family, chars.char_lattice[label], bound, twiddles)
         support = [w for w, c in coeffs.items() if abs(c) > 0.5]
         if not support:
             raise ReconstructionError(f"no Fourier coefficient above 1/2 for {label}")

@@ -1,8 +1,12 @@
 """Torus points, exact regularity, weight exponentials, Weyl numerators and
 denominators, the spinor character, and the Atiyah-Bott style fixed-point sum.
 
-Lattice pairings are computed exactly (Fractions) before the single
-transcendental call per factor; complex values are machine doubles.
+Pairings are exact before the one transcendental call per factor; complex
+values are machine doubles.  Roots pair with an exact point t = n/q in
+integers (<alpha/2, t> = a/q: singular iff q | a, phase (a mod 2q)/q).
+``orbit_sum``'s per-term phases stay Fractions: integer ones run several times
+faster, but the ``tau_exact`` benchmark keeps every pass's results, so its
+peak RSS would pass its bound.
 
 The evaluation kernel of tau, stable sums, packets and synthesis has two
 parts.  ``root_factors`` pairs a point with each positive root once, which
@@ -10,9 +14,9 @@ gives both the singular verdict and every root factor.  A ``SignedOrbit``
 holds an alternating numerator's orbit as flat integer arrays (the W_K orbit
 of tau or the W orbit of the stable integral, which ``ktrace`` builds by
 walking the weight with ``rootsys.reflection_orbit``), and ``orbit_sum``
-evaluates it at a point.  Both reproduce the per-weight functions below
-(``guard_nonsingular``, ``weyl_denominator``, ``weyl_numerator``) bit for
-bit; those stay as the independent routes of the identity checks.
+evaluates it at a point.  Both reproduce ``weyl_denominator`` and
+``weyl_numerator`` bit for bit; those stay as the independent routes of the
+identity checks.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import SingularPointError, ValidationError
 from .realform import RealFormSpec
@@ -155,16 +159,25 @@ def eval_weight(lam: Weight, g: TorusPoint) -> complex:
     return cmath.exp(1j * math.pi * total)
 
 
+def _root_pairings(g: TorusPoint, roots: Sequence[Weight]) -> Iterator[tuple[Weight, int, int]]:
+    """(alpha, a, q) per root at an exact point t = n/q over its common
+    denominator, with <alpha/2, t> = a/q in integers: a = sum_j (c2_j // 2) n_j.
+    So alpha is singular at g iff q divides a, and e^{+-alpha/2}(g) =
+    exp(i pi ((+-a mod 2q) / q))."""
+    q = math.lcm(*(t.denominator for t in g.coords))
+    ns = [t.numerator * (q // t.denominator) for t in g.coords]
+    for alpha in roots:
+        yield alpha, sum(c // 2 * n for c, n in zip(alpha.coords2, ns)), q
+
+
 def root_phase(alpha: Weight, g: TorusPoint):
     """u = <alpha/2, t>, so that e^{alpha/2}(g) = exp(pi i u) and the factor
     e^{alpha/2} - e^{-alpha/2} = 2i sin(pi u) vanishes iff u is an integer.
     Exact (a Fraction) at exact points, an fsum float at real ones."""
-    fund = alpha.halved().coords2
+    fund = alpha.halved().coords2  # also rejects a non-integral weight
     if g.exact:
-        value = Fraction(0)
-        for f, t in zip(fund, g.coords):
-            value += f * t
-        return value
+        [(_, a, q)] = _root_pairings(g, [alpha])
+        return Fraction(a, q)
     return math.fsum(f * t for f, t in zip(fund, g.coords))
 
 
@@ -179,20 +192,14 @@ def is_regular(g: TorusPoint, datum: CartanDatum) -> bool:
     points are rejected; regularity is only decided exactly."""
     if not g.exact:
         raise ValidationError("regularity is decided only for exact rational points")
-    return all(root_phase(alpha, g).denominator != 1 for alpha in positive_roots(datum))
+    return all(a % q for _, a, q in _root_pairings(g, positive_roots(datum)))
 
 
 def guard_nonsingular(g: TorusPoint, roots: Sequence[Weight]) -> None:
     """Raise SingularPointError (carrying the offending root) if any factor
-    e^{alpha/2} - e^{-alpha/2} vanishes at g (exactly, or within the real-mode guard)."""
-    for alpha in roots:
-        u = root_phase(alpha, g)
-        if g.exact and u.denominator == 1:
-            raise SingularPointError(f"torus point is singular for root {alpha}", root=alpha)
-        if not g.exact and abs(2.0 * math.sin(math.pi * u)) < SINGULAR_GUARD:
-            raise SingularPointError(
-                f"torus point is numerically singular for root {alpha}", root=alpha
-            )
+    e^{alpha/2} - e^{-alpha/2} vanishes at g (exactly, or within the real-mode
+    guard): the guard of ``root_factors``."""
+    root_factors(g, roots)
 
 
 class RootFactors(NamedTuple):
@@ -225,24 +232,25 @@ class RootFactors(NamedTuple):
 
 def root_factors(g: TorusPoint, roots: Sequence[Weight]) -> RootFactors:
     """One pairing u = <alpha/2, t> per root gives both the singular verdict
-    and the factor of alpha.
+    and the factor of alpha: u = a/q in integers at exact points
+    (``_root_pairings``), an fsum float at real ones.
 
-    Raises the SingularPointError of ``guard_nonsingular`` (same test, same
-    first root, same message).  The exponentials are those of ``eval_weight``
-    bit for bit: e^{i pi (u mod 2)} and e^{i pi (-u mod 2)} at exact points,
-    e^{i pi u} and e^{-i pi u} at real ones, so each factor equals
-    ``eval_weight(alpha/2, g) - eval_weight(-alpha/2, g)``.
+    Raises SingularPointError at the first singular root (exactly, or below
+    SINGULAR_GUARD at real points).  The exponentials are those of
+    ``eval_weight`` bit for bit, e^{i pi (+-a mod 2q)/q} or e^{+-i pi u}, so
+    each factor equals ``eval_weight(alpha/2, g) - eval_weight(-alpha/2, g)``.
     """
     plus = []
     minus = []
-    for alpha in roots:
-        u = root_phase(alpha, g)
-        if g.exact:
-            if u.denominator == 1:
+    if g.exact:
+        for alpha, a, q in _root_pairings(g, roots):
+            if a % q == 0:
                 raise SingularPointError(f"torus point is singular for root {alpha}", root=alpha)
-            plus.append(cmath.exp(1j * math.pi * float(u % 2)))
-            minus.append(cmath.exp(1j * math.pi * float(-u % 2)))
-        else:
+            plus.append(cmath.exp(1j * math.pi * (a % (2 * q) / q)))
+            minus.append(cmath.exp(1j * math.pi * (-a % (2 * q) / q)))
+    else:
+        for alpha in roots:
+            u = root_phase(alpha, g)
             if abs(2.0 * math.sin(math.pi * u)) < SINGULAR_GUARD:
                 raise SingularPointError(
                     f"torus point is numerically singular for root {alpha}", root=alpha

@@ -8,19 +8,25 @@ and every denominator recomputed from ``toruschar``'s per-weight functions.
 replaced: one image per element of the group, each a matrix-vector product.
 ``stable_tau`` is the coset-translate route that the W-orbit sum replaced,
 and ``mp_stable_tau`` the same W-orbit sum in 40-digit mpmath.
+``fraction_root_phase``, ``fraction_root_factors`` and ``fraction_is_regular``
+pair a point with each root in Fractions, the route that the integer
+pairings of ``toruschar`` replaced.
 """
 
 from array import array
+from fractions import Fraction
 
-from orbint.errors import ConsistencyError, ValidationError
+from orbint.errors import ConsistencyError, SingularPointError, ValidationError
 from orbint.ktrace import DUAL_PATH_TOL, _validate_positive_system
 from orbint.realform import KClass, coset_reps, generator_key, hc_parameter, rho_c, weyl_k
-from orbint.rootsys import _matvec, weyl_group
+from orbint.rootsys import _matvec, positive_roots, weyl_group
 from orbint.stable import PACKET_TOL
 from orbint.toruschar import (
+    RootFactors,
     SignedOrbit,
     _csum,
     delta_p_char,
+    eval_weight,
     guard_nonsingular,
     transformed_system,
     weyl_act_point,
@@ -117,3 +123,24 @@ def lpacket_sum(spec, lam_hc, g):
                 f"packet sum and stable integral disagree by {abs(total - other):.3e}"
             )
     return total
+
+
+def fraction_root_phase(alpha, g):
+    """<alpha/2, t> at an exact point, summed in Fractions."""
+    return sum((Fraction(c, 2) * t for c, t in zip(alpha.coords2, g.coords)), Fraction(0))
+
+
+def fraction_root_factors(g, roots):
+    """The first root whose Fraction pairing is an integer raises
+    SingularPointError; otherwise e^{+-alpha/2}(g) from ``eval_weight`` and
+    their differences."""
+    for alpha in roots:
+        if fraction_root_phase(alpha, g).denominator == 1:
+            raise SingularPointError(f"torus point is singular for root {alpha}", root=alpha)
+    plus = tuple(eval_weight(alpha.halved(), g) for alpha in roots)
+    minus = tuple(eval_weight(-alpha.halved(), g) for alpha in roots)
+    return RootFactors(plus, minus, tuple(p - m for p, m in zip(plus, minus)))
+
+
+def fraction_is_regular(g, datum):
+    return all(fraction_root_phase(alpha, g).denominator != 1 for alpha in positive_roots(datum))

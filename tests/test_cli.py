@@ -132,6 +132,23 @@ def test_malformed_numbers_are_rejected(capsys, argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "flag, fields",
+    [
+        (["--compact-indices=-1,-4"], {}),
+        (["--compact-indices=2,-1"], {}),
+        ([], {"compact_indices": [-1, -4]}),
+    ],
+)
+def test_negative_compact_indices_are_rejected(capsys, tmp_path, flag, fields):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(fields))
+    argv = ["tau", "--type", "A2", *flag, "--lambda", "1/2,1/2", "--t", "1/5,2/7"]
+    code, out, err = run_cli(capsys, "--config", str(path), *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("t", ["0", "2"])
 def test_demo_sl2_refuses_a_singular_point(capsys, t):
     code, out, err = run_cli(capsys, "demo-sl2", "--t", t)

@@ -1,12 +1,16 @@
 """Round trips of the reconstruction pipeline."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
 from orbint.errors import ReconstructionError
 from orbint.realform import generator_key, real_form
 from orbint.rootsys import Weight, weight_multiplicities
+from weyl_oracles import painted_forms
+
 from orbint.tannaka import (
     candidate_box,
     canonical_sign,
@@ -122,3 +126,20 @@ def test_sp4r_dims_and_noncompact_without_trivial_type():
     assert report.noncompact_residual < 1e-6
     ref = report.reference_label
     assert all(report.highest_weights[lab] == lab - ref for lab in report.labels)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [CA1, real_form("su21"), painted_forms("A3", [(1,)])[0]],
+    ids=["compact(A1)", "su21", "A3/paint1"],
+)
+def test_lattice_coordinates_are_the_shifted_grid(spec):
+    # no keys: the grid is built, nothing is evaluated
+    family = synth_family(spec, [])
+    n = family.axis_count
+    lattice = family.grid[: family.lattice_size]
+    want = itertools.product(range(n), repeat=spec.rank)
+    for point, index in zip(lattice, want, strict=True):
+        assert point.exact
+        expected = tuple((Fraction(k, n) + off / n) % 2 for k, off in zip(index, family.offsets))
+        assert point.coords == expected

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from orbint.errors import SingularPointError, ValidationError
 from orbint.realform import real_form
@@ -17,13 +19,18 @@ from orbint.toruschar import (
     char_quotient,
     delta_p_char,
     eval_weight,
+    guard_nonsingular,
     is_regular,
+    negated_system,
     parse_torus_point,
+    root_factors,
+    root_phase,
     serialize_torus_point,
     weyl_act_point,
     weyl_denominator,
     weyl_numerator,
 )
+from tau_oracles import fraction_is_regular, fraction_root_factors, fraction_root_phase
 
 
 def rational_points(datum, count, seed):
@@ -261,3 +268,83 @@ def test_weyl_act_point_real_mode():
         assert cmath.isclose(
             eval_weight(mu, moved_exact), eval_weight(mu, moved_real), abs_tol=1e-12
         )
+
+
+# ---------------------------------------------------------------------------
+# integer root pairings against the Fraction route they replaced
+
+PAIRING_TYPES = ("A1", "A2", "B2", "G2", "A3", "B3", "C3", "D4", "B6")
+B6_POINT = (
+    "B6",
+    (Fraction(1, 7), Fraction(2, 11), Fraction(3, 13), Fraction(1, 17), Fraction(5, 19), Fraction(1, 23)),
+)
+
+
+@st.composite
+def typed_points(draw, denominators):
+    """(Cartan type, exact coordinates) with denominators drawn from the strategy."""
+    name = draw(st.sampled_from(PAIRING_TYPES))
+    rank = build_datum(name).rank
+    coords = tuple(
+        Fraction(draw(st.integers(-(10**15), 10**15)), draw(denominators)) for _ in range(rank)
+    )
+    return name, coords
+
+
+ANY_DENOMINATOR = st.one_of(st.integers(1, 60), st.integers(10**6, 10**12))
+SMALL_DENOMINATOR = st.sampled_from((1, 2, 3, 4, 6, 12))
+
+
+def outcome(evaluate, *args):
+    """The value, or the root and message of the SingularPointError raised."""
+    try:
+        return evaluate(*args)
+    except SingularPointError as err:
+        return ("singular", err.root, str(err))
+
+
+def check_pairings(name, coords) -> list:
+    """Assert that root_factors and guard_nonsingular give the Fraction route's
+    outcome on the positive system, its negation and its reversal; return
+    those outcomes."""
+    pos = positive_roots(build_datum(name))
+    g = TorusPoint.exact_point(coords)
+    outcomes = []
+    for roots in (pos, negated_system(pos), pos[::-1]):
+        want = outcome(fraction_root_factors, g, roots)
+        assert outcome(root_factors, g, roots) == want
+        singular = want[0] == "singular"
+        assert outcome(guard_nonsingular, g, roots) == (want if singular else None)
+        outcomes.append(want)
+    return outcomes
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(typed_points(ANY_DENOMINATOR))
+@example(B6_POINT)
+@example(("A2", (Fraction(1, 1000003), Fraction(999999, 1000033))))
+def test_root_factors_match_the_fraction_route(point):
+    name, coords = point
+    check_pairings(name, coords)
+    g = TorusPoint.exact_point(coords)
+    for alpha in positive_roots(build_datum(name)):
+        assert root_phase(alpha, g) == fraction_root_phase(alpha, g)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(typed_points(SMALL_DENOMINATOR))
+@example(("A2", (Fraction(1, 3), Fraction(2, 3))))
+def test_singular_points_raise_the_fraction_route_error(point):
+    name, coords = point
+    assume(not fraction_is_regular(TorusPoint.exact_point(coords), build_datum(name)))
+    assert all(want[0] == "singular" for want in check_pairings(name, coords))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.one_of(typed_points(ANY_DENOMINATOR), typed_points(SMALL_DENOMINATOR)))
+@example(B6_POINT)
+def test_is_regular_matches_the_fraction_definition(point):
+    name, coords = point
+    datum = build_datum(name)
+    g = TorusPoint.exact_point(coords)
+    assert is_regular(g, datum) == fraction_is_regular(g, datum)
