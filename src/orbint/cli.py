@@ -398,7 +398,7 @@ def cmd_check(config: Config, args) -> int:
     presets = [config.preset] if config.preset else None
     results = run_checks(names, presets)
     for r in results:
-        sys.stderr.write(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}\n")
+        sys.stderr.write(f"{'PASS' if r.passed else 'FAIL'} {r.name} ({r.seconds:.2f} s): {r.detail}\n")
     emit(
         {
             "results": [
@@ -432,69 +432,57 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("datum", help="describe a Cartan datum")
-    _add_spec_options(p)
-    p.set_defaults(func=cmd_datum)
+    def command(name: str, func, help: str, spec: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        if spec:
+            _add_spec_options(p)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("weyl", help="Weyl group summary")
-    _add_spec_options(p)
-    p.set_defaults(func=cmd_weyl)
+    command("datum", cmd_datum, "describe a Cartan datum")
+    command("weyl", cmd_weyl, "Weyl group summary")
 
-    p = sub.add_parser("tau", help="orbital-integral value on one generator")
-    _add_spec_options(p)
+    p = command("tau", cmd_tau, "orbital-integral value on one generator")
     p.add_argument("--lambda", dest="lam", required=True,
                    help="generator highest weight, fundamental coordinates")
     p.add_argument("--t", required=True, help="torus point, e.g. 1/5 or 0.2,0.3")
-    p.set_defaults(func=cmd_tau)
 
-    p = sub.add_parser("stable", help="stable orbital integral of a class")
-    _add_spec_options(p)
+    p = command("stable", cmd_stable, "stable orbital integral of a class")
     p.add_argument("--lambda", dest="lam", help="single-generator class")
     p.add_argument("--class", dest="kclass", help="JSON list of {lambda2, coeff}")
     p.add_argument("--t", required=True)
-    p.set_defaults(func=cmd_stable)
 
-    p = sub.add_parser("packet", help="L-packet character sum at a parameter")
-    _add_spec_options(p)
+    p = command("packet", cmd_packet, "L-packet character sum at a parameter")
     p.add_argument("--Lambda", dest="lam_hc", required=True,
                    help="Harish-Chandra parameter, fundamental coordinates")
     p.add_argument("--t", required=True)
-    p.set_defaults(func=cmd_packet)
 
-    p = sub.add_parser("limit", help="near-identity limit of the stable integral")
-    _add_spec_options(p)
+    p = command("limit", cmd_limit, "near-identity limit of the stable integral")
     p.add_argument("--lambda", dest="lam", help="single-generator class")
     p.add_argument("--class", dest="kclass", help="JSON list of {lambda2, coeff}")
     p.add_argument("--direction", required=True, help="real direction vector")
     p.add_argument("--start-scale", dest="start_scale", type=float, default=1e-2)
     p.add_argument("--levels", type=int, default=6)
-    p.set_defaults(func=cmd_limit)
 
-    p = sub.add_parser("schmid", help="sum of characters over positive systems")
-    _add_spec_options(p)
+    p = command("schmid", cmd_schmid, "sum of characters over positive systems")
     p.add_argument("--Lambda", dest="lam_hc", required=True)
     p.add_argument("--systems", default="id",
                    help="comma list of id|neg|w<k> (w<k>: k-th Weyl element applied to R+)")
     p.add_argument("--t", required=True)
-    p.set_defaults(func=cmd_schmid)
 
-    p = sub.add_parser("tannaka", help="synthesize a tau-family and reconstruct it")
-    _add_spec_options(p)
+    p = command("tannaka", cmd_tannaka, "synthesize a tau-family and reconstruct it")
     p.add_argument("--lambdas", required=True,
                    help="semicolon-separated generator weights, e.g. 0,0;1,0;0,1")
     p.add_argument("--axis-count", dest="axis_count", type=int, default=None)
     p.add_argument("--bound", type=int, default=6, help="highest-weight search box")
     p.add_argument("--candidate-bound", dest="candidate_bound", type=int, default=3)
-    p.set_defaults(func=cmd_tannaka)
 
-    p = sub.add_parser("demo-sl2", help="the rank-one worked example end to end")
+    p = command("demo-sl2", cmd_demo_sl2, "the rank-one worked example end to end", spec=False)
     p.add_argument("--t", default="1/5")
-    p.set_defaults(func=cmd_demo_sl2)
 
-    p = sub.add_parser("check", help="run the identity suite")
+    p = command("check", cmd_check, "run the identity suite", spec=False)
     p.add_argument("--preset", help="restrict preset-dependent checks to one preset")
     p.add_argument("--only", help="comma-separated check names")
-    p.set_defaults(func=cmd_check)
 
     return parser
 

@@ -2,15 +2,23 @@
 via the fixed-point character formula, vanishing off the elliptic set, class
 distinguishing by random sampling, and (limits of) discrete-series characters.
 
-Every tau value comes from one per-point kernel, ``_tau_rows``: it takes a
-point's root factors once (``toruschar.root_factors``) and forms the Weyl
-denominator and its compact and noncompact parts from them; per generator it
-adds only the alternating numerator over a cached orbit of the
-Harish-Chandra parameter, the W_K orbit (``wk_orbit``) for tau and the W
-orbit (``w_orbit``) for the stable integral.  Both orbits walk the weight
-itself through simple reflections (``rootsys.reflection_orbit``), so an
-evaluation builds no group element, and a parameter on a wall of the group
-gets the empty orbit: its alternating sum vanishes identically.
+Every tau value comes from one per-point body, ``_checked_rows``: from a
+point's root factors, taken once with the singular guard, it forms the Weyl
+denominator and its compact and noncompact parts; per generator it adds only
+the alternating numerator over a cached orbit of the Harish-Chandra
+parameter, the W_K orbit (``wk_orbit``) for tau and the W orbit
+(``w_orbit``) for the stable integral.  Both orbits walk the weight itself
+through simple reflections (``rootsys.reflection_orbit``), so an evaluation
+builds no group element, and a parameter on a wall of the group gets the
+empty orbit: its alternating sum vanishes identically.
+
+``tau_grid`` feeds it scattered points, whose numerator phases stay
+Fractions (``toruschar.orbit_sum``): integer ones are faster, but the
+``tau_exact`` benchmark keeps every pass's results, so its peak RSS would pass
+its bound.  ``tau_lattice`` feeds it the synthesis lattice t = n/q, each phase
+an integer k mod 2q read from one table zeta[k] = e^{i pi k/q}
+(``toruschar.Zeta``); k/q is one correctly rounded division, so the doubles
+are the same.
 """
 
 from __future__ import annotations
@@ -19,10 +27,11 @@ import functools
 import random
 from array import array
 from fractions import Fraction
-from itertools import chain
-from typing import Callable, Iterator, NamedTuple, Sequence
+from itertools import chain, product
+from operator import mul, sub
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import ConsistencyError, ValidationError
+from .errors import ConsistencyError, SingularPointError, ValidationError
 from .realform import (
     GeneratorKey,
     KClass,
@@ -45,6 +54,7 @@ from .toruschar import (
     RootFactors,
     SignedOrbit,
     TorusPoint,
+    Zeta,
     _csum,
     is_regular,
     orbit_sum,
@@ -144,63 +154,93 @@ def _root_positions(spec: RealFormSpec) -> tuple[tuple[int, ...], tuple[int, ...
     return compact, noncompact, index
 
 
-def _tau_rows(
-    spec: RealFormSpec,
-    keys: Sequence[GeneratorKey],
-    points: Sequence[TorusPoint],
-    orbit_of: OrbitBuilder = wk_orbit,
-) -> Iterator[tuple[RootFactors, list[tuple[complex, complex]]]]:
-    """Per point, its root factors and (path_a, path_b) for every key, each
-    pair checked against DUAL_PATH_TOL.  Each numerator runs over
-    ``orbit_of(spec, lambda_hc)``: the W_K orbit for tau, the W orbit for the
-    stable integral."""
-    orbits = [orbit_of(spec, hc_parameter(spec, key)) for key in keys]
-    pos = spec.positive_system
+def _checked_rows(spec: RealFormSpec, rows: Iterable[tuple], point_of: Callable = lambda g: g) -> Iterator:
+    """Per row (point, root factors taken with the guard, each key's numerator):
+    the factors and each key's (path_a, path_b) from D, D_c and D_n, checked
+    against DUAL_PATH_TOL.  A ConsistencyError names ``point_of(point)``."""
     compact, noncompact, _ = _root_positions(spec)
-    every = range(len(pos))
+    every = range(len(spec.positive_system))
     m = spec.dim_gk // 2
     sign = (-1) ** m * spec.spin_sign
-    for g in points:
-        factors = root_factors(g, pos)
+    for g, factors, numers in rows:
         denom = factors.product(every)
         denom_c = factors.product(compact)
         delta_p = spec.spin_sign * factors.product(noncompact)
         pairs = []
-        for orbit in orbits:
-            numer = orbit_sum(orbit, g)
+        for numer in numers:
             path_a = sign * numer / denom
             # path_b factors the same numerator as the compact character over the spinor
             path_b = (-1) ** m * (numer / denom_c) / delta_p
             scale = max(1.0, abs(path_a), abs(path_b))
             if abs(path_a - path_b) > max(DUAL_PATH_TOL, 1e-12 * scale):
                 raise ConsistencyError(
-                    f"dual-path disagreement {abs(path_a - path_b):.3e} at {g}"
+                    f"dual-path disagreement {abs(path_a - path_b):.3e} at {point_of(g)}"
                 )
             pairs.append((path_a, path_b))
         yield factors, pairs
+
+
+def _tau_rows(
+    spec: RealFormSpec,
+    keys: Sequence[GeneratorKey],
+    points: Sequence[TorusPoint],
+    orbit_of: OrbitBuilder = wk_orbit,
+) -> Iterator[tuple[RootFactors, list[tuple[complex, complex]]]]:
+    """``_checked_rows`` at scattered points, each numerator over ``orbit_of``:
+    ``wk_orbit`` for tau, ``w_orbit`` for the stable integral."""
+    orbits = [orbit_of(spec, hc_parameter(spec, key)) for key in keys]
+    pos = spec.positive_system
+    return _checked_rows(spec, ((g, root_factors(g, pos), [orbit_sum(o, g) for o in orbits]) for g in points))
+
+
+def _columns(keys: Sequence[GeneratorKey], rows: Iterator) -> list[tuple[complex, ...]]:
+    """Each key's values over the checked rows; with no keys nothing is evaluated."""
+    if not keys:
+        return []
+    return list(zip(*[[value for value, _ in pairs] for _, pairs in rows])) or [() for _ in keys]
 
 
 def tau_grid(
     spec: RealFormSpec, keys: Sequence[GeneratorKey], points: Sequence[TorusPoint]
 ) -> list[tuple[complex, ...]]:
     """tau_g on several generators at several torus points: entry [i][j] is the
-    value of keys[i] at points[j].
+    value of keys[i] at points[j].  Every value equals, bit for bit,
+    (-1)^m spin_sign weyl_numerator(lambda_hc, g, W_K) / weyl_denominator(g, R^+)
+    after guard_nonsingular(g, R^+), with the dual path (-1)^m (numer / D_c) /
+    delta_p_char(g) checked per key and point.  Errors are raised at the first
+    failing point, in point order; with no keys nothing is evaluated."""
+    return _columns(keys, _tau_rows(spec, keys, points))
 
-    Each point's guard and denominators D, D_c and D_n serve every key; per
-    key and point only the numerator is summed, over the cached W_K orbit.
 
-    Every value equals, bit for bit, (-1)^m spin_sign weyl_numerator(lambda_hc,
-    g, W_K) / weyl_denominator(g, R^+) after guard_nonsingular(g, R^+), with
-    the dual path (-1)^m (numer / D_c) / delta_p_char(g) checked per key and
-    point.  Errors are raised at the first failing point, in point order; with
-    no keys nothing is evaluated.
-    """
-    columns: list[list[complex]] = [[] for _ in keys]
-    if keys:
-        for _, pairs in _tau_rows(spec, keys, points):
-            for column, (value, _) in zip(columns, pairs):
-                column.append(value)
-    return [tuple(column) for column in columns]
+def tau_lattice(
+    spec: RealFormSpec, keys: Sequence[GeneratorKey], axes: Sequence[Sequence[int]], q: int
+) -> list[tuple[complex, ...]]:
+    """``tau_grid`` on the product lattice t = (n_1/q, ..., n_r/q), n_j in axes[j],
+    in ``itertools.product`` order, bit for bit, errors included."""
+    two_q, zeta = 2 * q, Zeta(q)
+    halves = [(alpha, [c // 2 for c in alpha.coords2]) for alpha in spec.positive_system]
+    orbits = [wk_orbit(spec, hc_parameter(spec, key)) for key in keys]
+    terms = [list(zip(o.signs, zip(*[iter(o.coords)] * o.rank))) for o in orbits]
+
+    def rows():  # the guard and factors of ``root_factors``, the numerators of ``orbit_sum``
+        for ns in product(*axes):
+            plus, minus = [], []
+            for alpha, half in halves:
+                a = sum(map(mul, half, ns))
+                if a % q == 0:
+                    raise SingularPointError(f"torus point is singular for root {alpha}", root=alpha)
+                plus.append(zeta[a % two_q])
+                minus.append(zeta[-a % two_q])
+            factors = RootFactors(tuple(plus), tuple(minus), tuple(map(sub, plus, minus)))
+            yield ns, factors, [
+                _csum([sign * zeta[sum(map(mul, image, ns)) % two_q] for sign, image in orbit])
+                for orbit in terms
+            ]
+
+    def point_of(ns: tuple[int, ...]) -> TorusPoint:
+        return TorusPoint(tuple(Fraction(n, q) for n in ns), True)
+
+    return _columns(keys, _checked_rows(spec, rows(), point_of))
 
 
 def tau_generator(spec: RealFormSpec, key: GeneratorKey, g: TorusPoint) -> TauValue:

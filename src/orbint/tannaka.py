@@ -4,7 +4,9 @@ sign.
 
 Forward synthesis (synth_family) may consult the real-form data to place its
 sample grid away from singular loci; the recovery functions see only labels,
-grid coordinates, and sampled values.
+grid coordinates, and sampled values.  The lattice, t = n/q with q = 97n,
+goes through ``ktrace.tau_lattice`` (integer phases, one table of
+e^{i pi k/q}); the ray and probe points through ``tau_grid`` (see ``ktrace``).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import ReconstructionError, ValidationError
-from .ktrace import tau_grid
+from .ktrace import tau_grid, tau_lattice
 from .realform import GeneratorKey, RealFormSpec
 from .rootsys import CartanDatum, Weight, is_dominant, positive_roots
 from .stable import richardson
@@ -143,8 +145,8 @@ def _grid_offsets(datum: CartanDatum, seed: int = 0) -> tuple[Fraction, ...]:
     raise ValidationError("could not choose regular grid offsets")
 
 
-def default_axis_count(rank: int) -> int:
-    return 64 if rank <= 2 else 32
+def default_axis_count(rank: int, axis_count: int | None = None) -> int:
+    return (64 if rank <= 2 else 32) if axis_count is None else int(axis_count)
 
 
 def synth_family(
@@ -155,23 +157,23 @@ def synth_family(
     """Sample chi_j(g) = tau_g(generator_j) over a shifted uniform lattice, a
     near-identity ray, and derivative probes."""
     datum = spec.datum
-    n = default_axis_count(datum.rank) if axis_count is None else int(axis_count)
+    n = default_axis_count(datum.rank, axis_count)
     if n < 4:
         raise ValidationError("grid too coarse")
     offsets = _grid_offsets(datum)
-    # coordinate k of an axis with offset r/d is (k + r/d)/n, already in [0, 1)
-    axes = [
-        [Fraction(k * off.denominator + off.numerator, n * off.denominator) for k in range(n)]
-        for off in offsets
-    ]
-    lattice = [TorusPoint(coords, True) for coords in itertools.product(*axes)]
+    # coordinate k of an axis with offset r/97 is (97k + r)/q with q = 97n, in [0, 1)
+    q = 97 * n
+    axes = [[97 * k + off.numerator for k in range(n)] for off in offsets]
+    coords = [[Fraction(num, q) for num in axis] for axis in axes]
+    lattice = [TorusPoint(point, True) for point in itertools.product(*coords)]
     ray_direction = _pick_ray_direction(datum, seed=101)
     scales = tuple(RAY_START_SCALE * 2.0 ** (-k) for k in range(RAY_LEVELS + 1))
     ray_points = [TorusPoint.real_point(tuple(s * c for c in ray_direction)) for s in scales]
     probes, probe_coords = _pick_probes(datum, len(lattice) + len(ray_points))
     probe_points = [TorusPoint.real_point(c) for c in probe_coords]
     grid = tuple(lattice + ray_points + probe_points)
-    values = {key.lam: column for key, column in zip(keys, tau_grid(spec, keys, grid))}
+    columns = zip(tau_lattice(spec, keys, axes, q), tau_grid(spec, keys, ray_points + probe_points))
+    values = {key.lam: on + off for key, (on, off) in zip(keys, columns)}
     family = ChiFamily(
         labels=tuple(key.lam for key in keys),
         grid=grid,
@@ -190,6 +192,13 @@ def synth_family(
 # ---------------------------------------------------------------------------
 # recovery
 
+def _nonzero(values: Sequence, what: str) -> Sequence:
+    """The values, unless one is zero (recovery divides by them or takes logs)."""
+    if 0 in values:
+        raise ReconstructionError(f"{what} include a zero")
+    return values
+
+
 def recover_dims(family: ChiFamily) -> dict:
     """K-type dimensions from ratio limits along the near-identity ray.
 
@@ -200,13 +209,14 @@ def recover_dims(family: ChiFamily) -> dict:
     if not family.labels:
         return {}
     ref = family.labels[0]
-    ref_vals = family.ray_values(ref)
+    ref_vals = _nonzero(family.ray_values(ref), f"the ray samples of {ref}")
     limits = {}
     for label in family.labels:
         vals = family.ray_values(label)
         ratio = [abs(v) / abs(w) for v, w in zip(vals, ref_vals)]
         limits[label] = richardson(ratio)[-1]
     j0 = min(family.labels, key=lambda lab: limits[lab])  # ties: label order via min
+    _nonzero([limits[j0]], "the ratio limits")
     dims = {}
     for label in family.labels:
         raw = limits[label] / limits[j0]
@@ -234,12 +244,13 @@ def recover_characters(family: ChiFamily, dims: dict) -> CharacterRecovery:
     j0 = next((lab for lab in family.labels if dims[lab] == 1), None)
     if j0 is None:
         raise ReconstructionError("no label of dimension 1 to serve as reference")
-    v0_ray = family.ray_values(j0)
+    v0_ray = _nonzero(family.ray_values(j0), f"the ray samples of {j0}")
     psi_ray = tuple(1j / abs(v) for v in v0_ray)
     units = {}
     char_limits = {}
     char_lattice = {}
     size = family.lattice_size
+    v0 = _nonzero(family.values[j0][:size], f"the lattice samples of {j0}")
     for label in family.labels:
         vals = family.ray_values(label)
         tail = [psi_ray[k] * vals[k] for k in (-1, -2)]
@@ -253,16 +264,19 @@ def recover_characters(family: ChiFamily, dims: dict) -> CharacterRecovery:
         ratio_ray = [vals[k] / v0_ray[k] for k in range(len(vals))]
         char_limits[label] = richardson([r.real for r in ratio_ray])[-1]
         v = family.values[label]
-        v0 = family.values[j0]
         char_lattice[label] = tuple(v[i] / v0[i] for i in range(size))
     return CharacterRecovery(j0, psi_ray, units, char_lattice, char_limits)
+
+
+def _check_box(axis_count: int, bound: int) -> None:
+    if axis_count <= 2 * bound:
+        raise ValidationError("grid too coarse for the requested frequency box")
 
 
 def lattice_twiddles(family: ChiFamily, bound: int) -> list[dict]:
     """The factors e^{-2 pi i f (k + offset) / n} per axis and frequency |f| <= bound."""
     n = family.axis_count
-    if n <= 2 * bound:
-        raise ValidationError("grid too coarse for the requested frequency box")
+    _check_box(n, bound)
     return [
         {
             f: [cmath.exp(-2j * math.pi * f * (k + float(off)) / n) for k in range(n)]
@@ -357,7 +371,8 @@ def _log_derivatives(family: ChiFamily, chars: CharacterRecovery) -> list[float]
     v0 = family.values[chars.reference_label]
     out = []
     for probe in family.probes:
-        logs = [-math.log(abs(v0[probe.start + i])) for i in range(6)]
+        stencil = _nonzero(v0[probe.start : probe.start + 6], "the probe samples of the reference label")
+        logs = [-math.log(abs(v)) for v in stencil]
         h = probe.step
         d_h = (logs[5] - logs[0]) / (2 * h)
         d_h2 = (logs[4] - logs[1]) / h
@@ -462,7 +477,9 @@ def run_reconstruction(
     weight_bound: int = 6,
     candidate_bound: int = 3,
 ) -> RecoveryReport:
-    """synth -> dims -> characters -> highest weights -> noncompact weights."""
+    """synth -> dims -> characters -> highest weights -> noncompact weights.
+    A frequency box the grid cannot resolve is refused before any synthesis."""
+    _check_box(default_axis_count(spec.rank, axis_count), weight_bound)
     family = synth_family(spec, keys, axis_count)
     dims = recover_dims(family)
     chars = recover_characters(family, dims)

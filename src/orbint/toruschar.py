@@ -4,9 +4,8 @@ denominators, the spinor character, and the Atiyah-Bott style fixed-point sum.
 Pairings are exact before the one transcendental call per factor; complex
 values are machine doubles.  Roots pair with an exact point t = n/q in
 integers (<alpha/2, t> = a/q: singular iff q | a, phase (a mod 2q)/q).
-``orbit_sum``'s per-term phases stay Fractions: integer ones run several times
-faster, but the ``tau_exact`` benchmark keeps every pass's results, so its
-peak RSS would pass its bound.
+``orbit_sum``'s per-term phases stay Fractions (``ktrace`` says why);
+``Zeta`` is the table of e^{i pi k/q} of the synthesis lattice's route.
 
 The evaluation kernel of tau, stable sums, packets and synthesis has two
 parts.  ``root_factors`` pairs a point with each positive root once, which
@@ -258,6 +257,18 @@ def root_factors(g: TorusPoint, roots: Sequence[Weight]) -> RootFactors:
             plus.append(cmath.exp(1j * math.pi * u))
             minus.append(cmath.exp(1j * math.pi * -u))
     return RootFactors(tuple(plus), tuple(minus), tuple(p - m for p, m in zip(plus, minus)))
+
+
+class Zeta(dict):
+    """zeta[k] = e^{i pi k/q}, computed when first read: as k/q is one correctly
+    rounded division, ``eval_weight``'s double for any phase equal to k/q."""
+
+    def __init__(self, q: int):
+        self.q = q
+
+    def __missing__(self, k: int) -> complex:
+        value = self[k] = cmath.exp(1j * math.pi * (k / self.q))
+        return value
 
 
 class SignedOrbit(NamedTuple):

@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import random
+import time
 from typing import NamedTuple
 
 from .errors import ValidationError
@@ -79,6 +80,7 @@ class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
+    seconds: float = 0.0  # wall time, set by run_checks
 
 
 def _na(name: str) -> CheckResult:
@@ -727,8 +729,10 @@ def run_checks(names: list[str] | None = None, presets: list[str] | None = None)
             raise ValidationError(f"no checks match {names}")
     results = []
     for check in selected:
+        start = time.perf_counter()
         if presets is not None and "presets" in inspect.signature(check).parameters:
-            results.append(check(presets=presets))
+            result = check(presets=presets)
         else:
-            results.append(check())
+            result = check()
+        results.append(result._replace(seconds=time.perf_counter() - start))
     return results

@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -193,6 +194,16 @@ def test_check_subcommand_single(capsys):
     assert "PASS" in err
 
 
+def test_check_reports_seconds_on_stderr_only(capsys):
+    runs = [run_cli(capsys, "check", "--only", "weyl_orders,serialization") for _ in range(2)]
+    assert runs[0][1] == runs[1][1]  # stdout is deterministic and carries no time
+    assert "seconds" not in runs[0][1]
+    for _, _, err in runs:
+        lines = err.splitlines()
+        assert [line.split(" (")[0] for line in lines] == ["PASS weyl-group-orders", "PASS serialization-round-trip"]
+        assert all(re.fullmatch(r"PASS \S+ \(\d+\.\d\d s\): .+", line) for line in lines)
+
+
 def test_check_preset_scoping(capsys):
     code, out, _ = run_cli(
         capsys, "check", "--preset", "sl2r", "--only", "continuity,lds_signs,char_oracle"
@@ -342,3 +353,18 @@ def test_verbose_tau_reports_conditioning(capsys):
     phases = [2 * t[0] - t[1], 2 * t[1] - t[0], t[0] + t[1]]
     expected = min(abs(2 * math.sin(math.pi * u)) for u in phases)
     assert abs(record["conditioning"] - expected) <= 1e-14
+
+
+def test_vanishing_ray_samples_exit_2(capsys):
+    # at rank 3 the near-identity numerators round to exactly zero
+    code, out, err = run_cli(
+        capsys, "tannaka", "--preset", "compact(A3)", "--lambdas", "0,0,0;1,0,0;0,0,1", "--axis-count", "16"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_too_large_frequency_box_exits_2(capsys):
+    code, out, err = run_cli(capsys, "tannaka", "--preset", "su21", "--lambdas", "0,0;1,0", "--bound", "40")
+    assert code == 2 and out == ""
+    assert err == "error: grid too coarse for the requested frequency box\n"

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from orbint.errors import ReconstructionError
+import orbint.tannaka
+from orbint.errors import ReconstructionError, ValidationError
 from orbint.realform import generator_key, real_form
 from orbint.rootsys import Weight, weight_multiplicities
 from weyl_oracles import painted_forms
@@ -143,3 +144,42 @@ def test_lattice_coordinates_are_the_shifted_grid(spec):
         assert point.exact
         expected = tuple((Fraction(k, n) + off / n) % 2 for k, off in zip(index, family.offsets))
         assert point.coords == expected
+
+
+def test_too_large_frequency_box_is_refused_before_synthesis(monkeypatch):
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("synth_family was called")
+
+    monkeypatch.setattr(orbint.tannaka, "synth_family", no_synthesis)
+    spec = real_form("su21")
+    keys = [generator_key(spec, Weight(c)) for c in ((0, 0), (2, 0))]
+    for axis_count, bound in ((None, 32), (None, 40), (16, 8)):  # the default axis count is 64
+        with pytest.raises(ValidationError, match="grid too coarse for the requested frequency box"):
+            run_reconstruction(spec, keys, axis_count=axis_count, weight_bound=bound)
+
+
+def test_vanishing_samples_raise_reconstruction_error():
+    family = synth_family(SL2R, keys_of(SL2R, [(0,), (2,), (4,)]))
+    dims = recover_dims(family)
+    chars = recover_characters(family, dims)
+    ref = chars.reference_label
+
+    def zeroed(index):
+        values = dict(family.values)
+        values[ref] = values[ref][:index] + (0j,) + values[ref][index + 1 :]
+        return family._replace(values=values)
+
+    ray, probe = family.ray_start + 2, family.probes[1].start + 3
+    other, start = family.labels[1], family.ray_start
+    silent = dict(family.values)  # another label whose ray samples all vanish
+    silent[other] = tuple(0j if 0 <= i - start < len(family.ray_scales) else v for i, v in enumerate(silent[other]))
+    cases = [
+        (lambda: recover_dims(zeroed(ray)), "ray samples"),
+        (lambda: recover_dims(family._replace(values=silent)), "ratio limits"),
+        (lambda: recover_characters(zeroed(ray), dims), "ray samples"),
+        (lambda: recover_characters(zeroed(5), dims), "lattice samples"),
+        (lambda: recover_noncompact_weights(zeroed(probe), chars, candidate_box(1, 3)), "probe samples"),
+    ]
+    for run, what in cases:
+        with pytest.raises(ReconstructionError, match=what):
+            run()

@@ -3,6 +3,8 @@
 ``tau_grid``, ``tau_generator``, ``tau_class``, ``synth_family`` and
 ``lpacket_sum`` are compared ``==`` against the oracles in ``tau_oracles.py``,
 on the five presets and three painted forms, at exact and real-mode points.
+``tau_lattice``, the integer-phase route of the synthesis lattice, is
+compared ``==`` against ``tau_grid`` over the same points, errors included.
 ``stable_tau`` sums over the W orbit instead of the coset translates, so it
 is compared within 1e-12 relative to the translate route and to a 40-digit
 W-orbit sum.
@@ -16,10 +18,20 @@ from fractions import Fraction
 
 import pytest
 import tau_oracles as oracle
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from weyl_oracles import painted_forms
 
 from orbint.errors import ConsistencyError, SingularPointError
-from orbint.ktrace import random_regular_point, tau_class, tau_generator, tau_grid, w_orbit, wk_orbit
+from orbint.ktrace import (
+    random_regular_point,
+    tau_class,
+    tau_generator,
+    tau_grid,
+    tau_lattice,
+    w_orbit,
+    wk_orbit,
+)
 from orbint.realform import (
     GeneratorKey,
     KClass,
@@ -33,7 +45,7 @@ from orbint.realform import (
 from orbint.rootsys import Weight, weyl_group
 from orbint.stable import lpacket_sum, stable_tau
 from orbint.tannaka import synth_family
-from orbint.toruschar import ConjugacyDescriptor, TorusPoint, is_regular
+from orbint.toruschar import ConjugacyDescriptor, RootFactors, TorusPoint, is_regular
 from orbint.verify import random_class, small_keys
 
 FORMS = [
@@ -251,3 +263,88 @@ def test_weights_beyond_32_bits():
     key = GeneratorKey(Weight((2 * 10**11, 2)))
     points = exact_points(spec, 69, 2) + real_points(spec, 70)[:1]
     assert tau_grid(spec, [key], points) == oracle.tau_grid(spec, [key], points)
+
+
+# ---------------------------------------------------------------------------
+# the lattice route
+
+LATTICE_FORMS = [real_form(name) for name in ("sl2r", "su21", "sp4r", "compact(A2)")]
+LATTICE_FORMS += painted_forms("G2", [(0,)]) + painted_forms("A3", [(1,)])
+LATTICE_IDS = [spec.name for spec in LATTICE_FORMS]
+
+
+def lattice(n, offsets):
+    """The synthesis lattice's layout: axis j holds 97k + r_j for k < n, over q = 97n."""
+    return [[97 * k + r for k in range(n)] for r in offsets], 97 * n
+
+
+def lattice_points(axes, q):
+    return [TorusPoint(tuple(Fraction(m, q) for m in ns), True) for ns in itertools.product(*axes)]
+
+
+def lattice_keys(spec):
+    """Two small keys, one whose lambda_hc is singular (its orbit repeats
+    weights) and one with a coordinate beyond 32 bits."""
+    big = GeneratorKey(Weight((2 * 10**11,) + (2,) * (spec.rank - 1)))
+    return small_keys(spec, 2) + [singular_key(spec), big]
+
+
+def outcome(fn):
+    """The values, or the error's kind, root and message."""
+    try:
+        return fn()
+    except SingularPointError as err:
+        return ("singular", err.root, str(err))
+    except ConsistencyError as err:
+        return ("consistency", str(err))
+
+
+@st.composite
+def lattice_cases(draw):
+    index = draw(st.integers(0, len(LATTICE_FORMS) - 1))
+    n = draw(st.integers(4, 12))
+    offsets = tuple(draw(st.integers(1, 96)) for _ in range(LATTICE_FORMS[index].rank))
+    return index, n, offsets
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(lattice_cases())
+@example((5, 12, (3, 41, 88)))  # A3/paint1 at the largest axis count
+@example((1, 4, (50, 3)))  # su21: regular at the first point, singular at the second
+def test_lattice_route_matches_tau_grid(case):
+    index, n, offsets = case
+    spec = LATTICE_FORMS[index]
+    axes, q = lattice(n, offsets)
+    keys = lattice_keys(spec)
+    want = outcome(lambda: tau_grid(spec, keys, lattice_points(axes, q)))
+    assert outcome(lambda: tau_lattice(spec, keys, axes, q)) == want
+
+
+def test_singular_lattice_raises_the_same_root_and_message():
+    # su21's first root pairs to a = 2n_1 - n_2 = 97(2k_1 - k_2 + 1) here, so
+    # (k_1, k_2) = (0, 1), the second lattice point, is the first singular one
+    spec = real_form("su21")
+    axes, q = lattice(4, (50, 3))
+    keys = lattice_keys(spec)
+    want = outcome(lambda: tau_grid(spec, keys, lattice_points(axes, q)))
+    assert want[0] == "singular"
+    assert outcome(lambda: tau_lattice(spec, keys, axes, q)) == want
+    assert outcome(lambda: tau_grid(spec, keys, lattice_points(axes, q)[:1]))[0] != "singular"
+
+
+@pytest.mark.parametrize("spec", LATTICE_FORMS, ids=LATTICE_IDS)
+def test_lattice_dual_path_error_names_the_same_point(spec, monkeypatch):
+    # scaling every product splits path_a (one product) from path_b (two)
+    product = RootFactors.product
+    monkeypatch.setattr(RootFactors, "product", lambda self, indices: 1.5 * product(self, indices))
+    axes, q = lattice(4, (3, 41, 88)[: spec.rank])
+    keys = small_keys(spec, 2)
+    want = outcome(lambda: tau_grid(spec, keys, lattice_points(axes, q)))
+    assert want[0] == "consistency"
+    assert outcome(lambda: tau_lattice(spec, keys, axes, q)) == want
+
+
+def test_lattice_with_no_keys_evaluates_nothing():
+    spec = real_form("su21")
+    axes, q = lattice(4, (50, 3))  # singular, see above
+    assert tau_lattice(spec, [], axes, q) == tau_grid(spec, [], lattice_points(axes, q)) == []
