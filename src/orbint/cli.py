@@ -293,7 +293,7 @@ def cmd_limit(config: Config, args) -> int:
 
 def _parse_systems(spec: RealFormSpec, text: str):
     pos = spec.positive_system
-    group = weyl_group(spec.datum)
+    group = None  # built only for a w<k> token
     systems = []
     for token in (t.strip() for t in text.split(",") if t.strip()):
         if token in ("id", "+"):
@@ -302,6 +302,7 @@ def _parse_systems(spec: RealFormSpec, text: str):
             systems.append(negated_system(pos))
         elif token.startswith("w") and token[1:].isdigit():
             index = int(token[1:])
+            group = group or weyl_group(spec.datum)
             if index >= group.order:
                 raise ValidationError(f"element index {index} out of range")
             systems.append(transformed_system(group.elements[index], pos))

@@ -7,10 +7,14 @@ sample grid away from singular loci; the recovery functions see only labels,
 grid coordinates, and sampled values.  The lattice, t = n/q with q = 97n,
 goes through ``ktrace.tau_lattice`` (integer phases, one table of
 e^{i pi k/q}); the ray and probe points through ``tau_grid`` (see ``ktrace``).
+A highest weight is the dominant support weight with the largest |w + rho_c|;
+the noncompact set is the one candidate subset that fits the probes, found by
+an exact meet-in-the-middle search.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import itertools
 import math
@@ -22,7 +26,7 @@ from typing import NamedTuple, Sequence
 from .errors import ReconstructionError, ValidationError
 from .ktrace import tau_grid, tau_lattice
 from .realform import GeneratorKey, RealFormSpec
-from .rootsys import CartanDatum, Weight, is_dominant, positive_roots
+from .rootsys import CartanDatum, Weight, is_dominant, pairing, positive_roots, rho
 from .stable import richardson
 from .toruschar import TorusPoint, is_regular, min_root_phase, root_phase
 
@@ -41,11 +45,6 @@ class ProbeSpec(NamedTuple):
     base: float
     step: float
     start: int  # index of the first stencil point in the family grid
-
-    @property
-    def offsets(self) -> tuple[float, ...]:
-        h = self.step
-        return (-h, -h / 2, -h / 4, h / 4, h / 2, h)
 
 
 class ChiFamily(NamedTuple):
@@ -232,22 +231,18 @@ def recover_dims(family: ChiFamily) -> dict:
 class CharacterRecovery(NamedTuple):
     reference_label: Weight
     psi_ray: tuple[complex, ...]
-    units: dict
     char_lattice: dict
-    char_limits: dict
 
 
 def recover_characters(family: ChiFamily, dims: dict) -> CharacterRecovery:
-    """psi = i |chi_j0|^{-1} on the ray, per-label fourth-root-of-unity sign
-    normalization (positive real near the identity), and lattice character
-    samples via the ratio chi_j / chi_j0."""
+    """psi = i |chi_j0|^{-1} on the ray, and lattice character samples via the
+    ratio chi_j / chi_j0; psi * chi_j must be a fourth root of unity times a
+    positive real near the identity."""
     j0 = next((lab for lab in family.labels if dims[lab] == 1), None)
     if j0 is None:
         raise ReconstructionError("no label of dimension 1 to serve as reference")
     v0_ray = _nonzero(family.ray_values(j0), f"the ray samples of {j0}")
     psi_ray = tuple(1j / abs(v) for v in v0_ray)
-    units = {}
-    char_limits = {}
     char_lattice = {}
     size = family.lattice_size
     v0 = _nonzero(family.values[j0][:size], f"the lattice samples of {j0}")
@@ -257,15 +252,11 @@ def recover_characters(family: ChiFamily, dims: dict) -> CharacterRecovery:
         z = (tail[0] + tail[1]) / 2
         if abs(z) < 1e-9:
             raise ReconstructionError(f"samples of {label} too close to zero near the identity")
-        unit = max((1 + 0j, -1 + 0j, 1j, -1j), key=lambda u: (u * z).real)
-        if (unit * z).real < 0.5 * abs(z):
+        if max((u * z).real for u in (1 + 0j, -1 + 0j, 1j, -1j)) < 0.5 * abs(z):
             raise ReconstructionError(f"sign of {label} unresolved near the identity")
-        units[label] = unit
-        ratio_ray = [vals[k] / v0_ray[k] for k in range(len(vals))]
-        char_limits[label] = richardson([r.real for r in ratio_ray])[-1]
         v = family.values[label]
         char_lattice[label] = tuple(v[i] / v0[i] for i in range(size))
-    return CharacterRecovery(j0, psi_ray, units, char_lattice, char_limits)
+    return CharacterRecovery(j0, psi_ray, char_lattice)
 
 
 def _check_box(axis_count: int, bound: int) -> None:
@@ -324,9 +315,13 @@ def recover_highest_weights(
     datum: CartanDatum,
     dominance_roots: Sequence[Weight],
 ) -> dict:
-    """Per label: the lexicographically greatest dominant weight whose Fourier
-    coefficient exceeds 1/2."""
+    """Per label: among the dominant weights whose Fourier coefficient exceeds
+    1/2, the one with the largest |w + rho| (rho of ``dominance_roots``), ties
+    to the greater coords2.  In an irreducible representation the highest
+    weight is the unique weight with the largest |mu + rho|; the greatest
+    weight in lexicographic order need not be it."""
     out = {}
+    r = rho(dominance_roots, datum.rank)
     twiddles = lattice_twiddles(family, bound)
     for label in family.labels:
         coeffs = lattice_fourier(family, chars.char_lattice[label], bound, twiddles)
@@ -336,7 +331,7 @@ def recover_highest_weights(
         dominant = [w for w in support if is_dominant(datum, w, dominance_roots)]
         if not dominant:
             raise ReconstructionError(f"no dominant weight in the support of {label}")
-        out[label] = max(dominant, key=lambda w: w.coords2)
+        out[label] = max(dominant, key=lambda w: (pairing(datum, w + r, w + r), w.coords2))
     return out
 
 
@@ -397,7 +392,9 @@ def recover_noncompact_weights(
 ) -> NoncompactRecovery:
     """Fit the log-derivative of psi along the probes by a sum of cotangent
     terms over a subset of the candidate weights; the subset size is the spin
-    power recovered from the ray decay of |psi|."""
+    power recovered from the ray decay of |psi|.  The search is exact: every
+    subset within FIT_TOL (rms) is found, and the fit is refused unless there
+    is exactly one."""
     scales = family.ray_scales
     psi_mag = [abs(p) for p in chars.psi_ray]
     slope = (math.log(psi_mag[-1]) - math.log(psi_mag[-3])) / (
@@ -412,7 +409,7 @@ def recover_noncompact_weights(
     cands = tuple(dict.fromkeys(canonical_sign(w) for w in candidates if not w.is_zero))
     if len(cands) < m:
         raise ReconstructionError("candidate set smaller than the required subset")
-    terms = {w: [_model_term(w, p) for p in family.probes] for w in cands}
+    terms = [[_model_term(w, p) for p in family.probes] for w in cands]
 
     def residual(subset) -> float:
         sq = 0.0
@@ -423,37 +420,33 @@ def recover_noncompact_weights(
             sq += (data[i] - model) ** 2
         return math.sqrt(sq / len(data))
 
-    best: tuple[float, tuple[Weight, ...]] | None = None
-    if math.comb(len(cands), m) <= 200000:
-        for subset in itertools.combinations(cands, m):
-            r = residual(subset)
-            if best is None or r < best[0]:
-                best = (r, subset)
-    else:
-        chosen: list[Weight] = []
-        for _ in range(m):  # greedy growth
-            pick = min(
-                (w for w in cands if w not in chosen),
-                key=lambda w: residual(tuple(chosen) + (w,)),
-            )
-            chosen.append(pick)
-        improved = True
-        while improved:  # local swap refinement
-            improved = False
-            for i in range(m):
-                for w in cands:
-                    if w in chosen:
-                        continue
-                    trial = chosen[:i] + [w] + chosen[i + 1 :]
-                    if residual(tuple(trial)) < residual(tuple(chosen)):
-                        chosen = trial
-                        improved = True
-        best = (residual(tuple(chosen)), tuple(chosen))
-    if best is None or best[0] > FIT_TOL:
-        raise ReconstructionError(
-            f"no candidate subset fits the psi derivatives (best residual {best[0] if best else None})"
-        )
-    return NoncompactRecovery(frozenset(best[1]), best[0], m)
+    # Meet in the middle (Horowitz-Sahni): a subset with rms residual <= FIT_TOL
+    # is within FIT_TOL * sqrt(P) of data[0] on the first probe.  Split each
+    # index subset into its first ceil(m/2) indices and the rest, and bisect the
+    # sorted first-probe sums of the rests for that window, twice as wide to
+    # absorb rounding.  A candidate with a singular term fits nothing.
+    usable = [i for i, row in enumerate(terms) if all(map(math.isfinite, row))]
+    tails = sorted(
+        (sum(terms[i][0] for i in tail), tail)
+        for tail in itertools.combinations(usable, m - (m + 1) // 2)
+    )
+    sums = [s for s, _ in tails]
+    width = 2 * FIT_TOL * math.sqrt(len(data))
+    hits = []
+    for head in itertools.combinations(usable, (m + 1) // 2):
+        target = data[0] - sum(terms[i][0] for i in head)
+        lo = bisect.bisect_left(sums, target - width)
+        for _, tail in tails[lo : bisect.bisect_right(sums, target + width)]:
+            if not tail or tail[0] > head[-1]:
+                hits.append((residual(head + tail), head + tail))
+    fits = sorted(hit for hit in hits if hit[0] <= FIT_TOL)
+    if len(fits) > 1:
+        a, b = ([cands[i].coords2 for i in subset] for _, subset in fits[:2])
+        raise ReconstructionError(f"two candidate subsets fit the psi derivatives: {a} and {b}")
+    if not fits:
+        best = f"best residual {min(hits)[0]!r}" if hits else "no subset reached the first-probe window"
+        raise ReconstructionError(f"no candidate subset fits the psi derivatives ({best})")
+    return NoncompactRecovery(frozenset(cands[i] for i in fits[0][1]), fits[0][0], m)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from .ktrace import (
 )
 from .realform import (
     KClass,
+    build_real_form,
     coset_reps,
     generator_key,
     hc_parameter,
@@ -549,11 +550,13 @@ def check_lds_signs(presets=None) -> CheckResult:
     return CheckResult("lds-system-signs", True, "|lds| independent of the system; pair sum vanishes")
 
 
-# preset: (generator labels, expected K-type dimensions)
+# form: (generator labels, expected K-type dimensions, axis count, compact root
+# indices of a form that is no preset)
 TANNAKA_CASES = {
-    "compact(A1)": (((0,), (2,), (4,)), (1, 2, 3)),
-    "su21": (((0, 0), (2, 0), (0, 2)), (1, 2, 1)),
-    "sl2r": (((0,), (2,), (4,)), (1, 1, 1)),
+    "compact(A1)": (((0,), (2,), (4,)), (1, 2, 3), None, None),
+    "su21": (((0, 0), (2, 0), (0, 2)), (1, 2, 1), None, None),
+    "sl2r": (((0,), (2,), (4,)), (1, 1, 1), None, None),
+    "A3/paint1": (((0, 0, 0), (0, 0, 2), (0, 0, 4)), (1, 2, 3), 16, (0, 2, 6, 8)),
 }
 
 
@@ -561,11 +564,12 @@ def check_tannaka(presets=None) -> CheckResult:
     selected = _use(presets, *TANNAKA_CASES)
     if not selected:
         return _na("tannaka-round-trip")
-    for preset in selected:
-        spec = real_form(preset)
-        coords, dims = TANNAKA_CASES[preset]
+    for form in selected:
+        coords, dims, axis_count, compact = TANNAKA_CASES[form]
+        spec = real_form(form) if compact is None else build_real_form(
+            build_datum(form.split("/")[0]), compact, name=form)
         labels = [Weight(c) for c in coords]
-        report = run_reconstruction(spec, [generator_key(spec, lab) for lab in labels])
+        report = run_reconstruction(spec, [generator_key(spec, lab) for lab in labels], axis_count)
         expected = {
             "dims": dict(zip(labels, dims)),
             "reference_label": labels[0],
@@ -575,7 +579,7 @@ def check_tannaka(presets=None) -> CheckResult:
         }
         for field, want in expected.items():
             if getattr(report, field) != want:
-                return CheckResult("tannaka-round-trip", False, f"{preset} {field} wrong")
+                return CheckResult("tannaka-round-trip", False, f"{form} {field} wrong")
     return CheckResult(
         "tannaka-round-trip",
         True,

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+import orbint.cli
 import orbint.stable
 from orbint.cli import Config, main
 from orbint.jsonio import dumps
@@ -328,6 +329,18 @@ def test_schmid_weyl_element_tokens(capsys):
     assert code == 2
 
 
+def test_schmid_builds_the_weyl_group_only_for_element_tokens(capsys, monkeypatch):
+    argv = ("schmid", "--preset", "su21", "--Lambda", "2,1/2", "--systems", "id,neg", "--t", "1/5,2/7")
+    _, want, _ = run_cli(capsys, *argv)
+
+    def no_group(datum):
+        raise AssertionError("weyl_group was called")
+
+    monkeypatch.setattr(orbint.cli, "weyl_group", no_group)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == want
+
+
 def test_weyl_verbose_elements(capsys):
     code, out, _ = run_cli(capsys, "-v", "weyl", "--type", "A1")
     assert code == 0
@@ -362,6 +375,20 @@ def test_vanishing_ray_samples_exit_2(capsys):
     )
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_tannaka_painted_a3(capsys):
+    # A3 with the middle simple root painted: compact roots are indices 0, 2, 6, 8
+    code, out, _ = run_cli(
+        capsys, "tannaka", "--type", "A3", "--compact-indices", "0,2,6,8",
+        "--lambdas", "0,0,0;0,0,1;0,0,2", "--bound", "3",
+    )
+    assert code == 0
+    record = json.loads(out)
+    assert [d["dim"] for d in record["dims"]] == [1, 2, 3]
+    assert all(h["weight2"] == h["lambda2"] for h in record["highest_weights"])
+    assert record["noncompact_weights2"] == [[2, -4, 2], [2, -2, -2], [2, 0, 2], [2, 2, -2]]
+    assert record["spin_power"] == 4
 
 
 def test_too_large_frequency_box_exits_2(capsys):

@@ -1,18 +1,25 @@
 """Round trips of the reconstruction pipeline."""
 
+import functools
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import orbint.tannaka
 from orbint.errors import ReconstructionError, ValidationError
 from orbint.realform import generator_key, real_form
 from orbint.rootsys import Weight, weight_multiplicities
+from orbint.verify import small_keys
 from weyl_oracles import painted_forms
 
 from orbint.tannaka import (
+    FIT_TOL,
+    NoncompactRecovery,
     candidate_box,
     canonical_sign,
     fourier_multiplicities,
@@ -108,8 +115,119 @@ def test_noncompact_fit_needs_candidates():
     keys = keys_of(SL2R, [(0,), (2,)])
     family = synth_family(SL2R, keys)
     chars = recover_characters(family, recover_dims(family))
-    with pytest.raises(ReconstructionError):
+    with pytest.raises(ReconstructionError, match="no candidate subset fits"):
         recover_noncompact_weights(family, chars, [Weight((6,))])  # true root missing
+
+
+def test_ambiguous_noncompact_fit_is_refused(monkeypatch):
+    keys = keys_of(SL2R, [(0,), (2,)])
+    family = synth_family(SL2R, keys)
+    chars = recover_characters(family, recover_dims(family))
+    model_term = orbint.tannaka._model_term
+    root, twin = Weight((4,)), Weight((6,))
+    # the twin's cotangent terms are the true root's, so both one-element subsets fit
+    monkeypatch.setattr(
+        orbint.tannaka, "_model_term", lambda w, probe: model_term(root if w == twin else w, probe)
+    )
+    with pytest.raises(ReconstructionError, match=r"two candidate subsets fit .*\(4,\).*\(6,\)"):
+        recover_noncompact_weights(family, chars, [root, twin])
+
+
+def exhaustive_fit(family, chars, candidates) -> NoncompactRecovery:
+    """The noncompact fit by scoring every subset in itertools.combinations
+    order: the exhaustive search the meet-in-the-middle search replaced, with
+    the same refusal of no fit or of two."""
+    scales, psi = family.ray_scales, [abs(p) for p in chars.psi_ray]
+    slope = (math.log(psi[-1]) - math.log(psi[-3])) / (math.log(scales[-1]) - math.log(scales[-3]))
+    m = round(slope)
+    if m == 0:
+        return NoncompactRecovery(frozenset(), 0.0, 0)
+    data = orbint.tannaka._log_derivatives(family, chars)
+    cands = tuple(dict.fromkeys(canonical_sign(w) for w in candidates if not w.is_zero))
+    terms = {w: [orbint.tannaka._model_term(w, p) for p in family.probes] for w in cands}
+
+    def residual(subset) -> float:
+        sq = 0.0
+        for i in range(len(data)):
+            model = sum(terms[w][i] for w in subset)
+            if not math.isfinite(model):
+                return math.inf
+            sq += (data[i] - model) ** 2
+        return math.sqrt(sq / len(data))
+
+    fits = [(r, s) for s in itertools.combinations(cands, m) if (r := residual(s)) <= FIT_TOL]
+    if len(fits) != 1:
+        raise ReconstructionError(f"{len(fits)} candidate subsets fit")
+    return NoncompactRecovery(frozenset(fits[0][1]), fits[0][0], m)
+
+
+FIT_FORMS = {
+    spec.name: spec
+    for spec in [SL2R, real_form("su21"), real_form("sp4r")]
+    + [f for name in ("A2", "B2", "C2", "G2") for f in painted_forms(name, [(0,), (1,)])]
+}
+
+
+@functools.cache
+def fit_inputs(name):
+    """A form's family and characters; the fit reads only the ray and probes,
+    so a coarse lattice will do."""
+    spec = FIT_FORMS[name]
+    family = synth_family(spec, small_keys(spec, 3), axis_count=8)
+    return spec, family, recover_characters(family, recover_dims(family))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.sampled_from(sorted(FIT_FORMS)), st.integers(1, 3), st.randoms(use_true_random=False))
+def test_noncompact_search_matches_exhaustive_oracle(name, bound, rng):
+    spec, family, chars = fit_inputs(name)
+    candidates = list(candidate_box(spec.rank, bound))
+    rng.shuffle(candidates)
+    truth = {canonical_sign(a) for a in spec.noncompact_positive}
+
+    def outcome(fit, cands):
+        try:
+            return fit(family, chars, cands)
+        except ReconstructionError:
+            return ReconstructionError
+
+    found = outcome(recover_noncompact_weights, candidates)
+    assert found == outcome(exhaustive_fit, candidates)
+    if truth <= set(candidates):  # a small box may miss a root
+        assert found.weights == truth and found.spin_power == len(truth)
+    without = [w for w in candidates if w not in truth]
+    assert outcome(recover_noncompact_weights, without) is ReconstructionError
+    assert outcome(exhaustive_fit, without) is ReconstructionError
+
+
+@pytest.mark.parametrize(
+    "painted, dims", [((0,), (1, 3, 6)), ((1,), (1, 2, 3)), ((2,), (1, 1, 1))],
+    ids=["A3/paint0", "A3/paint1", "A3/paint2"],
+)
+def test_painted_a3_round_trip(painted, dims):
+    spec = painted_forms("A3", [painted])[0]
+    labels = [Weight((0, 0, 2 * k)) for k in range(3)]
+    report = run_reconstruction(
+        spec, [generator_key(spec, lab) for lab in labels], axis_count=16, weight_bound=3
+    )
+    assert report.dims == dict(zip(labels, dims))
+    assert report.highest_weights == {lab: lab for lab in labels}
+    assert report.noncompact_weights == {canonical_sign(a) for a in spec.noncompact_positive}
+    assert report.noncompact_residual <= FIT_TOL
+    assert report.spin_power == len(spec.noncompact_positive)
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "C2", "G2"])
+def test_painted_rank2_highest_weights(name):
+    # the lexicographically greatest dominant weight is (2,0), (2,0), (4,0) and
+    # (6,0) on the label ending in 4; the highest weight is the label minus the
+    # reference label
+    spec = painted_forms(name, [(0,)])[0]
+    keys = small_keys(spec, 3)
+    report = run_reconstruction(spec, keys, axis_count=32, weight_bound=4)
+    ref = report.reference_label
+    assert report.labels[-1].coords2[-1] == 4
+    assert report.highest_weights == {lab: lab - ref for lab in report.labels}
 
 
 def test_sp4r_dims_and_noncompact_without_trivial_type():
