@@ -33,6 +33,7 @@ from .stable import continuity_check, formal_degree, lpacket_sum, stable_tau
 from .tannaka import run_reconstruction
 from .toruschar import (
     TorusPoint,
+    _csum,
     negated_system,
     parse_torus_point,
     serialize_torus_point,
@@ -324,7 +325,7 @@ def cmd_schmid(config: Config, args) -> int:
             "Lambda2": list(lam_hc.coords2),
             "t": serialize_torus_point(g),
             "terms": terms,
-            "value": lds_character_sum(spec, lam_hc, systems, g),
+            "value": _csum(terms),
         }
     )
     return 0

@@ -36,18 +36,16 @@ from .realform import (
     GeneratorKey,
     KClass,
     RealFormSpec,
+    compact_steps,
     hc_parameter,
     weyl_k,  # noqa: F401 - unused here, but benchmarks/selfcheck.py wraps ktrace.weyl_k
 )
 from .rootsys import (
     CartanDatum,
     Weight,
-    _subsystem_simples,
     positive_roots,
-    reflection,
     reflection_orbit,
     simple_steps,
-    sparse_reflections,
 )
 from .toruschar import (
     ConjugacyDescriptor,
@@ -95,14 +93,6 @@ class TauValue(NamedTuple):
         return abs(self.path_a - self.path_b)
 
 
-@functools.lru_cache(maxsize=None)
-def _compact_steps(spec: RealFormSpec) -> tuple:
-    """The reflections in the compact simple roots, s(v) = v - <v, beta^vee> beta,
-    in the sparse form of ``rootsys.sparse_reflections``."""
-    simples = _subsystem_simples(spec.compact_positive)
-    return sparse_reflections([reflection(spec.datum, beta) for beta in simples])
-
-
 def _signed_orbit(steps: tuple, lam: Weight) -> SignedOrbit:
     """The walk of lam under the steps, packed: an image first reached at depth
     d is w(lam) for a unique w of length d, so its sign is (-1)^d.  When a
@@ -124,7 +114,7 @@ def _signed_orbit(steps: tuple, lam: Weight) -> SignedOrbit:
 def wk_orbit(spec: RealFormSpec, lam_hc: Weight) -> SignedOrbit:
     """The signed W_K orbit of a Harish-Chandra parameter, built once by
     reflecting it in the compact simple roots; empty on a compact wall."""
-    return _signed_orbit(_compact_steps(spec), lam_hc)
+    return _signed_orbit(compact_steps(spec), lam_hc)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -332,6 +322,8 @@ def lds_character(
 ) -> complex:
     """Coherently-continued (limit of) discrete-series character value at g,
     for the Harish-Chandra parameter lam_hc and the chosen positive system."""
+    if lam_hc.rank != spec.rank:
+        raise ValidationError("weight rank does not match the real form")
     _validate_positive_system(spec, system)
     return lds_value(spec, lam_hc, system, g, root_factors(g, spec.positive_system))
 

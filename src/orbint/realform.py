@@ -15,7 +15,8 @@ from .rootsys import (
     Weight,
     WeylElement,
     WeylGroup,
-    _matvec,
+    _identity,
+    _reflection_group,
     _subsystem_simples,
     all_roots,
     build_datum,
@@ -23,9 +24,11 @@ from .rootsys import (
     pairing,
     positive_roots,
     reflection,
-    reflection_subgroup,
     rho,
+    simple_steps,
+    sparse_reflections,
     weyl_group,
+    weyl_order,
 )
 
 # Character-lattice policies for generator keys.
@@ -134,17 +137,26 @@ def real_form(preset: str) -> RealFormSpec:
 
 
 @functools.lru_cache(maxsize=None)
+def compact_steps(spec: RealFormSpec) -> tuple:
+    """The reflections in the simple roots of the compact subsystem, in the
+    sparse form of ``rootsys.sparse_reflections``: the generators of W_K, and
+    through their coroots the chamber test of ``coset_reps``."""
+    simples = _subsystem_simples(spec.compact_positive)
+    return sparse_reflections([reflection(spec.datum, beta) for beta in simples])
+
+
+@functools.lru_cache(maxsize=None)
 def weyl_k(spec: RealFormSpec) -> WeylGroup:
     """W_K, the subgroup of the Weyl group generated by reflections in compact roots.
 
     The compact roots form a closed root subsystem, so W_K is generated by the
-    reflections in its simple roots alone (the indecomposable roots of
-    R_c^+); element lengths are word lengths in those generators.  A compact
-    form returns ``weyl_group(spec.datum)`` itself.
+    reflections in its simple roots alone (``compact_steps``); element lengths
+    are word lengths in those generators.  A compact form returns
+    ``weyl_group(spec.datum)`` itself.
     """
     if spec.is_compact:
         return weyl_group(spec.datum)
-    return reflection_subgroup(spec.datum, _subsystem_simples(spec.compact_positive))
+    return _reflection_group(spec.rank, compact_steps(spec))
 
 
 @functools.lru_cache(maxsize=None)
@@ -160,25 +172,36 @@ def rho_n(spec: RealFormSpec) -> Weight:
 @functools.lru_cache(maxsize=None)
 def coset_reps(spec: RealFormSpec) -> tuple[WeylElement, ...]:
     """Minimal-length representatives of the cosets W_K \\ W_G, one per coset,
-    sorted by (length, matrix).
+    sorted by (length, matrix), grown from e without building W_G or W_K.
 
-    Chamber test: w is the minimal element of W_K w exactly when
-    w^{-1}(R_c^+) lies in R^+, that is when <w rho, beta^vee> > 0 for every
-    simple root beta of the compact subsystem (Dyer 1990; Bjorner-Brenti,
-    Combinatorics of Coxeter Groups, 2.4), one matrix-vector product per
-    element of W_G.  The W_K-translates of the representatives tile W_G exactly.
+    w is minimal in W_K w iff <w rho, beta^vee> > 0 for every compact simple
+    root beta, i.e. w^{-1}(R_c^+) lies in R^+ (Dyer 1990; Bjorner-Brenti,
+    Combinatorics of Coxeter Groups, 2.4).  Dropping a last letter that
+    shortens the word keeps this, also when W_K is not parabolic: if w = w's
+    and w(alpha_s) < 0, then w'^{-1} beta = s w^{-1} beta > 0 for every beta
+    in R_c^+, as w^{-1} beta > 0 is not alpha_s.  So a breadth-first walk
+    from e keeps w s_i when w s_i(rho) = w(rho) - w(alpha_i) passes the test
+    and is new (an element is known by its image of rho).  A step that
+    shortens the word lands on a shorter representative, which the walk has
+    already reached, so each new element is one letter longer than its parent.
+    The matrix follows by the rank-one update M s_i = M - (M a_i) e_i^T, which
+    rewrites column i.  The count times |W_K| must be |W_G|, both orders from
+    ``weyl_order``'s product formula.
     """
-    group = weyl_group(spec.datum)
-    rho2 = rho(spec.positive_system).coords2
-    coroots = [reflection(spec.datum, beta)[1] for beta in _subsystem_simples(spec.compact_positive)]
-    chosen = []
-    for w in group:
-        w_rho = _matvec(w.matrix, rho2)
-        if all(sum(c * x for c, x in zip(coroot, w_rho)) > 0 for coroot in coroots):
-            chosen.append(w)
-    if len(chosen) * weyl_k(spec).order != group.order:
+    chamber = [c_terms for _, c_terms in compact_steps(spec)]
+    start = rho(spec.positive_system).coords2
+    walk, seen = [(WeylElement(_identity(spec.rank), 1, 0), start)], {start}
+    for w, w_rho in walk:  # walk grows behind the loop: a breadth-first queue
+        for i, (a_terms, _) in enumerate(simple_steps(spec.datum)):
+            w_a = [sum(row[j] * aj for j, aj in a_terms) for row in w.matrix]  # M a_i = w(alpha_i)
+            image = tuple(v - 2 * x for v, x in zip(w_rho, w_a))
+            if image not in seen and all(sum(c * image[j] for j, c in terms) > 0 for terms in chamber):
+                seen.add(image)
+                matrix = tuple(row[:i] + (row[i] - x,) + row[i + 1:] for row, x in zip(w.matrix, w_a))
+                walk.append((WeylElement(matrix, -w.sign, w.length + 1), image))
+    if len(walk) * weyl_order(spec.datum, spec.compact_positive) != weyl_order(spec.datum):
         raise ValidationError("coset enumeration does not tile the Weyl group")
-    return tuple(sorted(chosen, key=lambda e: (e.length, e.matrix)))
+    return tuple(sorted((w for w, _ in walk), key=lambda e: (e.length, e.matrix)))
 
 
 # ---------------------------------------------------------------------------

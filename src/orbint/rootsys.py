@@ -9,6 +9,8 @@ Weyl groups and weight orbits come from one breadth-first walk,
 ``reflection_orbit``: W (and W_K) is the walk of the regular vector
 (1, ..., 1), each element's matrix built from its parent's, and the orbits
 that tau and the stable integral sum over are walks of the weight itself.
+Group orders come from a product formula over the positive roots
+(``weyl_order``), which walks no group.
 """
 
 from __future__ import annotations
@@ -375,12 +377,6 @@ def _simple_reflection(datum: CartanDatum, i: int) -> Reflection:
     return tuple(datum.cartan[k][i] for k in range(n)), tuple(int(k == i) for k in range(n))
 
 
-def _reflect(refl: Reflection, v: Sequence[int]) -> tuple[int, ...]:
-    a, c = refl
-    k = sum(cj * vj for cj, vj in zip(c, v))
-    return tuple(vj - k * aj for vj, aj in zip(v, a))
-
-
 def sparse_reflections(gens: Sequence[Reflection]) -> tuple:
     """Each reflection (a, c) as sparse tuples of (index, entry) of a and of c."""
     return tuple(
@@ -453,20 +449,19 @@ def weyl_group(datum: CartanDatum) -> WeylGroup:
     return _reflection_group(datum.rank, simple_steps(datum))
 
 
-def weyl_order(datum: CartanDatum) -> int:
-    """|W| from the walk of the regular vector (1, ..., 1), building no matrix."""
-    return len(reflection_orbit(simple_steps(datum), (1,) * datum.rank)[0])
-
-
-def reflection_subgroup(datum: CartanDatum, roots: Sequence[Weight]) -> WeylGroup:
-    """Subgroup generated by the reflections in all the given roots.
-
-    Any list of roots is accepted and every one of its reflections is a
-    generator, so element lengths are word lengths in those generators.  The
-    simple roots of a list generate the right group only when the list is the
-    positive part of a closed root subsystem; callers that have one (as
-    ``realform.weyl_k`` does) pass its simple roots to shorten the closure."""
-    return _reflection_group(datum.rank, sparse_reflections([reflection(datum, alpha) for alpha in roots]))
+def weyl_order(datum: CartanDatum, positive: Sequence[Weight] | None = None) -> int:
+    """|W(R)| for the root system R with positive part ``positive`` (default
+    R^+), exactly and building no element: the product over alpha in R^+ of
+    (h + 1) / h, h = <rho_R, alpha^vee> the height of the coroot (Macdonald,
+    The Poincare series of a Coxeter group, 1972).  Over a closed subsystem
+    it is the order of the group its reflections generate."""
+    positive = positive_roots(datum) if positive is None else positive
+    r = rho(positive, datum.rank)
+    order = Fraction(1)
+    for alpha in positive:
+        h = 2 * pairing(datum, r, alpha) / pairing(datum, alpha, alpha)
+        order *= (h + 1) / h
+    return int(order)
 
 
 def reflection(datum: CartanDatum, alpha: Weight) -> Reflection:
@@ -492,38 +487,25 @@ def reflection(datum: CartanDatum, alpha: Weight) -> Reflection:
 
 @functools.lru_cache(maxsize=None)
 def positive_roots(datum: CartanDatum) -> tuple[Weight, ...]:
-    """Positive roots in height order, generated by reflection closure of the simple roots."""
-    n = datum.rank
-    simple = [Weight(tuple(2 * datum.cartan[k][i] for k in range(n))) for i in range(n)]
-    gens = [_simple_reflection(datum, i) for i in range(n)]
-    roots = set(simple)
-    frontier = list(simple)
+    """Positive roots in height order, simple roots in index order.  In root
+    coordinates they are the closure of the simple roots under the positive
+    images s_i(beta) = beta - <beta, alpha_i^vee> alpha_i: every positive root
+    that is not simple is s_i of a lower one."""
+    n, a = datum.rank, datum.cartan
+    simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    roots, frontier = set(simple), simple
     while frontier:
         nxt = []
-        for r in frontier:
-            for g in gens:
-                img = Weight(_reflect(g, r.coords2))
-                if img not in roots and -img not in roots:
-                    roots.add(img)
-                    nxt.append(img)
+        for beta in frontier:
+            for i in range(n):
+                k = sum(b * aij for b, aij in zip(beta, a[i]))  # <beta, alpha_i^vee>
+                image = beta[:i] + (beta[i] - k,) + beta[i + 1:]
+                if k < 0 and image not in roots:
+                    roots.add(image)
+                    nxt.append(image)
         frontier = nxt
-    # positivity and height from exact root coordinates
-    ainv = _invert_fraction([[Fraction(x) for x in row] for row in datum.cartan])
-    decorated = {}
-    for r in roots:
-        fund = r.halved().coords2
-        coeffs = [sum(ainv[i][j] * fund[j] for j in range(n)) for i in range(n)]
-        if any(c.denominator != 1 for c in coeffs):
-            raise ValidationError("root with non-integral root coordinates")
-        coeffs = [int(c) for c in coeffs]
-        if all(c <= 0 for c in coeffs):
-            r, coeffs = -r, [-c for c in coeffs]
-        elif not all(c >= 0 for c in coeffs):
-            raise ValidationError("root with mixed-sign root coordinates")
-        decorated[r] = (sum(coeffs), tuple(-c for c in coeffs))
-    # height order, simple roots in index order
-    ordered = sorted(decorated.items(), key=lambda kv: kv[1])
-    return tuple(r for r, _ in ordered)
+    ordered = sorted(roots, key=lambda c: (sum(c), tuple(-x for x in c)))
+    return tuple(Weight(2 * sum(c[j] * a[k][j] for j in range(n)) for k in range(n)) for c in ordered)
 
 
 @functools.lru_cache(maxsize=None)

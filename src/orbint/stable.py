@@ -1,5 +1,5 @@
 """Stable orbital integrals, L-packet sums, the continuity limit at the
-identity, formal degrees, and the coset-partition character identity check.
+identity, and formal degrees.
 
 Summed over the coset translates v.g, the W_K numerators of tau make up the
 W numerator, and D(v.g) = sign(v) D(g), so the stable integral is one W-orbit
@@ -25,10 +25,9 @@ from .realform import (
     hc_parameter,
     is_regular_param,
     rho_c,
-    weyl_k,
 )
-from .rootsys import Weight, pairing, positive_roots, rho, weyl_group
-from .toruschar import TorusPoint, _csum, ab_fixed_sum, root_factors, transformed_system
+from .rootsys import Weight, pairing, positive_roots, rho
+from .toruschar import TorusPoint, _csum, root_factors, transformed_system
 
 PACKET_TOL = 1e-10
 
@@ -45,6 +44,8 @@ def lpacket_sum(spec: RealFormSpec, lam_hc: Weight, g: TorusPoint) -> complex:
     per coset representative v, the character of v(lam_hc) on v(R^+), all from
     the root factors of g.  Checked against ``stable_tau`` of the generator
     lam_hc - rho_c whenever that is a valid key."""
+    if lam_hc.rank != spec.rank:
+        raise ValidationError("weight rank does not match the real form")
     pos = spec.positive_system
     factors = root_factors(g, pos)
     total = _csum(
@@ -169,16 +170,3 @@ def continuity_check(
     deviation = abs(abs(report.extrapolated) - abs(float(expected)))
     tol = max(1e-6, 1e-6 * abs(float(expected)))
     return ContinuityReport(report, expected, deviation, deviation <= tol)
-
-
-def char_identity_check(spec: RealFormSpec, nu: Weight, g: TorusPoint) -> float:
-    """Residual of the coset-partition identity: the full-Weyl-group fixed-point
-    sum equals the sum of compact-Weyl-group fixed-point sums over transformed
-    weights and positive systems."""
-    pos = spec.positive_system
-    lhs = ab_fixed_sum(nu, g, weyl_group(spec.datum), pos)
-    parts = [
-        ab_fixed_sum(v.apply(nu), g, weyl_k(spec), transformed_system(v, pos))
-        for v in coset_reps(spec)
-    ]
-    return abs(lhs - _csum(parts))

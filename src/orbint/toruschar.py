@@ -31,7 +31,6 @@ from .rootsys import (
     CartanDatum,
     Weight,
     WeylElement,
-    WeylGroup,
     _Frozen,
     _set,
     integer_inverse,
@@ -302,12 +301,6 @@ def orbit_sum(orbit: SignedOrbit, g: TorusPoint) -> complex:
     return _csum(terms)
 
 
-def _elements(group) -> Sequence[WeylElement]:
-    if isinstance(group, WeylGroup):
-        return group.elements
-    return tuple(group)
-
-
 def _csum(values: Iterable[complex]) -> complex:
     vals = list(values)
     return complex(math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals))
@@ -315,7 +308,7 @@ def _csum(values: Iterable[complex]) -> complex:
 
 def weyl_numerator(mu: Weight, g: TorusPoint, group) -> complex:
     """Alternating exponential sum sum_w sign(w) e^{w mu}(g) over the given elements."""
-    return _csum(w.sign * eval_weight(w.apply(mu), g) for w in _elements(group))
+    return _csum(w.sign * eval_weight(w.apply(mu), g) for w in group)
 
 
 def weyl_denominator(g: TorusPoint, roots: Sequence[Weight]) -> complex:
@@ -344,7 +337,7 @@ def ab_fixed_sum(nu: Weight, g: TorusPoint, group, roots: Sequence[Weight]) -> c
     the trace-over-determinant form of the Dolbeault fixed-point terms."""
     guard_nonsingular(g, roots)
     terms = []
-    for w in _elements(group):
+    for w in group:
         denom = complex(1.0)
         for alpha in roots:
             denom *= 1.0 - eval_weight(-w.apply(alpha), g)

@@ -53,7 +53,6 @@ from .rootsys import (
     weyl_group,
 )
 from .stable import (
-    char_identity_check,
     continuity_check,
     formal_degree,
     lpacket_sum,
@@ -63,11 +62,13 @@ from .tannaka import canonical_sign, run_reconstruction
 from .toruschar import (
     ConjugacyDescriptor,
     TorusPoint,
+    _csum,
     ab_fixed_sum,
     char_quotient,
     eval_weight,
     min_root_phase,
     negated_system,
+    transformed_system,
     weyl_act_point,
     weyl_denominator,
     weyl_numerator,
@@ -75,6 +76,13 @@ from .toruschar import (
 
 DATUM_NAMES = ("A1", "A2", "B2", "C2", "G2")
 PRESET_NAMES = ("sl2r", "su21", "sp4r", "compact(A1)", "compact(A2)")
+# Forms that are no preset, by compact root indices.  The compact simple roots
+# of F4/paint0 include its highest root, so its W_K is not a parabolic subgroup.
+PAINTED_FORMS = {
+    "A3/paint1": (0, 2, 6, 8),
+    "B4/paint0": (1, 2, 3, 5, 6, 8, 9, 11, 13, 17, 18, 19, 21, 22, 24, 25, 27, 29),
+    "F4/paint0": (1, 2, 3, 5, 6, 8, 9, 12, 15, 23, 25, 26, 27, 29, 30, 32, 33, 36, 39, 47),
+}
 
 
 class CheckResult(NamedTuple):
@@ -113,6 +121,13 @@ def random_class(keys, rng: random.Random) -> KClass:
     """A nonzero class: 1 to 5 distinct keys, each with a coefficient in +-{1, 2, 3}."""
     chosen = rng.sample(keys, rng.randrange(1, 6))
     return KClass.from_pairs((k, rng.choice([-3, -2, -1, 1, 2, 3])) for k in chosen)
+
+
+def _form(name: str):
+    """A preset, or a form of ``PAINTED_FORMS``."""
+    if name not in PAINTED_FORMS:
+        return real_form(name)
+    return build_real_form(build_datum(name.split("/")[0]), PAINTED_FORMS[name], name=name)
 
 
 def _points(datum, seed: int, count: int) -> list[TorusPoint]:
@@ -394,19 +409,13 @@ def check_injectivity(presets=None) -> CheckResult:
 
 
 def check_coset_partition(presets=None) -> CheckResult:
-    selected = _use(presets, *PRESET_NAMES)
+    selected = _use(presets, *PRESET_NAMES, *PAINTED_FORMS)
     if not selected:
         return _na("coset-partition")
     for preset in selected:
-        spec = real_form(preset)
-        group = weyl_group(spec.datum)
-        tiles = set()
-        total = 0
-        for v in coset_reps(spec):
-            for u in weyl_k(spec):
-                tiles.add(_matmul(u.matrix, v.matrix))
-                total += 1
-        if total != group.order or tiles != {w.matrix for w in group}:
+        spec = _form(preset)
+        tiles = [_matmul(u.matrix, v.matrix) for v in coset_reps(spec) for u in weyl_k(spec)]
+        if sorted(tiles) != sorted(w.matrix for w in weyl_group(spec.datum)):  # each element once
             return CheckResult("coset-partition", False, preset)
     return CheckResult("coset-partition", True, "W_K translates of the reps tile W_G exactly")
 
@@ -518,6 +527,19 @@ def check_formal_degree_consistency(presets=None) -> CheckResult:
     return CheckResult("formal-degree-consistency", True, "product formula matches the dimension oracle")
 
 
+def char_identity_check(spec, nu: Weight, g: TorusPoint) -> float:
+    """Residual of the coset-partition identity: the full-Weyl-group fixed-point
+    sum equals the sum of compact-Weyl-group fixed-point sums over transformed
+    weights and positive systems."""
+    pos = spec.positive_system
+    lhs = ab_fixed_sum(nu, g, weyl_group(spec.datum), pos)
+    parts = [
+        ab_fixed_sum(v.apply(nu), g, weyl_k(spec), transformed_system(v, pos))
+        for v in coset_reps(spec)
+    ]
+    return abs(lhs - _csum(parts))
+
+
 def check_char_identity(presets=None) -> CheckResult:
     selected = _use(presets, "sl2r", "su21", "sp4r")
     if not selected:
@@ -550,13 +572,12 @@ def check_lds_signs(presets=None) -> CheckResult:
     return CheckResult("lds-system-signs", True, "|lds| independent of the system; pair sum vanishes")
 
 
-# form: (generator labels, expected K-type dimensions, axis count, compact root
-# indices of a form that is no preset)
+# form: (generator labels, expected K-type dimensions, axis count)
 TANNAKA_CASES = {
-    "compact(A1)": (((0,), (2,), (4,)), (1, 2, 3), None, None),
-    "su21": (((0, 0), (2, 0), (0, 2)), (1, 2, 1), None, None),
-    "sl2r": (((0,), (2,), (4,)), (1, 1, 1), None, None),
-    "A3/paint1": (((0, 0, 0), (0, 0, 2), (0, 0, 4)), (1, 2, 3), 16, (0, 2, 6, 8)),
+    "compact(A1)": (((0,), (2,), (4,)), (1, 2, 3), None),
+    "su21": (((0, 0), (2, 0), (0, 2)), (1, 2, 1), None),
+    "sl2r": (((0,), (2,), (4,)), (1, 1, 1), None),
+    "A3/paint1": (((0, 0, 0), (0, 0, 2), (0, 0, 4)), (1, 2, 3), 16),
 }
 
 
@@ -565,9 +586,8 @@ def check_tannaka(presets=None) -> CheckResult:
     if not selected:
         return _na("tannaka-round-trip")
     for form in selected:
-        coords, dims, axis_count, compact = TANNAKA_CASES[form]
-        spec = real_form(form) if compact is None else build_real_form(
-            build_datum(form.split("/")[0]), compact, name=form)
+        coords, dims, axis_count = TANNAKA_CASES[form]
+        spec = _form(form)
         labels = [Weight(c) for c in coords]
         report = run_reconstruction(spec, [generator_key(spec, lab) for lab in labels], axis_count)
         expected = {

@@ -10,9 +10,11 @@ import sys
 import pytest
 
 import orbint.cli
+import orbint.ktrace
 import orbint.stable
 from orbint.cli import Config, main
 from orbint.jsonio import dumps
+from orbint.ktrace import lds_character, lds_character_sum
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -132,6 +134,23 @@ def test_malformed_numbers_are_rejected(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["packet", "--preset", "su21", "--Lambda=1", "--t=1/5,2/7"],
+        ["packet", "--preset", "sp4r", "--Lambda=1", "--t=1/5,2/7"],
+        ["packet", "--preset", "su21", "--Lambda=1,1,1", "--t=1/5,2/7"],
+        ["packet", "--preset", "sl2r", "--Lambda=1,1", "--t=1/5"],
+        ["schmid", "--preset", "su21", "--Lambda=1", "--systems", "id", "--t=1/5,2/7"],
+    ],
+)
+def test_parameter_of_the_wrong_rank_is_rejected(capsys, argv):
+    # a shorter Lambda used to be truncated into a value, a longer one to end in a traceback
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: weight rank does not match the real form\n"
 
 
 @pytest.mark.parametrize(
@@ -339,6 +358,24 @@ def test_schmid_builds_the_weyl_group_only_for_element_tokens(capsys, monkeypatc
     monkeypatch.setattr(orbint.cli, "weyl_group", no_group)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and out == want
+
+
+def test_schmid_evaluates_each_system_once(capsys, monkeypatch):
+    argv = ("schmid", "--preset", "su21", "--Lambda", "2,1/2", "--systems", "id,neg,w3", "--t", "1/5,2/7")
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return lds_character(*args)
+
+    # wherever it is looked up: lds_character_sum calls it through orbint.ktrace
+    monkeypatch.setattr(orbint.cli, "lds_character", counted)
+    monkeypatch.setattr(orbint.ktrace, "lds_character", counted)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and len(calls) == 3
+    spec, lam_hc, _, g = calls[0]
+    value = lds_character_sum(spec, lam_hc, [system for _, _, system, _ in calls], g)
+    assert out.endswith(f'"value": {dumps(value)}}}\n')
 
 
 def test_weyl_verbose_elements(capsys):

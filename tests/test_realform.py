@@ -1,7 +1,12 @@
 """Real-form specs, coset representatives, generator keys, and K-classes."""
 
 import pytest
-from weyl_oracles import all_compact_reflections_group, first_in_each_coset, painted_forms
+from weyl_oracles import (
+    all_compact_reflections_group,
+    chamber_coset_reps,
+    first_in_each_coset,
+    painted_forms,
+)
 
 from orbint.errors import ValidationError
 from orbint.realform import (
@@ -25,8 +30,19 @@ from orbint.rootsys import (
     build_datum,
     positive_roots,
     weyl_group,
+    weyl_order,
     _matmul,
 )
+
+# every Cartan type up to rank 5
+UP_TO_RANK_5 = (
+    [f"A{n}" for n in range(1, 6)] + [f"B{n}" for n in range(2, 6)]
+    + [f"C{n}" for n in range(2, 6)] + ["D4", "D5", "G2", "F4"]
+)
+
+
+def single_node_paintings(name):
+    return painted_forms(name, [(i,) for i in range(build_datum(name).rank)])
 
 
 def test_preset_sl2r():
@@ -122,6 +138,27 @@ def test_weyl_k_and_coset_reps_match_first_definitions():
         assert weyl_k(spec).order == len(subgroup), spec.name
         expected = first_in_each_coset(weyl_group(spec.datum), [m for m, _ in subgroup])
         assert list(coset_reps(spec)) == expected, spec.name
+
+
+def test_coset_walk_matches_the_chamber_filter_over_w():
+    # parabolic and non-parabolic W_K alike: every compact form and every
+    # single-node painting up to rank 5
+    for name in UP_TO_RANK_5:
+        for spec in [real_form(f"compact({name})"), *single_node_paintings(name)]:
+            expected = chamber_coset_reps(spec)
+            got = coset_reps(spec)
+            assert len(got) == len(expected), spec.name
+            for v, w in zip(got, expected):
+                assert (v.matrix, v.sign, v.length) == (w.matrix, w.sign, w.length), spec.name
+
+
+def test_group_orders_from_the_product_formula():
+    for name in UP_TO_RANK_5:
+        datum = build_datum(name)
+        assert weyl_order(datum) == weyl_group(datum).order, name
+        for spec in single_node_paintings(name):
+            assert weyl_order(datum, spec.compact_positive) == weyl_k(spec).order, spec.name
+    assert weyl_order(build_datum("A2"), ()) == 1
 
 
 def test_generator_key_validation():

@@ -15,7 +15,6 @@ from orbint.rootsys import (
     inversion_count,
     pairing,
     positive_roots,
-    reflection_subgroup,
     rho,
     weight_from_fundamental,
     weight_multiplicities,
@@ -217,21 +216,6 @@ def test_weight_helpers():
         weight_from_fundamental([Fraction(1, 3)])
     with pytest.raises(ValidationError):
         w.halved()
-
-
-def test_reflection_subgroup():
-    a2 = build_datum("A2")
-    alpha1 = Weight((4, -2))
-    sub = reflection_subgroup(a2, [alpha1])
-    assert sub.order == 2
-    full = reflection_subgroup(a2, list(positive_roots(a2)))
-    assert full.order == 6
-    trivial = reflection_subgroup(a2, [])
-    assert trivial.order == 1
-    # two short roots and a long one are not a closed subsystem: their
-    # reflections generate all of W(B2), which their simple roots would not
-    b2 = build_datum("B2")
-    assert reflection_subgroup(b2, list(positive_roots(b2)[1:4])).order == 8
 
 
 def test_rank_cap_and_unknown_types():

@@ -5,13 +5,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from weyl_oracles import painted_forms
 
+from orbint import realform, rootsys
+from orbint.cli import main
 from orbint.errors import LimitPathError
-from orbint.ktrace import random_regular_point
-from orbint.realform import KClass, generator_key, hc_parameter, real_form, rho_c
+from orbint.ktrace import random_regular_point, w_orbit, wk_orbit
+from orbint.realform import KClass, coset_reps, generator_key, hc_parameter, real_form, rho_c, weyl_k
 from orbint.rootsys import Weight, rho, positive_roots, weyl_dim, weyl_group
 from orbint.stable import (
-    char_identity_check,
     continuity_check,
     formal_degree,
     limit_at_identity,
@@ -20,6 +22,7 @@ from orbint.stable import (
     tau_e,
 )
 from orbint.toruschar import TorusPoint, weyl_act_point
+from orbint.verify import PAINTED_FORMS, char_identity_check
 
 SL2R = real_form("sl2r")
 SU21 = real_form("su21")
@@ -68,6 +71,32 @@ def test_stable_invariance_under_weyl_translates():
             for w in weyl_group(spec.datum):
                 moved = stable_tau(spec, x, weyl_act_point(w, g))
                 assert abs(moved - base) <= 1e-12 * max(1.0, abs(base))
+
+
+def test_packets_build_no_weyl_group(monkeypatch, capsys):
+    # values from before the coset walk, bit for bit, with every route to a
+    # group matrix cut off and every cache of the Weyl layer cleared
+    (b4,) = painted_forms("B4", [(0,)])
+    (f4,) = painted_forms("F4", [(0,)])
+    cases = [
+        (b4, (-8, 4, 6, 2), ("18/59", "58/59", "23/59", "31/59"), 10.833723522859959 + 1.1546319456101628e-13j),
+        (f4, (6, 2, 2, 2), ("1/5", "2/7", "3/11", "5/13"), 3.7355545708562294 + 8.481826966226805e-15j),
+    ]
+
+    def no_group(*args):
+        raise AssertionError("a Weyl group was built")
+
+    for cached in (weyl_group, weyl_k, coset_reps, realform.compact_steps, wk_orbit, w_orbit):
+        cached.cache_clear()
+    monkeypatch.setattr(rootsys, "_reflection_group", no_group)
+    monkeypatch.setattr(realform, "_reflection_group", no_group)
+    for spec, big2, t, expected in cases:
+        g = TorusPoint.exact_point(Fraction(c) for c in t)
+        assert lpacket_sum(spec, Weight(big2), g) == expected, spec.name
+    code = main(["packet", "--type", "B4", "--compact-indices", ",".join(map(str, PAINTED_FORMS["B4/paint0"])),
+                 "--Lambda=-4,2,3,1", "--t=18/59,58/59,23/59,31/59"])
+    out = capsys.readouterr().out
+    assert code == 0 and '"value": {"re": 10.833723522859959, "im": 1.1546319456101628e-13}' in out
 
 
 def test_packet_sum_matches_stable():

@@ -1,10 +1,11 @@
 """The first definitions of the Weyl layer, kept as test oracles.
 
 orbint builds W by rank-one reflection updates with sign (-1)^length, W_K from
-the simple roots of the compact subsystem, and coset representatives by the
-chamber test.  These are the direct constructions it replaced: full matrix
-products with determinant signs, W_K from every compact reflection, and the
-first element of each coset W_K w found by multiplying out the coset.
+the simple roots of the compact subsystem, and coset representatives by a walk
+from e that never builds W.  These are the direct constructions it replaced:
+full matrix products with determinant signs, W_K from every compact
+reflection, the first element of each coset W_K w found by multiplying out the
+coset, and the chamber test applied to every element of W.
 """
 
 from fractions import Fraction
@@ -16,9 +17,14 @@ from orbint.rootsys import (
     _identity,
     _invert_fraction,
     _matmul,
+    _matvec,
+    _subsystem_simples,
     all_roots,
     build_datum,
     pairing,
+    reflection,
+    rho,
+    weyl_group,
 )
 
 
@@ -74,6 +80,19 @@ def first_in_each_coset(group, subgroup_matrices):
             reps.append(w)
             covered.update(_matmul(u, w.matrix) for u in subgroup_matrices)
     return reps
+
+
+def chamber_coset_reps(spec):
+    """The elements w of W with <w rho, beta^vee> > 0 for every simple root beta
+    of the compact subsystem, sorted by (length, matrix): one matrix-vector
+    product per element of W."""
+    rho2 = rho(spec.positive_system).coords2
+    coroots = [reflection(spec.datum, beta)[1] for beta in _subsystem_simples(spec.compact_positive)]
+    chosen = [
+        w for w in weyl_group(spec.datum)
+        if all(sum(c * x for c, x in zip(coroot, _matvec(w.matrix, rho2))) > 0 for coroot in coroots)
+    ]
+    return sorted(chosen, key=lambda e: (e.length, e.matrix))
 
 
 def painted_forms(name, paintings=None):
