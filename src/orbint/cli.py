@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from . import jsonio
 from .errors import (
@@ -274,18 +275,18 @@ def cmd_packet(config: Config, args) -> int:
 def cmd_limit(config: Config, args) -> int:
     spec = resolve_spec(config)
     x = parse_class(spec, args)
-    direction = parse_torus_point(args.direction)
-    report = continuity_check(
-        spec, x, direction, start_scale=args.start_scale, levels=args.levels
-    )
+    try:  # a ray direction, exact and not reduced mod 2: 0.1 is 1/10, 2 is no torus point
+        direction = [Fraction(t) for t in args.direction.split(",") if t.strip()]
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError(f"cannot parse direction {args.direction!r}") from None
+    report = continuity_check(spec, x, direction)
     emit(
         {
-            "direction": serialize_torus_point(report.limit.direction),
-            "samples": [{"scale": s, "value": v} for s, v in report.limit.samples],
-            "extrapolated": report.limit.extrapolated,
-            "residual": report.limit.residual,
+            "direction": [str(c) for c in direction],
+            "limit": report.limit,
+            "extrapolated": complex(report.limit),
             "tau_e": report.tau_e_value,
-            "deviation": report.deviation,
+            "deviation": float(abs(abs(report.limit) - report.tau_e_value)),
             "passed": report.passed,
         }
     )
@@ -462,9 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("limit", cmd_limit, "near-identity limit of the stable integral")
     p.add_argument("--lambda", dest="lam", help="single-generator class")
     p.add_argument("--class", dest="kclass", help="JSON list of {lambda2, coeff}")
-    p.add_argument("--direction", required=True, help="real direction vector")
-    p.add_argument("--start-scale", dest="start_scale", type=float, default=1e-2)
-    p.add_argument("--levels", type=int, default=6)
+    p.add_argument("--direction", required=True,
+                   help="ray direction, rationals or decimals taken exactly, e.g. 1,2/3 or 0.4,1")
 
     p = command("schmid", cmd_schmid, "sum of characters over positive systems")
     p.add_argument("--Lambda", dest="lam_hc", required=True)

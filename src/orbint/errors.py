@@ -24,7 +24,7 @@ class ConsistencyError(ArithmeticError):
 
 
 class LimitPathError(RuntimeError):
-    """A near-identity limit path hit the singular locus; try another direction."""
+    """A limit direction lies on a root wall, inside the singular locus; try another direction."""
 
 
 class ReconstructionError(RuntimeError):

@@ -7,14 +7,23 @@ sum, (-1)^m spin_sign N_W(lambda_hc)(g) / D(g): tau's kernel with
 ``ktrace.w_orbit``, which builds no group element and gives a parameter on a
 wall the empty orbit, an exact zero.  ``lpacket_sum`` keeps the coset route,
 the independent side of its packet/stable guard.
+
+Toward the identity along a ray s d, the numerator and D both vanish to order
+|R^+|; ``limit_at_identity`` returns the quotient's leading Taylor coefficient
+exactly, from integer moments of the same cached W orbit, so no sample is
+evaluated.  Whatever the direction off the walls, it is (-1)^m spin_sign
+prod <lambda_hc, alpha>/<rho, alpha> over the positive system: up to sign the
+formal degree of a discrete-series parameter, and 0 on a singular one.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from operator import mul
+from typing import NamedTuple, Sequence
 
-from .errors import ConsistencyError, LimitPathError, SingularPointError, ValidationError
+from .errors import ConsistencyError, LimitPathError, ValidationError
 from .ktrace import class_sum, lds_value, w_orbit
 from .ktrace import tau_class  # noqa: F401 - unused here, but benchmarks/selfcheck.py wraps stable.tau_class
 from .realform import (
@@ -68,57 +77,30 @@ def lpacket_sum(spec: RealFormSpec, lam_hc: Weight, g: TorusPoint) -> complex:
 # ---------------------------------------------------------------------------
 # limits at the identity
 
-class LimitReport(NamedTuple):
-    """Richardson-extrapolated limit along a ray toward the identity."""
+def limit_at_identity(spec: RealFormSpec, x: KClass, direction: Sequence) -> Fraction:
+    """The limit of ``stable_tau(spec, x, s d)`` as s -> 0+, exactly, for a
+    rational (or float, taken exactly) direction d = n/q with integers n.
 
-    direction: TorusPoint
-    samples: tuple[tuple[float, complex], ...]
-    extrapolated: complex
-    residual: float
-
-
-def richardson(values: Sequence, order: int = 3) -> list:
-    """Last column of the Neville table that extrapolates samples at halving
-    scales t_k = t_0 2^{-k} to t = 0, at most ``order`` columns deep.  With
-    t_{k-j} = 2^j t_k the update is the classical Richardson form
-    (2^j T[k][j-1] - T[k-1][j-1]) / (2^j - 1)."""
-    column = list(values)
-    for j in range(1, min(order, len(column) - 1) + 1):
-        factor = 2.0**j
-        column = [
-            (factor * column[i] - column[i - 1]) / (factor - 1.0) for i in range(1, len(column))
-        ]
-    return column
-
-
-def limit_at_identity(
-    evaluator: Callable[[TorusPoint], complex],
-    direction: TorusPoint,
-    start_scale: float = 1e-2,
-    levels: int = 6,
-    order: int = 3,
-) -> LimitReport:
-    """Evaluate along t_k = start_scale * 2^{-k} times the direction and
-    extrapolate polynomially (Neville to 0, geometric Richardson) at the given order."""
-    if direction.exact:
-        direction = TorusPoint.real_point(float(c) for c in direction.coords)
-    if levels < 1:
-        raise ValidationError("need at least two scales to extrapolate")
-    scales = [start_scale * 2.0 ** (-k) for k in range(levels + 1)]
-    samples = []
-    for s in scales:
-        point = direction.scaled(s)
-        try:
-            samples.append((s, complex(evaluator(point))))
-        except SingularPointError as err:
-            raise LimitPathError(
-                f"limit path hit the singular locus at scale {s} ({err}); "
-                "choose a different direction"
-            ) from err
-    final = richardson([v for _, v in samples], order)
-    extrapolated = final[-1]
-    residual = abs(final[-1] - final[-2]) if len(final) >= 2 else 0.0
-    return LimitReport(direction, tuple(samples), extrapolated, residual)
+    On the ray each W-orbit image u pairs as s A_u/q, A_u = sum_j c2_j(u) n_j,
+    and each root factor is 2i sin(pi s U_alpha/2q), U_alpha = sum_j
+    alpha.coords2_j n_j.  The moments sum_u eps_u A_u^k vanish for k < N = |R^+|,
+    so the quotient tends to (-1)^m spin_sign sum_u eps_u A_u^N / (N! prod U_alpha),
+    term by term of the class.  Some U_alpha = 0 puts the ray in a wall: LimitPathError."""
+    if len(direction) != spec.rank:
+        raise ValidationError("direction rank does not match the real form")
+    q = math.lcm(*(Fraction(c).denominator for c in direction))
+    ns = [int(Fraction(c) * q) for c in direction]
+    walls = [sum(map(mul, alpha.coords2, ns)) for alpha in spec.positive_system]
+    if 0 in walls:
+        alpha = spec.positive_system[walls.index(0)]
+        raise LimitPathError(f"the direction lies on the wall of root {alpha}")
+    total = 0
+    for key, coeff in x.terms:
+        orbit = w_orbit(spec, hc_parameter(spec, key))
+        terms = zip(orbit.signs, zip(*[iter(orbit.coords)] * orbit.rank))
+        total += coeff * sum(sign * sum(map(mul, u, ns)) ** len(walls) for sign, u in terms)
+    sign = (-1) ** (spec.dim_gk // 2) * spec.spin_sign
+    return sign * Fraction(total, math.factorial(len(walls)) * math.prod(walls))
 
 
 def formal_degree(spec: RealFormSpec, lam_hc: Weight) -> Fraction:
@@ -148,25 +130,13 @@ def tau_e(spec: RealFormSpec, x: KClass) -> Fraction:
 
 
 class ContinuityReport(NamedTuple):
-    limit: LimitReport
+    limit: Fraction
     tau_e_value: Fraction
-    deviation: float
     passed: bool
 
 
-def continuity_check(
-    spec: RealFormSpec,
-    x: KClass,
-    direction: TorusPoint,
-    start_scale: float = 1e-2,
-    levels: int = 6,
-) -> ContinuityReport:
-    """Compare the extrapolated stable integral along the ray against the
-    identity-element value, in magnitude."""
-    report = limit_at_identity(
-        lambda point: stable_tau(spec, x, point), direction, start_scale, levels
-    )
+def continuity_check(spec: RealFormSpec, x: KClass, direction: Sequence) -> ContinuityReport:
+    """The exact limit along the ray against the identity-element value, in magnitude."""
+    limit = limit_at_identity(spec, x, direction)
     expected = tau_e(spec, x)
-    deviation = abs(abs(report.extrapolated) - abs(float(expected)))
-    tol = max(1e-6, 1e-6 * abs(float(expected)))
-    return ContinuityReport(report, expected, deviation, deviation <= tol)
+    return ContinuityReport(limit, expected, abs(limit) == expected)

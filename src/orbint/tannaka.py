@@ -27,7 +27,6 @@ from .errors import ReconstructionError, ValidationError
 from .ktrace import tau_grid, tau_lattice
 from .realform import GeneratorKey, RealFormSpec
 from .rootsys import CartanDatum, Weight, is_dominant, pairing, positive_roots, rho
-from .stable import richardson
 from .toruschar import TorusPoint, is_regular, min_root_phase, root_phase
 
 RAY_LEVELS = 6
@@ -196,6 +195,20 @@ def _nonzero(values: Sequence, what: str) -> Sequence:
     if 0 in values:
         raise ReconstructionError(f"{what} include a zero")
     return values
+
+
+def richardson(values: Sequence, order: int = 3) -> list:
+    """Last column of the Neville table that extrapolates samples at halving
+    scales t_k = t_0 2^{-k} to t = 0, at most ``order`` columns deep.  With
+    t_{k-j} = 2^j t_k the update is the classical Richardson form
+    (2^j T[k][j-1] - T[k-1][j-1]) / (2^j - 1)."""
+    column = list(values)
+    for j in range(1, min(order, len(column) - 1) + 1):
+        factor = 2.0**j
+        column = [
+            (factor * column[i] - column[i - 1]) / (factor - 1.0) for i in range(1, len(column))
+        ]
+    return column
 
 
 def recover_dims(family: ChiFamily) -> dict:

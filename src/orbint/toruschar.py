@@ -71,11 +71,6 @@ class TorusPoint(NamedTuple):
     def rank(self) -> int:
         return len(self.coords)
 
-    def scaled(self, factor: float) -> "TorusPoint":
-        if self.exact:
-            raise ValidationError("scaling is a limit-path (real mode) operation")
-        return TorusPoint.real_point(factor * c for c in self.coords)
-
 
 def parse_torus_point(text: str) -> TorusPoint:
     """Parse comma-separated coordinates; all-rational tokens give an exact point,
@@ -233,11 +228,15 @@ def root_factors(g: TorusPoint, roots: Sequence[Weight]) -> RootFactors:
     and the factor of alpha: u = a/q in integers at exact points
     (``_root_pairings``), an fsum float at real ones.
 
-    Raises SingularPointError at the first singular root (exactly, or below
-    SINGULAR_GUARD at real points).  The exponentials are those of
-    ``eval_weight`` bit for bit, e^{i pi (+-a mod 2q)/q} or e^{+-i pi u}, so
-    each factor equals ``eval_weight(alpha/2, g) - eval_weight(-alpha/2, g)``.
+    Raises ValidationError first when the point's rank is not the roots' (the
+    pairings would silently drop coordinates), then SingularPointError at the
+    first singular root (exactly, or below SINGULAR_GUARD at real points).
+    The exponentials are those of ``eval_weight`` bit for bit, e^{i pi (+-a mod 2q)/q}
+    or e^{+-i pi u}, so each factor equals
+    ``eval_weight(alpha/2, g) - eval_weight(-alpha/2, g)``.
     """
+    if roots and roots[0].rank != g.rank:
+        raise ValidationError("weight and torus point have different ranks")
     plus = []
     minus = []
     if g.exact:

@@ -66,7 +66,6 @@ from .toruschar import (
     ab_fixed_sum,
     char_quotient,
     eval_weight,
-    min_root_phase,
     negated_system,
     transformed_system,
     weyl_act_point,
@@ -456,56 +455,42 @@ def check_packet_stable(presets=None) -> CheckResult:
     return CheckResult("packet-stable-agreement", worst <= 1e-10, f"max residual = {worst:.3e}")
 
 
-def continuity_direction(spec, rng, min_pairing: float = 0.25) -> TorusPoint:
-    """Random ray direction with every root pairing bounded away from zero.
-
-    Near-degenerate pairings push the alternating numerator into float noise at
-    the smallest scales, so directions are redrawn until well-conditioned.
-    """
-    for _ in range(500):
-        cand = TorusPoint.real_point(rng.uniform(0.4, 1.0) for _ in range(spec.rank))
-        if min_root_phase(spec.datum, cand) >= min_pairing:
-            return cand
-    raise ValidationError("could not draw a well-conditioned direction")
-
-
-# (preset, generator, start scale).  Start scales grow with the positive-root
-# count: the numerator vanishes to order |R^+| at the identity, so tiny scales
-# would drown in rounding noise.
-CONTINUITY_CASES = (
-    ("sl2r", (0,), 1e-2),
-    ("sl2r", (6,), 1e-2),
-    ("su21", (2, 2), 5e-2),
-    ("sp4r", (0, 3), 2e-1),
-    ("compact(A1)", (2,), 1e-2),
-)
+# Doubled generator weights per form: a regular parameter, whose tau_e is its
+# formal degree, and a singular one (tau_e = 0) wherever the form has one.
+CONTINUITY_CASES = {
+    "sl2r": ((0,), (6,)), "su21": ((0, 0), (2, 2)), "sp4r": ((0, 1), (0, 3)),
+    "compact(A1)": ((2,),), "compact(A2)": ((2, 2),), "A3/paint1": ((0, 0, 0), (2, 0, 2)),
+    "B4/paint0": ((1, 0, 0, 0), (1, 0, 2, 2)), "F4/paint0": ((1, 0, 0, 0), (1, 0, 4, 2)),
+}
 
 
 def check_continuity(presets=None) -> CheckResult:
-    selected = _use(presets, "sl2r", "su21", "sp4r", "compact(A1)")
+    selected = _use(presets, *CONTINUITY_CASES)
     if not selected:
         return _na("continuity-at-identity")
-    cases = [case for case in CONTINUITY_CASES if case[0] in selected]
-    rng = random.Random(8)
-    limits = {}
-    # three rounds of one direction per case, all drawn from one generator
-    for _ in range(3):
-        for preset, coords, start in cases:
-            spec = real_form(preset)
+    details = []
+    for name in selected:
+        spec = _form(name)
+        # n = (1, k, k^2, ...) and its reverse: with k = 1 + 2 max |alpha.coords2_j| each
+        # root pairing is a nonzero number in balanced base k, so neither lies on a wall
+        k = 1 + 2 * max(abs(c) for alpha in spec.positive_system for c in alpha.coords2)
+        ns = [k**j for j in range(spec.rank)]
+        for coords in CONTINUITY_CASES[name]:
             x = KClass.generator(generator_key(spec, Weight(coords)))
-            report = continuity_check(spec, x, continuity_direction(spec, rng), start_scale=start)
-            # |limit| within 1e-10 of a zero tau_e, else within 1e-6 of |tau_e|:
-            # never looser than report.passed
-            if report.deviation > (1e-6 if report.tau_e_value else 1e-10):
+            reports = [continuity_check(spec, x, d) for d in (ns, ns[::-1])]
+            expected = reports[0].tau_e_value
+            if not all(r.passed for r in reports) or reports[0].limit != reports[1].limit:
+                limits = ", ".join(str(r.limit) for r in reports)
                 return CheckResult(
-                    "continuity-at-identity",
-                    False,
-                    f"{preset} {coords}: |limit|={abs(report.limit.extrapolated):.8f} "
-                    f"vs tau_e={report.tau_e_value}",
+                    "continuity-at-identity", False, f"{name} {coords}: {limits} vs tau_e={expected}"
                 )
-            limits[preset, coords] = report.tau_e_value
-    details = [f"{preset}{coords}->|{float(v)}|" for (preset, coords), v in limits.items()]
-    return CheckResult("continuity-at-identity", True, "; ".join(details))
+            details.append(f"{name}{coords}->|{expected}|")
+    return CheckResult(
+        "continuity-at-identity",
+        True,
+        f"|limit| == tau_e exactly on two directions, {len(selected)} of {len(CONTINUITY_CASES)} forms: "
+        + "; ".join(details),
+    )
 
 
 def check_formal_degree_consistency(presets=None) -> CheckResult:

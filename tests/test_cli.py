@@ -4,6 +4,7 @@ import ast
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 
@@ -15,6 +16,8 @@ import orbint.stable
 from orbint.cli import Config, main
 from orbint.jsonio import dumps
 from orbint.ktrace import lds_character, lds_character_sum
+from orbint.rootsys import all_roots
+from weyl_oracles import painted_forms
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -106,7 +109,7 @@ def test_exit_codes(capsys):
         ["tau", "--preset", "sl2r", "--lambda", "1", "--t", "inf"],
         ["tau", "--preset", "sl2r", "--lambda", "1", "--t", "1e308"],
         ["limit", "--preset", "sl2r", "--lambda", "3", "--direction", "nan"],
-        ["limit", "--preset", "sl2r", "--lambda", "3", "--direction", "1.0", "--start-scale", "nan"],
+        ["limit", "--preset", "sl2r", "--lambda", "3", "--direction", "inf"],
     ],
 )
 def test_non_finite_torus_input_is_rejected(capsys, argv):
@@ -151,6 +154,90 @@ def test_parameter_of_the_wrong_rank_is_rejected(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err == "error: weight rank does not match the real form\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tau", "--preset", "su21", "--lambda", "1,0", "--t", "1/5,2/5,1/3"],
+        ["tau", "--preset", "su21", "--lambda", "1,0", "--t", "0.2,0.4,0.1"],
+        ["stable", "--preset", "su21", "--lambda", "1,0", "--t", "1/5,2/5,1/3"],
+        ["packet", "--preset", "su21", "--Lambda", "1,1", "--t", "1/5,2/5,1/3"],
+        ["schmid", "--preset", "su21", "--Lambda", "1,1", "--systems", "id,neg", "--t", "1/5,2/5,1/3"],
+        ["tau", "--preset", "sp4r", "--lambda", "0,3/2", "--t", "0.1,0.2,0.3,0.4"],
+    ],
+)
+def test_torus_point_of_the_wrong_rank_is_rejected(capsys, argv):
+    # the root pairings used to drop the extra coordinates and call the point singular
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: weight and torus point have different ranks\n"
+
+
+def test_limit_direction_of_the_wrong_rank_is_rejected(capsys):
+    code, out, err = run_cli(capsys, "limit", "--preset", "su21", "--lambda", "1,0", "--direction", "1,2,3")
+    assert code == 2 and out == ""
+    assert err == "error: direction rank does not match the real form\n"
+
+
+@pytest.mark.parametrize(
+    "direction, echoed",
+    [("2", ["2"]), ("2.0", ["2"]), ("-3", ["-3"]), ("0.1", ["1/10"]), ("5/2", ["5/2"])],
+)
+def test_limit_direction_is_exact_and_unreduced(capsys, direction, echoed):
+    # a direction is a ray, not a torus point: 2 is not reduced to the identity
+    code, out, _ = run_cli(capsys, "limit", "--preset", "sl2r", "--lambda", "3", "--direction", direction)
+    assert code == 0
+    record = json.loads(out)
+    assert record["direction"] == echoed and record["passed"] is True and record["tau_e"] == "3"
+
+
+def painted_indices(name, painted):
+    """The --compact-indices of a single-node painting (``weyl_oracles.painted_forms``)."""
+    (spec,) = painted_forms(name, [painted])
+    compact = set(spec.compact_positive)
+    return ",".join(str(k) for k, alpha in enumerate(all_roots(spec.datum)) if alpha in compact or -alpha in compact)
+
+
+@pytest.mark.parametrize(
+    "name, painted, lam, direction, tau_e",
+    [
+        ("C4", (0,), "1,1,1,1", "0.37,0.61,0.83,1.1", "1056"),
+        ("G2", (0,), "2,3", "0.37,0.61", "273"),
+        ("G2", (1,), "1,1", "1,3/7", "7"),
+        ("C3", (1,), "1,1,1", "0.37,0.61,0.83", "70"),
+    ],
+)
+def test_limit_is_the_formal_degree_beyond_rank_2(capsys, name, painted, lam, direction, tau_e):
+    # the sampled extrapolation gave 9.5e39, 26380, 0.47 and 7e14 here
+    code, out, _ = run_cli(capsys, "limit", "--type", name, "--compact-indices", painted_indices(name, painted),
+                           "--lambda", lam, "--direction", direction)
+    assert code == 0
+    record = json.loads(out)
+    assert record["passed"] is True and record["tau_e"] == tau_e
+    assert record["limit"].lstrip("-") == tau_e
+    assert abs(record["extrapolated"]["re"]) == int(tau_e) and record["extrapolated"]["im"] == 0
+
+
+def readme_commands():
+    """Every ``orbint ...`` line inside the README's fenced blocks, split like a shell would."""
+    commands, fenced = [], False
+    with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as fh:
+        for line in fh:
+            if line.startswith("```"):
+                fenced = not fenced
+            elif fenced and line.startswith("orbint "):
+                commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_readme_examples_run(capsys):
+    commands = readme_commands()
+    assert len(commands) >= 10
+    for argv in commands:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        json.loads(out)
 
 
 @pytest.mark.parametrize(

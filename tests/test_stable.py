@@ -3,16 +3,19 @@
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from weyl_oracles import painted_forms
 
-from orbint import realform, rootsys
+from orbint import realform, rootsys, stable
 from orbint.cli import main
-from orbint.errors import LimitPathError
+from orbint.errors import LimitPathError, ValidationError
 from orbint.ktrace import random_regular_point, w_orbit, wk_orbit
-from orbint.realform import KClass, coset_reps, generator_key, hc_parameter, real_form, rho_c, weyl_k
-from orbint.rootsys import Weight, rho, positive_roots, weyl_dim, weyl_group
+from orbint.realform import (
+    KClass, coset_reps, generator_key, hc_parameter, is_regular_param, real_form, rho_c, weyl_k,
+)
+from orbint.rootsys import Weight, pairing, rho, positive_roots, weyl_dim, weyl_group
 from orbint.stable import (
     continuity_check,
     formal_degree,
@@ -127,31 +130,13 @@ def test_compact_packet_is_full_character():
     assert abs(lhs - rhs) <= 1e-12
 
 
-def test_limit_constant_and_taylor_oracle():
-    direction = TorusPoint.real_point([1.0])
-    const = limit_at_identity(lambda p: 4.25 + 0j, direction)
-    assert const.extrapolated == 4.25 + 0j
-    assert const.residual == 0.0
-
-    def ratio(point):
-        t = point.coords[0]
-        return complex(math.sin(3 * t) / math.sin(t))
-
-    report = limit_at_identity(ratio, direction)
-    assert abs(report.extrapolated - 3.0) <= 1e-8
-    assert report.residual <= 1e-6
-    scales = [s for s, _ in report.samples]
-    assert scales == sorted(scales, reverse=True)
-    assert len(scales) == 7
-
-
 def test_limit_rejects_singular_direction():
-    # a direction pinned to the singular locus: first coordinate zero for sl2r
-    def evaluator(point):
-        return stable_tau(SL2R, gen_class(SL2R, (0,)), point)
-
+    # the zero direction lies on every wall, and (1, -1) on the wall of su21's
+    # root with doubled coordinates (2, 2)
     with pytest.raises(LimitPathError):
-        limit_at_identity(evaluator, TorusPoint.real_point([0.0]))
+        limit_at_identity(SL2R, gen_class(SL2R, (6,)), [0])
+    with pytest.raises(LimitPathError):
+        limit_at_identity(SU21, gen_class(SU21, (2, 2)), [1, -1])
 
 
 def test_formal_degree_values():
@@ -179,25 +164,26 @@ def test_tau_e_values():
 
 
 def test_continuity_sl2r():
-    direction = TorusPoint.real_point([1.0])
-    flat = continuity_check(SL2R, gen_class(SL2R, (0,)), direction)
-    assert flat.passed
-    assert abs(flat.limit.extrapolated) <= 1e-10
-    heavy = continuity_check(SL2R, gen_class(SL2R, (6,)), direction)
-    assert heavy.passed
-    assert abs(abs(heavy.limit.extrapolated) - 3.0) <= 1e-6
+    flat = continuity_check(SL2R, gen_class(SL2R, (0,)), [1])
+    assert flat.passed and flat.limit == 0
+    heavy = continuity_check(SL2R, gen_class(SL2R, (6,)), [1])
+    assert heavy.passed and abs(heavy.limit) == 3
+
+
+def test_continuity_compares_exactly(monkeypatch):
+    # a tau_e off by 1e-30 fails: no tolerance is left in the comparison
+    monkeypatch.setattr(stable, "tau_e", lambda spec, x: 3 + Fraction(1, 10**30))
+    report = continuity_check(SL2R, gen_class(SL2R, (6,)), [1])
+    assert abs(report.limit) == 3 and not report.passed
 
 
 def test_continuity_su21():
     key = generator_key(SU21, Weight((2, 2)))
-    lam_hc = hc_parameter(SU21, key)
-    expected = formal_degree(SU21, lam_hc)
-    direction = TorusPoint.real_point([1.0, 0.618])
-    # the rank-2 numerator vanishes to third order at e; start high enough
-    # that the smallest samples stay clear of rounding noise
-    report = continuity_check(SU21, KClass.generator(key), direction, start_scale=5e-2)
-    assert report.passed
-    assert abs(abs(report.limit.extrapolated) - float(expected)) <= 1e-6
+    expected = formal_degree(SU21, hc_parameter(SU21, key))
+    # a float direction is taken exactly; the limit is exact at any scale of it
+    for direction in ([1.0, 0.618], [Fraction(50), Fraction(309, 10)]):
+        report = continuity_check(SU21, KClass.generator(key), direction)
+        assert report.passed and abs(report.limit) == expected == Fraction(5, 4)
 
 
 def test_char_identity_residual():
@@ -215,9 +201,84 @@ def test_char_identity_compact_single_coset():
     assert char_identity_check(CA2, Weight((2, 4)), g) == 0.0
 
 
-def test_limit_low_level_order_degrades():
-    direction = TorusPoint.real_point([1.0])
-    report = limit_at_identity(lambda p: complex(1 + p.coords[0]), direction, levels=2)
-    assert abs(report.extrapolated - 1.0) <= 1e-10
-    with pytest.raises(Exception):
-        limit_at_identity(lambda p: 1 + 0j, direction, levels=0)
+# ---------------------------------------------------------------------------
+# exact jets at the identity
+
+TYPES_UP_TO_RANK_4 = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "F4")
+JET_CASES = [
+    pytest.param(name, painted, id=f"{name}/paint{''.join(map(str, painted))}" if painted else f"compact({name})")
+    for name in TYPES_UP_TO_RANK_4
+    for painted in [()] + [(i,) for i in range(int(name[1]))]
+]
+
+
+def sample_keys(spec, rng):
+    """Up to three regular and two singular generator keys among seeded small
+    weights (a compact form has no singular parameter)."""
+    regular, singular = [], []
+    for _ in range(300):
+        try:
+            key = generator_key(spec, Weight(tuple(rng.randrange(6) for _ in range(spec.rank))))
+        except ValidationError:
+            continue
+        bucket, room = (regular, 3) if is_regular_param(spec, hc_parameter(spec, key)) else (singular, 2)
+        if key not in bucket and len(bucket) < room:
+            bucket.append(key)
+        if len(regular) == 3 and (len(singular) == 2 or spec.is_compact):
+            break
+    return regular, singular
+
+
+def off_wall_direction(spec, rng):
+    """A seeded rational direction, redrawn until it pairs nonzero with every root."""
+    while True:
+        d = [Fraction(rng.randint(-12, 12), rng.randint(1, 9)) for _ in range(spec.rank)]
+        if all(sum(map(mul, alpha.coords2, d)) for alpha in spec.positive_system):
+            return d
+
+
+def wall_direction(spec, rng):
+    """An integer direction orthogonal to one seeded positive root."""
+    c = rng.choice(spec.positive_system).coords2
+    support = [j for j, cj in enumerate(c) if cj]
+    n = [0] * spec.rank
+    if len(support) >= 2:
+        i, j = support[:2]
+        n[i], n[j] = c[j], -c[i]
+    elif spec.rank > 1:
+        n[(support[0] + 1) % spec.rank] = 1
+    return n
+
+
+@pytest.mark.parametrize("name, painted", JET_CASES)
+def test_jet_limit_is_the_signed_formal_degree(name, painted):
+    (spec,) = painted_forms(name, [painted])
+    rng = random.Random(f"{name}/{painted}")
+    pos = spec.positive_system
+    r = rho(positive_roots(spec.datum))
+    sign = (-1) ** (spec.dim_gk // 2) * spec.spin_sign
+    regular, singular = sample_keys(spec, rng)
+    assert regular
+    limits = {}
+    for key in regular + singular:
+        lam_hc = hc_parameter(spec, key)
+        product = math.prod(pairing(spec.datum, lam_hc, a) / pairing(spec.datum, r, a) for a in pos)
+        assert (product == 0) == (key in singular)
+        orbit = w_orbit(spec, lam_hc)
+        for _ in range(2):
+            d = off_wall_direction(spec, rng)
+            q = math.lcm(*(c.denominator for c in d))
+            ns = [int(c * q) for c in d]
+            moments = [sum(map(mul, image, ns)) for image in zip(*[iter(orbit.coords)] * orbit.rank)]
+            for k in range(len(pos)):  # the numerator vanishes to order |R+| at e
+                assert sum(e * a**k for e, a in zip(orbit.signs, moments)) == 0
+            x = KClass.generator(key)
+            limits[key] = limit_at_identity(spec, x, d)
+            assert limits[key] == sign * product  # whichever the direction
+            report = continuity_check(spec, x, d)
+            assert report.passed and report.tau_e_value == abs(product)
+    if len(regular) >= 2:  # linear in the class
+        x = KClass.from_pairs([(regular[0], 1), (regular[1], -2)])
+        assert limit_at_identity(spec, x, off_wall_direction(spec, rng)) == limits[regular[0]] - 2 * limits[regular[1]]
+    with pytest.raises(LimitPathError):
+        limit_at_identity(spec, KClass.generator(regular[0]), wall_direction(spec, rng))

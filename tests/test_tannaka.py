@@ -27,6 +27,7 @@ from orbint.tannaka import (
     recover_characters,
     recover_dims,
     recover_noncompact_weights,
+    richardson,
     run_reconstruction,
     synth_family,
 )
@@ -66,6 +67,17 @@ def test_sl2r_round_trip():
     family = synth_family(SL2R, keys)
     t = 1e-2 * family.ray_direction[0]
     assert abs(abs(report.psi_ray[0]) - 2 * abs(math.sin(2 * math.pi * t))) <= 1e-10
+
+
+def test_richardson_constant_and_taylor_oracle():
+    # samples at halving scales: a constant column is exact, and
+    # sin(3t)/sin(t) = 3 - (4/3) t^2 + ... extrapolates to 3
+    scales = [1e-2 * 2.0**-k for k in range(7)]
+    const = richardson([4.25] * len(scales))
+    assert const[-1] == 4.25 and const[-1] - const[-2] == 0.0
+    column = richardson([math.sin(3 * s) / math.sin(s) for s in scales])
+    assert abs(column[-1] - 3.0) <= 1e-8
+    assert abs(column[-1] - column[-2]) <= 1e-6
 
 
 def test_empty_family():

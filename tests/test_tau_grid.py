@@ -68,8 +68,8 @@ def real_points(spec, seed):
     """A generic real point and two points of a ray toward the identity."""
     rng = random.Random(seed)
     generic = TorusPoint.real_point(rng.uniform(0.05, 0.95) for _ in range(spec.rank))
-    direction = TorusPoint.real_point(rng.uniform(0.3, 1.0) for _ in range(spec.rank))
-    return [generic, direction.scaled(1e-2), direction.scaled(2.5e-3)]
+    direction = [rng.uniform(0.3, 1.0) for _ in range(spec.rank)]
+    return [generic] + [TorusPoint.real_point(s * c for c in direction) for s in (1e-2, 2.5e-3)]
 
 
 def singular_key(spec):
