@@ -2,34 +2,37 @@
 via the fixed-point character formula, vanishing off the elliptic set, class
 distinguishing by random sampling, and (limits of) discrete-series characters.
 
-Every tau value comes from one per-point body, ``_checked_rows``: from a
-point's root factors, taken once with the singular guard, it forms the Weyl
-denominator and its compact and noncompact parts; per generator it adds only
-the alternating numerator over a cached orbit of the Harish-Chandra
-parameter, the W_K orbit (``wk_orbit``) for tau and the W orbit
-(``w_orbit``) for the stable integral.  Both orbits walk the weight itself
-through simple reflections (``rootsys.reflection_orbit``), so an evaluation
-builds no group element, and a parameter on a wall of the group gets the
-empty orbit: its alternating sum vanishes identically.
+Every tau value comes from one column-wise body, ``_checked_paths``: from
+one column of root factors per positive root over a block of points (taken
+with the singular guard), it forms the Weyl denominator and its compact and
+noncompact parts as whole-column products and checks both paths per point.
+Per generator it adds only a numerator column, the alternating sum over a
+cached orbit of the Harish-Chandra parameter, the W_K orbit (``wk_orbit``)
+for tau and the W orbit (``w_orbit``) for the stable integral.  Both orbits
+walk the weight itself through simple reflections
+(``rootsys.reflection_orbit``), so an evaluation builds no group element, and
+a parameter on a wall of the group gets the empty orbit: its alternating sum
+vanishes identically.
 
-``tau_grid`` feeds it scattered points, whose numerator phases stay
-Fractions (``toruschar.orbit_sum``): integer ones are faster, but the
+``tau_grid`` feeds it scattered points as one block, whose numerator phases
+stay Fractions (``toruschar.orbit_sum``): integer ones are faster, but the
 ``tau_exact`` benchmark keeps every pass's results, so its peak RSS would pass
-its bound.  ``tau_lattice`` feeds it the synthesis lattice t = n/q, each phase
-an integer k mod 2q read from one table zeta[k] = e^{i pi k/q}
-(``toruschar.Zeta``); k/q is one correctly rounded division, so the doubles
-are the same.
+its bound.  ``tau_lattice`` feeds it the synthesis lattice t = n/q a slab at a
+time, each phase an integer k mod 2q read from one table zeta[k] = e^{i pi k/q};
+k/q is one correctly rounded division, so the doubles are the same.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
+import math
 import random
 from array import array
 from fractions import Fraction
 from itertools import chain, product
 from operator import mul, sub
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import ConsistencyError, SingularPointError, ValidationError
 from .realform import (
@@ -52,7 +55,6 @@ from .toruschar import (
     RootFactors,
     SignedOrbit,
     TorusPoint,
-    Zeta,
     _csum,
     is_regular,
     orbit_sum,
@@ -144,100 +146,133 @@ def _root_positions(spec: RealFormSpec) -> tuple[tuple[int, ...], tuple[int, ...
     return compact, noncompact, index
 
 
-def _checked_rows(spec: RealFormSpec, rows: Iterable[tuple], point_of: Callable = lambda g: g) -> Iterator:
-    """Per row (point, root factors taken with the guard, each key's numerator):
-    the factors and each key's (path_a, path_b) from D, D_c and D_n, checked
-    against DUAL_PATH_TOL.  A ConsistencyError names ``point_of(point)``."""
+def _column_product(columns: Sequence[Sequence[complex]], indices: Iterable[int], size: int) -> list[complex]:
+    """Pointwise products of the given columns, multiplied in that order from 1."""
+    product = [complex(1.0)] * size
+    for i in indices:
+        product = list(map(mul, product, columns[i]))
+    return product
+
+
+def _checked_paths(spec: RealFormSpec, factors: Sequence, numers: Sequence, point_at: Callable,
+                   failure: Exception | None = None) -> list[tuple[list[complex], list[complex]]]:
+    """Each key's (path_a, path_b) columns over a block of points, from a root
+    factor column per root of ``spec.positive_system`` and a numerator column
+    per key; path_b is the compact character numer/D_c over the spinor.  The
+    first point (then key) whose paths differ beyond DUAL_PATH_TOL raises a
+    ConsistencyError naming ``point_at(i)``; only then is ``failure``, the
+    error of the point after the block, raised."""
     compact, noncompact, _ = _root_positions(spec)
-    every = range(len(spec.positive_system))
-    m = spec.dim_gk // 2
-    sign = (-1) ** m * spec.spin_sign
-    for g, factors, numers in rows:
-        denom = factors.product(every)
-        denom_c = factors.product(compact)
-        delta_p = spec.spin_sign * factors.product(noncompact)
-        pairs = []
-        for numer in numers:
-            path_a = sign * numer / denom
-            # path_b factors the same numerator as the compact character over the spinor
-            path_b = (-1) ** m * (numer / denom_c) / delta_p
-            scale = max(1.0, abs(path_a), abs(path_b))
-            if abs(path_a - path_b) > max(DUAL_PATH_TOL, 1e-12 * scale):
-                raise ConsistencyError(
-                    f"dual-path disagreement {abs(path_a - path_b):.3e} at {point_of(g)}"
-                )
-            pairs.append((path_a, path_b))
-        yield factors, pairs
+    size, parity, spin = len(numers[0]), (-1) ** (spec.dim_gk // 2), spec.spin_sign
+    denom = _column_product(factors, range(len(factors)), size)
+    denom_c = _column_product(factors, compact, size)
+    delta_p = [spin * d for d in _column_product(factors, noncompact, size)]
+    paths = [([parity * spin * n / d for n, d in zip(numer, denom)],
+              [parity * (n / c) / p for n, c, p in zip(numer, denom_c, delta_p)]) for numer in numers]
+    # a screen with the same verdict, as each point's bound is at least DUAL_PATH_TOL
+    if not all(max(map(abs, map(sub, a, b)), default=0.0) <= DUAL_PATH_TOL for a, b in paths):
+        for i in range(size):
+            for a, b in paths:
+                if abs(a[i] - b[i]) > max(DUAL_PATH_TOL, 1e-12 * max(1.0, abs(a[i]), abs(b[i]))):
+                    raise ConsistencyError(f"dual-path disagreement {abs(a[i] - b[i]):.3e} at {point_at(i)}")
+    if failure is not None:
+        raise failure
+    return paths
 
 
-def _tau_rows(
-    spec: RealFormSpec,
-    keys: Sequence[GeneratorKey],
-    points: Sequence[TorusPoint],
-    orbit_of: OrbitBuilder = wk_orbit,
-) -> Iterator[tuple[RootFactors, list[tuple[complex, complex]]]]:
-    """``_checked_rows`` at scattered points, each numerator over ``orbit_of``:
+def _scattered_paths(spec: RealFormSpec, keys: Sequence[GeneratorKey], points: Sequence[TorusPoint],
+                     orbit_of: OrbitBuilder = wk_orbit) -> tuple[list[RootFactors], list]:
+    """``_checked_paths`` at scattered points: each point's ``root_factors``
+    up to the first point that fails, each numerator over ``orbit_of``:
     ``wk_orbit`` for tau, ``w_orbit`` for the stable integral."""
     orbits = [orbit_of(spec, hc_parameter(spec, key)) for key in keys]
-    pos = spec.positive_system
-    return _checked_rows(spec, ((g, root_factors(g, pos), [orbit_sum(o, g) for o in orbits]) for g in points))
+    pos, rows, failure = spec.positive_system, [], None
+    for g in points:
+        try:
+            rows.append(root_factors(g, pos))
+        except (SingularPointError, ValidationError) as err:
+            failure = err
+            break
+    numers = [[orbit_sum(orbit, g) for g in points[: len(rows)]] for orbit in orbits]
+    factors = [[row.factors[i] for row in rows] for i in range(len(pos))]
+    return rows, _checked_paths(spec, factors, numers, points.__getitem__, failure)
 
 
-def _columns(keys: Sequence[GeneratorKey], rows: Iterator) -> list[tuple[complex, ...]]:
-    """Each key's values over the checked rows; with no keys nothing is evaluated."""
-    if not keys:
-        return []
-    return list(zip(*[[value for value, _ in pairs] for _, pairs in rows])) or [() for _ in keys]
-
-
-def tau_grid(
-    spec: RealFormSpec, keys: Sequence[GeneratorKey], points: Sequence[TorusPoint]
-) -> list[tuple[complex, ...]]:
+def tau_grid(spec: RealFormSpec, keys: Sequence[GeneratorKey],
+             points: Sequence[TorusPoint]) -> list[tuple[complex, ...]]:
     """tau_g on several generators at several torus points: entry [i][j] is the
     value of keys[i] at points[j].  Every value equals, bit for bit,
     (-1)^m spin_sign weyl_numerator(lambda_hc, g, W_K) / weyl_denominator(g, R^+)
     after guard_nonsingular(g, R^+), with the dual path (-1)^m (numer / D_c) /
     delta_p_char(g) checked per key and point.  Errors are raised at the first
     failing point, in point order; with no keys nothing is evaluated."""
-    return _columns(keys, _tau_rows(spec, keys, points))
+    return [tuple(a) for a, _ in _scattered_paths(spec, keys, points)[1]] if keys else []
 
 
-def tau_lattice(
-    spec: RealFormSpec, keys: Sequence[GeneratorKey], axes: Sequence[Sequence[int]], q: int
-) -> list[tuple[complex, ...]]:
+class _Table(dict):
+    """fill(k) for integer phases k, computed when first read."""
+
+    def __init__(self, fill: Callable[[int], object]):
+        self.fill = fill
+
+    def __missing__(self, k: int):
+        value = self[k] = self.fill(k)
+        return value
+
+
+def tau_lattice(spec: RealFormSpec, keys: Sequence[GeneratorKey], axes: Sequence[Sequence[int]],
+                q: int) -> list[tuple[complex, ...]]:
     """``tau_grid`` on the product lattice t = (n_1/q, ..., n_r/q), n_j in axes[j],
-    in ``itertools.product`` order, bit for bit, errors included."""
-    two_q, zeta = 2 * q, Zeta(q)
-    halves = [(alpha, [c // 2 for c in alpha.coords2]) for alpha in spec.positive_system]
+    in ``itertools.product`` order, bit for bit, errors included.  Each root
+    pairing and numerator phase is an integer mod 2q, with tables of e^{i pi k/q}.
+    A slab, the points of one n_1 (all points at rank 1), adds c_1 n_1 to the
+    pairings over the other axes, which are built once."""
+    if not keys:
+        return []
+    two_q, split = 2 * q, min(1, len(axes) - 1)
+    zeta = _Table(lambda k: cmath.exp(1j * math.pi * ((k % two_q) / q)))  # k = shift + pairing < 4q
+    factor = _Table(lambda k: zeta[k] - zeta[-k % two_q])
+    parts = {s: (_Table(lambda k, s=s: (s * zeta[k]).real), _Table(lambda k, s=s: (s * zeta[k]).imag))
+             for s in (1, -1)}  # the parts of a term sign * zeta[k], which fsum adds
+    inner = list(product(*axes[split:]))
+
+    def pairings(c2: Sequence[int]) -> tuple[Sequence[int], array]:
+        return c2[:split], array("q", [sum(map(mul, c2[split:], ns)) % two_q for ns in inner])
+
+    def phases(c2: Sequence[int], column: array, head: tuple[int, ...]) -> list[int]:
+        return list(map((sum(map(mul, c2, head)) % two_q).__add__, column))
+
+    roots = [pairings([c // 2 for c in alpha.coords2]) for alpha in spec.positive_system]
     orbits = [wk_orbit(spec, hc_parameter(spec, key)) for key in keys]
-    terms = [list(zip(o.signs, zip(*[iter(o.coords)] * o.rank))) for o in orbits]
-
-    def rows():  # the guard and factors of ``root_factors``, the numerators of ``orbit_sum``
-        for ns in product(*axes):
-            plus, minus = [], []
-            for alpha, half in halves:
-                a = sum(map(mul, half, ns))
-                if a % q == 0:
-                    raise SingularPointError(f"torus point is singular for root {alpha}", root=alpha)
-                plus.append(zeta[a % two_q])
-                minus.append(zeta[-a % two_q])
-            factors = RootFactors(tuple(plus), tuple(minus), tuple(map(sub, plus, minus)))
-            yield ns, factors, [
-                _csum([sign * zeta[sum(map(mul, image, ns)) % two_q] for sign, image in orbit])
-                for orbit in terms
-            ]
-
-    def point_of(ns: tuple[int, ...]) -> TorusPoint:
-        return TorusPoint(tuple(Fraction(n, q) for n in ns), True)
-
-    return _columns(keys, _checked_rows(spec, rows(), point_of))
+    orbits = [[(parts[s], pairings(u)) for s, u in zip(o.signs, zip(*[iter(o.coords)] * o.rank))]
+              for o in orbits]
+    values: list[list[complex]] = [[] for _ in keys]
+    for head in product(*axes[:split]):
+        ks = [phases(*root, head) for root in roots]
+        # a point is singular for a root iff a = 0 mod q, so iff its phase is 0, q, 2q or 3q
+        hits = [(phase.index(k), r) for r, phase in enumerate(ks) for k in range(0, 4 * q, q) if k in phase]
+        size, r = min(hits, default=(len(inner), 0))
+        alpha, failure = spec.positive_system[r], None
+        if hits:
+            failure = SingularPointError(f"torus point is singular for root {alpha}", root=alpha)
+        factors = [list(map(factor.__getitem__, phase[:size])) for phase in ks]
+        numers = []
+        for terms in orbits:  # an empty orbit sums to 0
+            columns = [(re_of, im_of, phases(*root, head)[:size]) for (re_of, im_of), root in terms]
+            re = map(math.fsum, zip(*[map(re_of.__getitem__, phase) for re_of, _, phase in columns]))
+            im = map(math.fsum, zip(*[map(im_of.__getitem__, phase) for _, im_of, phase in columns]))
+            numers.append(list(map(complex, re, im)) if terms else [0j] * size)
+        point_at = lambda i: TorusPoint(tuple(Fraction(n, q) for n in head + inner[i]), True)  # noqa: E731
+        for column, (a, _) in zip(values, _checked_paths(spec, factors, numers, point_at, failure)):
+            column.extend(a)
+    return [tuple(column) for column in values]
 
 
 def tau_generator(spec: RealFormSpec, key: GeneratorKey, g: TorusPoint) -> TauValue:
     """tau_g on a single Dirac-induction generator, with both routes and the
     point's conditioning.  Exact points must be regular; real-mode points
     (limit paths) rely on the denominator-magnitude guard instead."""
-    factors, [(path_a, path_b)] = next(_tau_rows(spec, [key], [g]))
+    [factors], [([path_a], [path_b])] = _scattered_paths(spec, [key], [g])
     return TauValue(path_a, path_a, path_b, factors.conditioning)
 
 
@@ -245,11 +280,11 @@ def class_sum(
     spec: RealFormSpec, x: KClass, g: TorusPoint, orbit_of: OrbitBuilder = wk_orbit
 ) -> complex:
     """sum coeff * path_a over the class's terms at g, each numerator over
-    ``orbit_of`` (see ``_tau_rows``); the zero class evaluates nothing."""
+    ``orbit_of`` (see ``_scattered_paths``); the zero class evaluates nothing."""
     if x.is_zero:
         return complex(0)
-    _, pairs = next(_tau_rows(spec, [key for key, _ in x.terms], [g], orbit_of))
-    return _csum(coeff * value for (_, coeff), (value, _) in zip(x.terms, pairs))
+    _, paths = _scattered_paths(spec, [key for key, _ in x.terms], [g], orbit_of)
+    return _csum(coeff * a for (_, coeff), ([a], _) in zip(x.terms, paths))
 
 
 def tau_class(spec: RealFormSpec, x: KClass, descriptor: ConjugacyDescriptor) -> complex:

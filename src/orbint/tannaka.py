@@ -5,8 +5,8 @@ sign.
 Forward synthesis (synth_family) may consult the real-form data to place its
 sample grid away from singular loci; the recovery functions see only labels,
 grid coordinates, and sampled values.  The lattice, t = n/q with q = 97n,
-goes through ``ktrace.tau_lattice`` (integer phases, one table of
-e^{i pi k/q}); the ray and probe points through ``tau_grid`` (see ``ktrace``).
+goes through ``ktrace.tau_lattice`` (integer phases, one slab of points at a
+time), the ray and probe points through ``tau_grid``: one checked body.
 A highest weight is the dominant support weight with the largest |w + rho_c|;
 the noncompact set is the one candidate subset that fits the probes, found by
 an exact meet-in-the-middle search.

@@ -4,16 +4,17 @@ denominators, the spinor character, and the Atiyah-Bott style fixed-point sum.
 Pairings are exact before the one transcendental call per factor; complex
 values are machine doubles.  Roots pair with an exact point t = n/q in
 integers (<alpha/2, t> = a/q: singular iff q | a, phase (a mod 2q)/q).
-``orbit_sum``'s per-term phases stay Fractions (``ktrace`` says why);
-``Zeta`` is the table of e^{i pi k/q} of the synthesis lattice's route.
+``orbit_sum``'s per-term phases stay Fractions (``ktrace`` says why).
 
 The evaluation kernel of tau, stable sums, packets and synthesis has two
-parts.  ``root_factors`` pairs a point with each positive root once, which
-gives both the singular verdict and every root factor.  A ``SignedOrbit``
-holds an alternating numerator's orbit as flat integer arrays (the W_K orbit
-of tau or the W orbit of the stable integral, which ``ktrace`` builds by
-walking the weight with ``rootsys.reflection_orbit``), and ``orbit_sum``
-evaluates it at a point.  Both reproduce ``weyl_denominator`` and
+parts here, which ``ktrace`` combines a block of points at a time (the
+synthesis lattice reads the same doubles from integer phase tables in
+``ktrace.tau_lattice``).  ``root_factors`` pairs a point with each positive
+root once, which gives both the singular verdict and every root factor.  A
+``SignedOrbit`` holds an alternating numerator's orbit as flat integer arrays
+(the W_K orbit of tau or the W orbit of the stable integral, which ``ktrace``
+builds by walking the weight with ``rootsys.reflection_orbit``), and
+``orbit_sum`` evaluates it at a point.  Both reproduce ``weyl_denominator`` and
 ``weyl_numerator`` bit for bit; those stay as the independent routes of the
 identity checks.
 """
@@ -209,13 +210,6 @@ class RootFactors(NamedTuple):
         same two exponentials subtracted the other way."""
         return self.factors[i] if sign > 0 else self.minus[i] - self.plus[i]
 
-    def product(self, indices: Iterable[int]) -> complex:
-        """The product of the factors of the given roots, multiplied in that order."""
-        product = complex(1.0)
-        for i in indices:
-            product *= self.factors[i]
-        return product
-
     @property
     def conditioning(self) -> float:
         """min |2 sin(pi <alpha/2, t>)| over the roots: how far g stays from
@@ -255,18 +249,6 @@ def root_factors(g: TorusPoint, roots: Sequence[Weight]) -> RootFactors:
             plus.append(cmath.exp(1j * math.pi * u))
             minus.append(cmath.exp(1j * math.pi * -u))
     return RootFactors(tuple(plus), tuple(minus), tuple(p - m for p, m in zip(plus, minus)))
-
-
-class Zeta(dict):
-    """zeta[k] = e^{i pi k/q}, computed when first read: as k/q is one correctly
-    rounded division, ``eval_weight``'s double for any phase equal to k/q."""
-
-    def __init__(self, q: int):
-        self.q = q
-
-    def __missing__(self, k: int) -> complex:
-        value = self[k] = cmath.exp(1j * math.pi * (k / self.q))
-        return value
 
 
 class SignedOrbit(NamedTuple):

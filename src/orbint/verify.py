@@ -104,9 +104,11 @@ def _use(presets, *available: str) -> tuple[str, ...]:
 
 def small_keys(spec, count: int) -> list:
     """The first ``count`` generator keys with doubled coordinates in 0..15, in
-    lexicographic order; raises ValidationError when fewer exist."""
+    lexicographic order; raises ValidationError when fewer exist.  Only those
+    of the lattice's parity are walked: even, or rho_n's under spin descent."""
+    parity = rho_n(spec).coords2 if spec.lattice == "spin_descent" else (0,) * spec.rank
     out = []
-    for coords in itertools.product(range(16), repeat=spec.rank):
+    for coords in itertools.product(*(range(p % 2, 16, 2) for p in parity)):
         try:
             out.append(generator_key(spec, Weight(coords)))
         except ValidationError:

@@ -22,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from weyl_oracles import painted_forms
 
+from orbint import ktrace
 from orbint.errors import ConsistencyError, SingularPointError
 from orbint.ktrace import (
     random_regular_point,
@@ -45,7 +46,7 @@ from orbint.realform import (
 from orbint.rootsys import Weight, weyl_group
 from orbint.stable import lpacket_sum, stable_tau
 from orbint.tannaka import synth_family
-from orbint.toruschar import ConjugacyDescriptor, RootFactors, TorusPoint, is_regular
+from orbint.toruschar import ConjugacyDescriptor, TorusPoint, is_regular, root_factors
 from orbint.verify import random_class, small_keys
 
 FORMS = [
@@ -335,12 +336,54 @@ def test_singular_lattice_raises_the_same_root_and_message():
 @pytest.mark.parametrize("spec", LATTICE_FORMS, ids=LATTICE_IDS)
 def test_lattice_dual_path_error_names_the_same_point(spec, monkeypatch):
     # scaling every product splits path_a (one product) from path_b (two)
-    product = RootFactors.product
-    monkeypatch.setattr(RootFactors, "product", lambda self, indices: 1.5 * product(self, indices))
+    product = ktrace._column_product
+    monkeypatch.setattr(ktrace, "_column_product", lambda *args: [1.5 * v for v in product(*args)])
     axes, q = lattice(4, (3, 41, 88)[: spec.rank])
     keys = small_keys(spec, 2)
     want = outcome(lambda: tau_grid(spec, keys, lattice_points(axes, q)))
     assert want[0] == "consistency"
+    assert outcome(lambda: tau_lattice(spec, keys, axes, q)) == want
+
+
+def fault_at(monkeypatch, spec, point):
+    """Scale D, D_c and D_n by 1.5 wherever the first root's factor is the one
+    at ``point`` (the routes' factors are the same doubles), which splits
+    path_a from path_b at that point on both routes."""
+    target = root_factors(point, spec.positive_system).factors[0]
+    product = ktrace._column_product
+
+    def faulty(columns, indices, size):
+        return [1.5 * v if f == target else v for v, f in zip(product(columns, indices, size), columns[0])]
+
+    monkeypatch.setattr(ktrace, "_column_product", faulty)
+
+
+@pytest.mark.parametrize("fault, first", [(0, "consistency"), (2, "singular")])
+def test_lattice_errors_come_in_point_order(fault, first, monkeypatch):
+    # point 1 of this su21 lattice is singular (see above): a fault at point 0
+    # comes before it and wins, one at point 2 comes after it and loses
+    spec = real_form("su21")
+    axes, q = lattice(4, (50, 3))
+    points = lattice_points(axes, q)
+    keys = small_keys(spec, 2)
+    fault_at(monkeypatch, spec, points[fault])
+    assert outcome(lambda: tau_grid(spec, keys, points[fault : fault + 1]))[0] == "consistency"
+    want = outcome(lambda: tau_grid(spec, keys, points))
+    assert want[0] == first
+    assert outcome(lambda: tau_lattice(spec, keys, axes, q)) == want
+
+
+def test_first_singular_point_in_a_later_slab():
+    # here the root (-1, 2) pairs to a = 2n_2 - n_1 = 97(2k_2 - k_1 + 1), so the
+    # first slab (k_1 = 0) is regular and (k_1, k_2) = (1, 0), the first point
+    # of the second slab, is the first singular one
+    spec = real_form("su21")
+    axes, q = lattice(4, (1, 49))
+    points = lattice_points(axes, q)
+    keys = lattice_keys(spec)
+    tau_grid(spec, keys, points[:4])
+    want = outcome(lambda: tau_grid(spec, keys, points))
+    assert want[0] == "singular" and want[1] == spec.positive_system[1]
     assert outcome(lambda: tau_lattice(spec, keys, axes, q)) == want
 
 
