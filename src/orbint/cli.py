@@ -286,7 +286,7 @@ def cmd_limit(config: Config, args) -> int:
             "limit": report.limit,
             "extrapolated": complex(report.limit),
             "tau_e": report.tau_e_value,
-            "deviation": float(abs(abs(report.limit) - report.tau_e_value)),
+            "deviation": float(report.deviation),
             "passed": report.passed,
         }
     )

@@ -18,8 +18,11 @@ vanishes identically.
 stay Fractions (``toruschar.orbit_sum``): integer ones are faster, but the
 ``tau_exact`` benchmark keeps every pass's results, so its peak RSS would pass
 its bound.  ``tau_lattice`` feeds it the synthesis lattice t = n/q a slab at a
-time, each phase an integer k mod 2q read from one table zeta[k] = e^{i pi k/q};
-k/q is one correctly rounded division, so the doubles are the same.
+time, each phase an integer k mod 2q read from the tables of ``phase_tables(q)``
+(zeta[k] = e^{i pi k/q}; k/q is one correctly rounded division, so the doubles
+are the same).  The tables depend only on q: a small cache keeps them across
+calls, each filled only where it is read, and the Fourier twiddles of
+``tannaka`` are entries of the same zeta.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import random
 from array import array
 from fractions import Fraction
 from itertools import chain, product
-from operator import mul, sub
+from operator import mul, sub, truediv
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import ConsistencyError, SingularPointError, ValidationError
@@ -154,21 +157,32 @@ def _column_product(columns: Sequence[Sequence[complex]], indices: Iterable[int]
     return product
 
 
-def _checked_paths(spec: RealFormSpec, factors: Sequence, numers: Sequence, point_at: Callable,
+@functools.lru_cache(maxsize=None)
+def _path_layout(spec: RealFormSpec) -> tuple[tuple[int, ...], tuple[int, ...], complex, complex, complex]:
+    """What ``_checked_paths`` reads of a spec: the compact and noncompact root
+    positions, then (-1)^m spin_sign, (-1)^m and spin_sign as complex numbers,
+    which multiply a complex value exactly as the ints do."""
+    compact, noncompact, _ = _root_positions(spec)
+    parity, spin = (-1) ** (spec.dim_gk // 2), spec.spin_sign
+    return compact, noncompact, complex(parity * spin), complex(parity), complex(spin)
+
+
+def _checked_paths(layout: tuple, factors: Sequence, numers: Sequence, point_at: Callable,
                    failure: Exception | None = None) -> list[tuple[list[complex], list[complex]]]:
     """Each key's (path_a, path_b) columns over a block of points, from a root
     factor column per root of ``spec.positive_system`` and a numerator column
-    per key; path_b is the compact character numer/D_c over the spinor.  The
-    first point (then key) whose paths differ beyond DUAL_PATH_TOL raises a
-    ConsistencyError naming ``point_at(i)``; only then is ``failure``, the
-    error of the point after the block, raised."""
-    compact, noncompact, _ = _root_positions(spec)
-    size, parity, spin = len(numers[0]), (-1) ** (spec.dim_gk // 2), spec.spin_sign
+    per key, with ``layout = _path_layout(spec)``; path_b is the compact
+    character numer/D_c over the spinor.  The first point (then key) whose
+    paths differ beyond DUAL_PATH_TOL raises a ConsistencyError naming
+    ``point_at(i)``; only then is ``failure``, the error of the point after the
+    block, raised."""
+    compact, noncompact, sign_a, parity, spin = layout
+    size = len(numers[0])
     denom = _column_product(factors, range(len(factors)), size)
     denom_c = _column_product(factors, compact, size)
-    delta_p = [spin * d for d in _column_product(factors, noncompact, size)]
-    paths = [([parity * spin * n / d for n, d in zip(numer, denom)],
-              [parity * (n / c) / p for n, c, p in zip(numer, denom_c, delta_p)]) for numer in numers]
+    delta_p = list(map(spin.__mul__, _column_product(factors, noncompact, size)))
+    paths = [(list(map(truediv, map(sign_a.__mul__, numer), denom)),
+              list(map(truediv, map(parity.__mul__, map(truediv, numer, denom_c)), delta_p))) for numer in numers]
     # a screen with the same verdict, as each point's bound is at least DUAL_PATH_TOL
     if not all(max(map(abs, map(sub, a, b)), default=0.0) <= DUAL_PATH_TOL for a, b in paths):
         for i in range(size):
@@ -195,7 +209,7 @@ def _scattered_paths(spec: RealFormSpec, keys: Sequence[GeneratorKey], points: S
             break
     numers = [[orbit_sum(orbit, g) for g in points[: len(rows)]] for orbit in orbits]
     factors = [[row.factors[i] for row in rows] for i in range(len(pos))]
-    return rows, _checked_paths(spec, factors, numers, points.__getitem__, failure)
+    return rows, _checked_paths(_path_layout(spec), factors, numers, points.__getitem__, failure)
 
 
 def tau_grid(spec: RealFormSpec, keys: Sequence[GeneratorKey],
@@ -220,50 +234,69 @@ class _Table(dict):
         return value
 
 
+@functools.lru_cache(maxsize=4)
+def phase_tables(q: int) -> tuple[_Table, _Table, dict]:
+    """The tables of the lattice t = n/q, read by integer phase k and shared by
+    every call at that q, each holding only the entries read so far: zeta[k] =
+    e^{i pi k/q}, the root factor zeta[k] - zeta[-k], and per sign s the real
+    and imaginary parts of s zeta[k], the terms that fsum adds."""
+    two_q = 2 * q
+    zeta = _Table(lambda k: cmath.exp(1j * math.pi * ((k % two_q) / q)))  # k = shift + pairing < 4q
+    factor = _Table(lambda k: zeta[k] - zeta[-k % two_q])
+    parts = {s: (_Table(lambda k, s=s: (s * zeta[k]).real), _Table(lambda k, s=s: (s * zeta[k]).imag))
+             for s in (1, -1)}
+    return zeta, factor, parts
+
+
 def tau_lattice(spec: RealFormSpec, keys: Sequence[GeneratorKey], axes: Sequence[Sequence[int]],
                 q: int) -> list[tuple[complex, ...]]:
     """``tau_grid`` on the product lattice t = (n_1/q, ..., n_r/q), n_j in axes[j],
     in ``itertools.product`` order, bit for bit, errors included.  Each root
-    pairing and numerator phase is an integer mod 2q, with tables of e^{i pi k/q}.
+    pairing and numerator phase is an integer mod 2q, read from ``phase_tables(q)``.
     A slab, the points of one n_1 (all points at rank 1), adds c_1 n_1 to the
-    pairings over the other axes, which are built once."""
+    pairings over the other axes, which are built once, as is each root's first
+    inner point of every residue class mod q: a slab's singular points."""
     if not keys:
         return []
     two_q, split = 2 * q, min(1, len(axes) - 1)
-    zeta = _Table(lambda k: cmath.exp(1j * math.pi * ((k % two_q) / q)))  # k = shift + pairing < 4q
-    factor = _Table(lambda k: zeta[k] - zeta[-k % two_q])
-    parts = {s: (_Table(lambda k, s=s: (s * zeta[k]).real), _Table(lambda k, s=s: (s * zeta[k]).imag))
-             for s in (1, -1)}  # the parts of a term sign * zeta[k], which fsum adds
+    _, factor, parts = phase_tables(q)
     inner = list(product(*axes[split:]))
+    layout = _path_layout(spec)
 
     def pairings(c2: Sequence[int]) -> tuple[Sequence[int], array]:
         return c2[:split], array("q", [sum(map(mul, c2[split:], ns)) % two_q for ns in inner])
 
-    def phases(c2: Sequence[int], column: array, head: tuple[int, ...]) -> list[int]:
-        return list(map((sum(map(mul, c2, head)) % two_q).__add__, column))
+    def shift(c2: Sequence[int], head: tuple[int, ...]) -> int:
+        return sum(map(mul, c2, head)) % two_q
 
     roots = [pairings([c // 2 for c in alpha.coords2]) for alpha in spec.positive_system]
+    # a point is singular for a root iff its phase is 0 mod q: the first inner
+    # index whose column entry is -shift mod q (reversed, so the first index wins)
+    firsts = [dict(zip(reversed([a % q for a in column]), range(len(inner) - 1, -1, -1)))
+              for _, column in roots]
     orbits = [wk_orbit(spec, hc_parameter(spec, key)) for key in keys]
     orbits = [[(parts[s], pairings(u)) for s, u in zip(o.signs, zip(*[iter(o.coords)] * o.rank))]
               for o in orbits]
     values: list[list[complex]] = [[] for _ in keys]
     for head in product(*axes[:split]):
-        ks = [phases(*root, head) for root in roots]
-        # a point is singular for a root iff a = 0 mod q, so iff its phase is 0, q, 2q or 3q
-        hits = [(phase.index(k), r) for r, phase in enumerate(ks) for k in range(0, 4 * q, q) if k in phase]
+        shifts = [shift(c2, head) for c2, _ in roots]
+        hits = [(first[-k % q], r) for r, (first, k) in enumerate(zip(firsts, shifts)) if -k % q in first]
         size, r = min(hits, default=(len(inner), 0))
-        alpha, failure = spec.positive_system[r], None
+        failure = None
         if hits:
+            alpha = spec.positive_system[r]
             failure = SingularPointError(f"torus point is singular for root {alpha}", root=alpha)
-        factors = [list(map(factor.__getitem__, phase[:size])) for phase in ks]
+        factors = [list(map(factor.__getitem__, map(k.__add__, column[:size])))
+                   for k, (_, column) in zip(shifts, roots)]
         numers = []
         for terms in orbits:  # an empty orbit sums to 0
-            columns = [(re_of, im_of, phases(*root, head)[:size]) for (re_of, im_of), root in terms]
+            columns = [(re_of, im_of, list(map(shift(c2, head).__add__, column[:size])))
+                       for (re_of, im_of), (c2, column) in terms]
             re = map(math.fsum, zip(*[map(re_of.__getitem__, phase) for re_of, _, phase in columns]))
             im = map(math.fsum, zip(*[map(im_of.__getitem__, phase) for _, im_of, phase in columns]))
             numers.append(list(map(complex, re, im)) if terms else [0j] * size)
         point_at = lambda i: TorusPoint(tuple(Fraction(n, q) for n in head + inner[i]), True)  # noqa: E731
-        for column, (a, _) in zip(values, _checked_paths(spec, factors, numers, point_at, failure)):
+        for column, (a, _) in zip(values, _checked_paths(layout, factors, numers, point_at, failure)):
             column.extend(a)
     return [tuple(column) for column in values]
 

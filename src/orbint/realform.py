@@ -15,6 +15,7 @@ from .rootsys import (
     Weight,
     WeylElement,
     WeylGroup,
+    _HashedOnce,
     _identity,
     _reflection_group,
     _subsystem_simples,
@@ -37,15 +38,17 @@ from .rootsys import (
 LATTICES = ("spin_descent", "integral")
 
 
-class RealFormSpec(NamedTuple):
-    """Partition of the roots into compact and noncompact, with sign calibration."""
-
+class _RealFormFields(NamedTuple):
     datum: CartanDatum
     compact_positive: tuple[Weight, ...]
     noncompact_positive: tuple[Weight, ...]
     spin_sign: int
     lattice: str = "spin_descent"
     name: str | None = None
+
+
+class RealFormSpec(_HashedOnce, _RealFormFields):
+    """Partition of the roots into compact and noncompact, with sign calibration."""
 
     @property
     def rank(self) -> int:
@@ -297,15 +300,3 @@ def kclass_from_json(spec: RealFormSpec, data) -> KClass:
             raise ValidationError(f"malformed K-class term {item!r}") from None
         pairs.append((generator_key(spec, lam), coeff))
     return KClass.from_pairs(pairs)
-
-
-def key_to_json(key: GeneratorKey) -> dict:
-    return {"lambda2": list(key.lam.coords2)}
-
-
-def key_from_json(spec: RealFormSpec, data) -> GeneratorKey:
-    try:
-        lam = Weight(tuple(int(c) for c in data["lambda2"]))
-    except (KeyError, TypeError, ValueError):
-        raise ValidationError(f"malformed generator key {data!r}") from None
-    return generator_key(spec, lam)

@@ -66,14 +66,6 @@ def _identity(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def _matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
 def _matvec(a: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
 
@@ -217,13 +209,35 @@ def zero_weight(rank: int) -> Weight:
 # ---------------------------------------------------------------------------
 # Cartan data
 
-class CartanDatum(NamedTuple):
-    """Finite-type Cartan matrix with a symmetrizer d (d_i A_ij symmetric)."""
+class _HashedOnce:
+    """Mixin, listed first, for the NamedTuple records that key caches
+    (``CartanDatum``, ``realform.RealFormSpec``): the field tuple is hashed on
+    the first lookup and the hash kept on the instance; equality stays the
+    tuple's.  A pickle carries only the fields, as str hashes differ between
+    processes."""
 
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = value = tuple.__hash__(self)
+            return value
+
+    def __reduce__(self):
+        return type(self), tuple(self)
+
+
+class _CartanFields(NamedTuple):
     rank: int
     cartan: IntMatrix
     symmetrizer: tuple[Fraction, ...]
     name: str | None = None
+
+
+class CartanDatum(_HashedOnce, _CartanFields):
+    """Finite-type Cartan matrix with a symmetrizer d (d_i A_ij symmetric)."""
 
 
 _SERIES_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 4, "G": 2, "F": 4}
@@ -555,11 +569,6 @@ def pairing(datum: CartanDatum, a: Weight, b: Weight) -> Fraction:
 
 def is_dominant(datum: CartanDatum, lam: Weight, pos: Sequence[Weight]) -> bool:
     return all(pairing(datum, lam, alpha) >= 0 for alpha in pos)
-
-
-def inversion_count(datum: CartanDatum, w: WeylElement) -> int:
-    pos = set(positive_roots(datum))
-    return sum(1 for alpha in pos if w.apply(alpha) not in pos)
 
 
 # ---------------------------------------------------------------------------

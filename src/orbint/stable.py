@@ -133,10 +133,20 @@ class ContinuityReport(NamedTuple):
     limit: Fraction
     tau_e_value: Fraction
     passed: bool
+    deviation: Fraction  # |limit - signed tau_e|
 
 
 def continuity_check(spec: RealFormSpec, x: KClass, direction: Sequence) -> ContinuityReport:
-    """The exact limit along the ray against the identity-element value, in magnitude."""
+    """The exact limit along the ray against tau_e signed term by term as the
+    limit is: a generator's limit is eps tau_e, eps = (-1)^m spin_sign times
+    the sign of prod <lambda_hc, alpha> over the positive system, so a class
+    whose terms have limits of both signs passes too."""
     limit = limit_at_identity(spec, x, direction)
-    expected = tau_e(spec, x)
-    return ContinuityReport(limit, expected, abs(limit) == expected)
+    sign = (-1) ** (spec.dim_gk // 2) * spec.spin_sign
+    signed = 0
+    for key, coeff in x.terms:
+        lam_hc = hc_parameter(spec, key)
+        product = math.prod(pairing(spec.datum, lam_hc, alpha) for alpha in spec.positive_system)
+        signed += coeff * sign * ((product > 0) - (product < 0)) * tau_e(spec, KClass.generator(key))
+    deviation = abs(limit - signed)
+    return ContinuityReport(limit, tau_e(spec, x), deviation == 0, deviation)

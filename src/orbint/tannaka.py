@@ -6,25 +6,28 @@ Forward synthesis (synth_family) may consult the real-form data to place its
 sample grid away from singular loci; the recovery functions see only labels,
 grid coordinates, and sampled values.  The lattice, t = n/q with q = 97n,
 goes through ``ktrace.tau_lattice`` (integer phases, one slab of points at a
-time), the ray and probe points through ``tau_grid``: one checked body.
+time), the ray and probe points through ``tau_grid``: one checked body.  Its
+points are built only when read (``LatticeGrid``), and the Fourier twiddles
+are entries of the lattice's own table of e^{i pi k/q} (``ktrace.phase_tables``).
 A highest weight is the dominant support weight with the largest |w + rho_c|;
-the noncompact set is the one candidate subset that fits the probes, found by
+the reference label's character is 1, so its weight is 0 without a transform.
+The noncompact set is the one candidate subset that fits the probes, found by
 an exact meet-in-the-middle search.
 """
 
 from __future__ import annotations
 
 import bisect
-import cmath
 import itertools
 import math
 import operator
 import random
+from collections import abc
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import ReconstructionError, ValidationError
-from .ktrace import tau_grid, tau_lattice
+from .ktrace import phase_tables, tau_grid, tau_lattice
 from .realform import GeneratorKey, RealFormSpec
 from .rootsys import CartanDatum, Weight, is_dominant, pairing, positive_roots, rho
 from .toruschar import TorusPoint, is_regular, min_root_phase, root_phase
@@ -46,16 +49,40 @@ class ProbeSpec(NamedTuple):
     start: int  # index of the first stencil point in the family grid
 
 
+class LatticeGrid(abc.Sequence):
+    """The points t = (n_1/q, ..., n_r/q), n_j in axes[j], in ``itertools.product``
+    order, each built when it is read, followed by the points of ``tail``."""
+
+    def __init__(self, axes: Sequence[Sequence[int]], q: int, tail: Sequence[TorusPoint]):
+        self.axes, self.q, self.tail = axes, q, tuple(tail)
+        self.lattice_size = math.prod(map(len, axes))
+
+    def __len__(self) -> int:
+        return self.lattice_size + len(self.tail)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(*index.indices(len(self)))))
+        i = range(len(self))[index]  # negative indices count from the end; IndexError past it
+        if i >= self.lattice_size:
+            return self.tail[i - self.lattice_size]
+        coords = []
+        for axis in reversed(self.axes):
+            i, k = divmod(i, len(axis))
+            coords.append(Fraction(axis[k], self.q))
+        return TorusPoint(tuple(reversed(coords)), True)
+
+
 class ChiFamily(NamedTuple):
     """Sampled tau-functions chi_j(g) for a list of generator labels.
 
     The grid is the concatenation of a shifted uniform lattice (exact points,
-    axis_count per axis), a near-identity ray, and the derivative probes; every
-    value list has grid length.
+    axis_count per axis, built when read), a near-identity ray, and the
+    derivative probes; every value list has grid length.
     """
 
     labels: tuple[Weight, ...]
-    grid: tuple[TorusPoint, ...]
+    grid: LatticeGrid
     values: dict
     axis_count: int
     offsets: tuple[Fraction, ...]
@@ -162,14 +189,12 @@ def synth_family(
     # coordinate k of an axis with offset r/97 is (97k + r)/q with q = 97n, in [0, 1)
     q = 97 * n
     axes = [[97 * k + off.numerator for k in range(n)] for off in offsets]
-    coords = [[Fraction(num, q) for num in axis] for axis in axes]
-    lattice = [TorusPoint(point, True) for point in itertools.product(*coords)]
     ray_direction = _pick_ray_direction(datum, seed=101)
     scales = tuple(RAY_START_SCALE * 2.0 ** (-k) for k in range(RAY_LEVELS + 1))
     ray_points = [TorusPoint.real_point(tuple(s * c for c in ray_direction)) for s in scales]
-    probes, probe_coords = _pick_probes(datum, len(lattice) + len(ray_points))
+    probes, probe_coords = _pick_probes(datum, n**datum.rank + len(ray_points))
     probe_points = [TorusPoint.real_point(c) for c in probe_coords]
-    grid = tuple(lattice + ray_points + probe_points)
+    grid = LatticeGrid(axes, q, ray_points + probe_points)
     columns = zip(tau_lattice(spec, keys, axes, q), tau_grid(spec, keys, ray_points + probe_points))
     values = {key.lam: on + off for key, (on, off) in zip(keys, columns)}
     family = ChiFamily(
@@ -180,7 +205,7 @@ def synth_family(
         offsets=offsets,
         ray_direction=ray_direction,
         ray_scales=scales,
-        ray_start=len(lattice),
+        ray_start=grid.lattice_size,
         probes=tuple(probes),
     )
     family.check()
@@ -267,8 +292,7 @@ def recover_characters(family: ChiFamily, dims: dict) -> CharacterRecovery:
             raise ReconstructionError(f"samples of {label} too close to zero near the identity")
         if max((u * z).real for u in (1 + 0j, -1 + 0j, 1j, -1j)) < 0.5 * abs(z):
             raise ReconstructionError(f"sign of {label} unresolved near the identity")
-        v = family.values[label]
-        char_lattice[label] = tuple(v[i] / v0[i] for i in range(size))
+        char_lattice[label] = tuple(map(operator.truediv, family.values[label], v0))
     return CharacterRecovery(j0, psi_ray, char_lattice)
 
 
@@ -278,15 +302,18 @@ def _check_box(axis_count: int, bound: int) -> None:
 
 
 def lattice_twiddles(family: ChiFamily, bound: int) -> list[dict]:
-    """The factors e^{-2 pi i f (k + offset) / n} per axis and frequency |f| <= bound."""
+    """The factors e^{-2 pi i f (k + offset) / n} per axis and frequency |f| <= bound,
+    read from the lattice's table: with offsets r/d and q = n d, the point
+    k + r/d of an axis is a_k/q with a_k = d k + r, so the factor is
+    zeta[-2 f a_k mod 2q]."""
     n = family.axis_count
     _check_box(n, bound)
+    d = math.lcm(*(off.denominator for off in family.offsets))
+    two_q = 2 * n * d
+    zeta, _, _ = phase_tables(n * d)
     return [
-        {
-            f: [cmath.exp(-2j * math.pi * f * (k + float(off)) / n) for k in range(n)]
-            for f in range(-bound, bound + 1)
-        }
-        for off in family.offsets
+        {f: [zeta[-2 * f * (d * k + r) % two_q] for k in range(n)] for f in range(-bound, bound + 1)}
+        for r in (off.numerator * d // off.denominator for off in family.offsets)
     ]
 
 
@@ -311,16 +338,6 @@ def lattice_fourier(family: ChiFamily, samples: Sequence[complex], bound: int, t
     }
 
 
-def fourier_multiplicities(family: ChiFamily, samples: Sequence[complex], bound: int) -> dict:
-    """Rounded integer weight multiplicities of a sampled character."""
-    out = {}
-    for w, c in lattice_fourier(family, samples, bound).items():
-        nearest = round(c.real)
-        if nearest != 0 and abs(c - nearest) < 0.5:
-            out[w] = nearest
-    return out
-
-
 def recover_highest_weights(
     family: ChiFamily,
     chars: CharacterRecovery,
@@ -332,11 +349,16 @@ def recover_highest_weights(
     1/2, the one with the largest |w + rho| (rho of ``dominance_roots``), ties
     to the greater coords2.  In an irreducible representation the highest
     weight is the unique weight with the largest |mu + rho|; the greatest
-    weight in lexicographic order need not be it."""
+    weight in lexicographic order need not be it.  The reference label's
+    character is its samples over themselves, 1 up to rounding, so its
+    weight is 0 without a transform."""
     out = {}
     r = rho(dominance_roots, datum.rank)
     twiddles = lattice_twiddles(family, bound)
     for label in family.labels:
+        if label == chars.reference_label:
+            out[label] = Weight((0,) * datum.rank)
+            continue
         coeffs = lattice_fourier(family, chars.char_lattice[label], bound, twiddles)
         support = [w for w, c in coeffs.items() if abs(c) > 0.5]
         if not support:

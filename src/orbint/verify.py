@@ -17,7 +17,7 @@ import json
 import math
 import random
 import time
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import ValidationError
 from .ktrace import (
@@ -29,22 +29,23 @@ from .ktrace import (
     tau_generator,
 )
 from .realform import (
+    GeneratorKey,
     KClass,
+    RealFormSpec,
     build_real_form,
     coset_reps,
     generator_key,
     hc_parameter,
-    key_from_json,
-    key_to_json,
     real_form,
     rho_n,
     weyl_k,
 )
 from .rootsys import (
+    CartanDatum,
+    IntMatrix,
     Weight,
-    _matmul,
+    WeylElement,
     build_datum,
-    inversion_count,
     pairing,
     positive_roots,
     rho,
@@ -58,7 +59,7 @@ from .stable import (
     lpacket_sum,
     stable_tau,
 )
-from .tannaka import canonical_sign, run_reconstruction
+from .tannaka import ChiFamily, canonical_sign, lattice_fourier, run_reconstruction
 from .toruschar import (
     ConjugacyDescriptor,
     TorusPoint,
@@ -134,6 +135,44 @@ def _form(name: str):
 def _points(datum, seed: int, count: int) -> list[TorusPoint]:
     rng = random.Random(seed)
     return [random_regular_point(datum, rng) for _ in range(count)]
+
+
+# ---------------------------------------------------------------------------
+# helpers that only the checks (and tests) use
+
+def _matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def inversion_count(datum: CartanDatum, w: WeylElement) -> int:
+    pos = set(positive_roots(datum))
+    return sum(1 for alpha in pos if w.apply(alpha) not in pos)
+
+
+def key_to_json(key: GeneratorKey) -> dict:
+    return {"lambda2": list(key.lam.coords2)}
+
+
+def key_from_json(spec: RealFormSpec, data) -> GeneratorKey:
+    try:
+        lam = Weight(tuple(int(c) for c in data["lambda2"]))
+    except (KeyError, TypeError, ValueError):
+        raise ValidationError(f"malformed generator key {data!r}") from None
+    return generator_key(spec, lam)
+
+
+def fourier_multiplicities(family: ChiFamily, samples: Sequence[complex], bound: int) -> dict:
+    """Rounded integer weight multiplicities of a sampled character."""
+    out = {}
+    for w, c in lattice_fourier(family, samples, bound).items():
+        nearest = round(c.real)
+        if nearest != 0 and abs(c - nearest) < 0.5:
+            out[w] = nearest
+    return out
 
 
 def check_weyl_orders() -> CheckResult:
@@ -649,7 +688,7 @@ def check_dims_scale_invariance(presets=None) -> CheckResult:
 def check_fourier_extraction(presets=None) -> CheckResult:
     if not _use(presets, "compact(A2)"):
         return _na("fourier-extraction")
-    from .tannaka import fourier_multiplicities, recover_characters, recover_dims, synth_family
+    from .tannaka import recover_characters, recover_dims, synth_family
 
     spec = real_form("compact(A2)")
     keys = [generator_key(spec, Weight(c)) for c in ((0, 0), (2, 2))]

@@ -84,6 +84,20 @@ def test_limit_subcommand(capsys):
     assert record["tau_e"] == "3"
 
 
+def test_limit_of_a_class_whose_terms_have_opposite_signs(capsys):
+    # the limits of the two generators are -3/4 and 21/8: the class passes
+    # against tau_e signed term by term, while tau_e itself stays unsigned
+    cls = json.dumps([{"lambda2": [2, 0], "coeff": 1}, {"lambda2": [4, 2], "coeff": 1}])
+    code, out, _ = run_cli(capsys, "limit", "--preset", "su21", "--class", cls, "--direction", "1,3")
+    assert code == 0
+    record = json.loads(out)
+    assert (record["limit"], record["tau_e"], record["deviation"], record["passed"]) == ("15/8", "27/8", 0.0, True)
+    for lam, limit in (("1,0", "-3/4"), ("2,1", "21/8")):
+        code, out, _ = run_cli(capsys, "limit", "--preset", "su21", "--lambda", lam, "--direction", "1,3")
+        record = json.loads(out)
+        assert (record["limit"], record["tau_e"], record["deviation"], record["passed"]) == (limit, limit.lstrip("-"), 0.0, True)
+
+
 def test_class_argument(capsys):
     cls = json.dumps([{"lambda2": [0], "coeff": 1}, {"lambda2": [6], "coeff": -2}])
     code, out, _ = run_cli(capsys, "stable", "--preset", "sl2r", "--class", cls, "--t", "1/7")

@@ -1,5 +1,7 @@
 """Real-form specs, coset representatives, generator keys, and K-classes."""
 
+import pickle
+
 import pytest
 from weyl_oracles import (
     all_compact_reflections_group,
@@ -18,8 +20,6 @@ from orbint.realform import (
     is_regular_param,
     kclass_from_json,
     kclass_to_json,
-    key_from_json,
-    key_to_json,
     real_form,
     rho_c,
     rho_n,
@@ -31,8 +31,8 @@ from orbint.rootsys import (
     positive_roots,
     weyl_group,
     weyl_order,
-    _matmul,
 )
+from orbint.verify import _matmul, key_from_json, key_to_json
 
 # every Cartan type up to rank 5
 UP_TO_RANK_5 = (
@@ -228,3 +228,15 @@ def test_serialization_round_trips():
 def test_sl2r_coset_count():
     spec = real_form("sl2r")
     assert len(coset_reps(spec)) == 2
+
+
+def test_spec_and_datum_hash_once_with_tuple_equality():
+    spec = real_form("su21")
+    twin = build_real_form(build_datum("A2"), [0, 3], lattice="integral", name="su21")
+    for a, b in ((spec, twin), (spec.datum, twin.datum)):
+        assert a is not b and a == b == tuple(b) and hash(a) == hash(b) == hash(tuple(a))
+        assert hash(a) == hash(a)  # the second lookup reads the kept value
+    flipped = spec._replace(spin_sign=-1)  # a replaced spec hashes its own fields
+    assert type(flipped) is type(spec) and flipped != spec and hash(flipped) == hash(tuple(flipped))
+    restored = pickle.loads(pickle.dumps(spec))
+    assert restored == spec and type(restored) is type(spec) and not vars(restored)

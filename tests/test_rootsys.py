@@ -12,7 +12,6 @@ from orbint.rootsys import (
     Weight,
     all_roots,
     build_datum,
-    inversion_count,
     pairing,
     positive_roots,
     rho,
@@ -22,6 +21,7 @@ from orbint.rootsys import (
     weyl_group,
     zero_weight,
 )
+from orbint.verify import _matmul, inversion_count
 
 DATUM_NAMES = ["A1", "A2", "B2", "C2", "G2"]
 # every Cartan type up to rank 4
@@ -120,8 +120,6 @@ def test_weyl_closure_and_uniqueness():
         mats = [w.matrix for w in group]
         assert len(mats) == len(set(mats))
         # closed under composition
-        from orbint.rootsys import _matmul
-
         for a in group.elements[:4]:
             for b in group.elements[:4]:
                 assert _matmul(a.matrix, b.matrix) in set(mats)

@@ -1,5 +1,6 @@
 """Round trips of the reconstruction pipeline."""
 
+import cmath
 import functools
 import itertools
 import math
@@ -13,8 +14,9 @@ from hypothesis import strategies as st
 import orbint.tannaka
 from orbint.errors import ReconstructionError, ValidationError
 from orbint.realform import generator_key, real_form
-from orbint.rootsys import Weight, weight_multiplicities
-from orbint.verify import small_keys
+from orbint.rootsys import Weight, is_dominant, pairing, rho, weight_multiplicities
+from orbint.toruschar import TorusPoint
+from orbint.verify import fourier_multiplicities, small_keys
 from weyl_oracles import painted_forms
 
 from orbint.tannaka import (
@@ -22,10 +24,11 @@ from orbint.tannaka import (
     NoncompactRecovery,
     candidate_box,
     canonical_sign,
-    fourier_multiplicities,
     lattice_fourier,
+    lattice_twiddles,
     recover_characters,
     recover_dims,
+    recover_highest_weights,
     recover_noncompact_weights,
     richardson,
     run_reconstruction,
@@ -313,3 +316,88 @@ def test_vanishing_samples_raise_reconstruction_error():
     for run, what in cases:
         with pytest.raises(ReconstructionError, match=what):
             run()
+
+
+def float_twiddles(family, bound):
+    """e^{-2 pi i f (k + offset)/n} from the float formula."""
+    n = family.axis_count
+    return [
+        {f: [cmath.exp(-2j * math.pi * f * (k + float(off)) / n) for k in range(n)] for f in range(-bound, bound + 1)}
+        for off in family.offsets
+    ]
+
+
+def full_transform_highest_weights(family, chars, bound, datum, dominance_roots):
+    """``recover_highest_weights`` as it was before the reference label's
+    shortcut: every label's character transformed, with float twiddles."""
+    r = rho(dominance_roots, datum.rank)
+    twiddles = float_twiddles(family, bound)
+    out = {}
+    for label in family.labels:
+        coeffs = lattice_fourier(family, chars.char_lattice[label], bound, twiddles)
+        dominant = [w for w, c in coeffs.items() if abs(c) > 0.5 and is_dominant(datum, w, dominance_roots)]
+        out[label] = max(dominant, key=lambda w: (pairing(datum, w + r, w + r), w.coords2))
+    return out
+
+
+HW_CASES = [  # (spec, keys, axis count, weight bound)
+    (real_form("su21"), [(0, 0), (2, 0), (0, 2)], None, 6),
+    (SL2R, [(0,), (2,), (4,)], None, 6),
+    (real_form("sp4r"), [(0, 1), (2, 1), (0, 3)], 32, 4),
+    (CA1, [(0,), (2,), (4,)], None, 6),
+    (CA2, [(0, 0), (2, 0), (2, 2)], 24, 4),
+]
+HW_CASES += [(spec, None, 32, 4) for name in ("A2", "B2", "C2", "G2") for spec in painted_forms(name, [(0,), (1,)])]
+HW_CASES += [(spec, [(0, 0, 2 * k) for k in range(3)], 16, 3) for spec in painted_forms("A3", [(0,), (1,), (2,)])]
+
+
+@pytest.mark.parametrize("spec, coords, axis_count, bound", HW_CASES, ids=[case[0].name for case in HW_CASES])
+def test_reference_shortcut_matches_the_full_transform(spec, coords, axis_count, bound):
+    keys = small_keys(spec, 3) if coords is None else keys_of(spec, coords)
+    family = synth_family(spec, keys, axis_count)
+    chars = recover_characters(family, recover_dims(family))
+    got = recover_highest_weights(family, chars, bound, spec.datum, spec.compact_positive)
+    assert got == full_transform_highest_weights(family, chars, bound, spec.datum, spec.compact_positive)
+    # the reference character is 1 up to rounding: its weight 0 is all there is
+    coeffs = lattice_fourier(family, chars.char_lattice[chars.reference_label], bound)
+    assert all(abs(c) < 1e-15 for w, c in coeffs.items() if not w.is_zero)
+    assert got[chars.reference_label].is_zero
+
+
+@pytest.mark.parametrize(
+    "spec, axis_count, bound",
+    [(SL2R, None, 6), (real_form("su21"), None, 6), (painted_forms("A3", [(1,)])[0], 16, 7)],
+    ids=["sl2r", "su21", "A3/paint1"],
+)
+def test_integer_twiddles_match_the_float_formula(spec, axis_count, bound):
+    # the float formula's argument -2 pi f (k + offset)/n is rounded at up to
+    # |theta| 2^-53, so it is the bound there; the table's argument pi m/q has
+    # |theta| <= 2 pi, and its factors are held to an mpmath value
+    mpmath = pytest.importorskip("mpmath")
+    family = synth_family(spec, [], axis_count)
+    n = family.axis_count
+    for axis, floats, off in zip(lattice_twiddles(family, bound), float_twiddles(family, bound), family.offsets):
+        for f in range(-bound, bound + 1):
+            for k in range(n):
+                theta = 2 * math.pi * f * (k + float(off)) / n
+                assert abs(axis[f][k] - floats[f][k]) <= 2e-15 * (1 + abs(theta))
+                with mpmath.workdps(30):
+                    exact = complex(mpmath.expjpi(-2 * f * (k + mpmath.mpf(off.numerator) / off.denominator) / n))
+                assert abs(axis[f][k] - exact) <= 2e-15
+
+
+def test_lattice_grid_reads_like_the_eager_tuple():
+    spec = real_form("su21")
+    family = synth_family(spec, [], axis_count=6)
+    n, q = family.axis_count, 97 * family.axis_count
+    axes = [[97 * k + off.numerator for k in range(n)] for off in family.offsets]
+    lattice = [TorusPoint(tuple(Fraction(m, q) for m in ns), True) for ns in itertools.product(*axes)]
+    eager = tuple(lattice) + family.grid.tail
+    grid = family.grid
+    assert len(grid) == len(eager) and tuple(grid) == eager and list(reversed(grid)) == list(reversed(eager))
+    assert all(grid[i] == eager[i] for i in range(-len(eager), len(eager)))
+    for cut in (slice(None), slice(3, 40, 7), slice(-5, None), slice(None, None, -3), slice(30, 50)):
+        assert grid[cut] == eager[cut]
+    for bad in (len(eager), -len(eager) - 1):
+        with pytest.raises(IndexError):
+            grid[bad]

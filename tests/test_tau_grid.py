@@ -391,3 +391,46 @@ def test_lattice_with_no_keys_evaluates_nothing():
     spec = real_form("su21")
     axes, q = lattice(4, (50, 3))  # singular, see above
     assert tau_lattice(spec, [], axes, q) == tau_grid(spec, [], lattice_points(axes, q)) == []
+
+
+def test_phase_tables_are_kept_per_denominator():
+    # interleaved calls at two denominators, then more denominators than the
+    # cache keeps: every call reads the tables of its own q
+    ktrace.phase_tables.cache_clear()
+    spec = real_form("su21")
+    keys = small_keys(spec, 2)
+    for n, offsets in [(4, (1, 3)), (6, (5, 7)), (4, (1, 3)), (6, (11, 13)), (5, (3, 4)), (7, (1, 9)),
+                       (8, (2, 3)), (4, (8, 9)), (6, (5, 7))]:
+        axes, q = lattice(n, offsets)
+        assert tau_lattice(spec, keys, axes, q) == tau_grid(spec, keys, lattice_points(axes, q))
+    assert ktrace.phase_tables.cache_info().hits >= 2
+
+
+def first_singular(spec, axes, q):
+    """A brute-force scan: the first lattice point, in product order, where some
+    root pairs to a multiple of q, and the first such root."""
+    for ns in itertools.product(*axes):
+        for alpha in spec.positive_system:
+            if sum(c // 2 * n for c, n in zip(alpha.coords2, ns)) % q == 0:
+                return ("singular", alpha, f"torus point is singular for root {alpha}")
+    return None
+
+
+def test_residue_index_finds_the_scanned_singular_point():
+    # random axes and small denominators often put the first singular point in
+    # a later slab; the per-call residue index must find the scanned one
+    rng = random.Random(15)
+    later = 0
+    for spec in LATTICE_FORMS:
+        keys = small_keys(spec, 2)
+        for _ in range(40):
+            q = rng.choice([5, 7, 9, 12])
+            axes = [sorted(rng.sample(range(2 * q), rng.randint(2, 5))) for _ in range(spec.rank)]
+            want = first_singular(spec, axes, q)
+            got = outcome(lambda: tau_lattice(spec, keys, axes, q))
+            if want is None:
+                assert got == tau_grid(spec, keys, lattice_points(axes, q))
+                continue
+            assert got == want
+            later += spec.rank > 1 and first_singular(spec, [axes[0][:1]] + axes[1:], q) is None
+    assert later >= 20

@@ -16,7 +16,6 @@ from orbint.rootsys import (
     _det_fraction,
     _identity,
     _invert_fraction,
-    _matmul,
     _matvec,
     _subsystem_simples,
     all_roots,
@@ -26,6 +25,7 @@ from orbint.rootsys import (
     rho,
     weyl_group,
 )
+from orbint.verify import _matmul
 
 
 def matmul_closure(rank, gen_matrices):
