@@ -6,66 +6,58 @@ Forward synthesis (synth_family) may consult the real-form data to place its
 sample grid away from singular loci; the recovery functions see only labels,
 grid coordinates, and sampled values.  The lattice, t = n/q with q = 97n,
 goes through ``ktrace.tau_lattice`` (integer phases, one slab of points at a
-time), the ray and probe points through ``tau_grid``: one checked body.  Its
-points are built only when read (``LatticeGrid``), and the Fourier twiddles
-are entries of the lattice's own table of e^{i pi k/q} (``ktrace.phase_tables``).
-A highest weight is the dominant support weight with the largest |w + rho_c|;
-the reference label's character is 1, so its weight is 0 without a transform.
-The noncompact set is the one candidate subset that fits the probes, found by
-an exact meet-in-the-middle search.
+time); its points are built only when read (``LatticeGrid``).  Every step is
+one separable transform (``lattice_fourier``) with its own per-axis table of
+factors, each an entry of the lattice's table of e^{i pi k/q}
+(``ktrace.phase_tables``):
+
+- the reference label is the first whose reciprocal is a Laurent polynomial
+  with integer coefficients, +-e^mu prod_{beta in S} (e^{beta/2} - e^{-beta/2}),
+  read on the coarsest sub-lattice that resolves it; S, the noncompact set, is
+  the one candidate set whose binomials divide it exactly down to a unit, and
+  |S| is the spin power;
+- a dimension is the value at the identity of chi_j / chi_ref, the sum of its
+  Fourier coefficients: one Dirichlet-kernel contraction;
+- a highest weight is the dominant support weight with the largest
+  |w + rho_c|; the reference label's character is 1, so its weight is 0
+  without a transform.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import operator
 import random
 from collections import abc
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ReconstructionError, ValidationError
-from .ktrace import phase_tables, tau_grid, tau_lattice
+from .ktrace import phase_tables, tau_lattice
 from .realform import GeneratorKey, RealFormSpec
-from .rootsys import CartanDatum, Weight, is_dominant, pairing, positive_roots, rho
-from .toruschar import TorusPoint, is_regular, min_root_phase, root_phase
+from .rootsys import CartanDatum, Weight, is_dominant, pairing, rho
+from .toruschar import TorusPoint, is_regular
 
-RAY_LEVELS = 6
-RAY_START_SCALE = 1e-2
-PROBE_STEP = 0.004
-PROBE_BASES = (0.23, 0.29, 0.31, 0.37, 0.41, 0.19, 0.43)
-DIM_TOL = 1e-3
-FIT_TOL = 1e-6
-
-
-class ProbeSpec(NamedTuple):
-    """Derivative stencil along a ray: six points (base + offset) * direction."""
-
-    direction: tuple[float, ...]
-    base: float
-    step: float
-    start: int  # index of the first stencil point in the family grid
+DIM_TOL = 1e-3  # how far a dimension or a spinor coefficient may sit from an integer
+COARSEST_AXIS = 8  # points per axis of the first sub-lattice the spinor is read on
 
 
 class LatticeGrid(abc.Sequence):
     """The points t = (n_1/q, ..., n_r/q), n_j in axes[j], in ``itertools.product``
-    order, each built when it is read, followed by the points of ``tail``."""
+    order, each built when it is read."""
 
-    def __init__(self, axes: Sequence[Sequence[int]], q: int, tail: Sequence[TorusPoint]):
-        self.axes, self.q, self.tail = axes, q, tuple(tail)
+    def __init__(self, axes: Sequence[Sequence[int]], q: int):
+        self.axes, self.q = axes, q
         self.lattice_size = math.prod(map(len, axes))
 
     def __len__(self) -> int:
-        return self.lattice_size + len(self.tail)
+        return self.lattice_size
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return tuple(map(self.__getitem__, range(*index.indices(len(self)))))
         i = range(len(self))[index]  # negative indices count from the end; IndexError past it
-        if i >= self.lattice_size:
-            return self.tail[i - self.lattice_size]
         coords = []
         for axis in reversed(self.axes):
             i, k = divmod(i, len(axis))
@@ -74,38 +66,26 @@ class LatticeGrid(abc.Sequence):
 
 
 class ChiFamily(NamedTuple):
-    """Sampled tau-functions chi_j(g) for a list of generator labels.
-
-    The grid is the concatenation of a shifted uniform lattice (exact points,
-    axis_count per axis, built when read), a near-identity ray, and the
-    derivative probes; every value list has grid length.
-    """
+    """Sampled tau-functions chi_j(g) for a list of generator labels on a
+    shifted uniform lattice (exact points, axis_count per axis, built when
+    read); every value list has grid length."""
 
     labels: tuple[Weight, ...]
     grid: LatticeGrid
     values: dict
     axis_count: int
     offsets: tuple[Fraction, ...]
-    ray_direction: tuple[float, ...]
-    ray_scales: tuple[float, ...]
-    ray_start: int
-    probes: tuple[ProbeSpec, ...]
 
     @property
     def rank(self) -> int:
-        return len(self.ray_direction)
+        return len(self.offsets)
 
     @property
     def lattice_size(self) -> int:
         return self.axis_count**self.rank
 
-    def ray_values(self, label: Weight) -> tuple[complex, ...]:
-        start = self.ray_start
-        return tuple(self.values[label][start : start + len(self.ray_scales)])
-
     def check(self) -> None:
-        want = self.lattice_size + len(self.ray_scales) + 6 * len(self.probes)
-        if len(self.grid) != want:
+        if len(self.grid) != self.lattice_size:
             raise ValidationError("family grid length does not match its layout")
         for label in self.labels:
             if len(self.values[label]) != len(self.grid):
@@ -114,51 +94,6 @@ class ChiFamily(NamedTuple):
 
 # ---------------------------------------------------------------------------
 # forward synthesis
-
-def _sin_margin(datum: CartanDatum, coords: Sequence[float]) -> float:
-    g = TorusPoint.real_point(coords)
-    return min(abs(math.sin(math.pi * root_phase(alpha, g))) for alpha in positive_roots(datum))
-
-
-def _pick_ray_direction(datum: CartanDatum, seed: int) -> tuple[float, ...]:
-    rng = random.Random(seed)
-    for _ in range(200):
-        cand = tuple(rng.uniform(0.3, 1.0) for _ in range(datum.rank))
-        if min_root_phase(datum, TorusPoint.real_point(cand)) >= 0.02:
-            return cand
-    raise ValidationError("could not place a regular ray direction")
-
-
-def _pick_probes(datum: CartanDatum, grid_len: int) -> tuple[list[ProbeSpec], list[tuple[float, ...]]]:
-    """Axis-dominant probe directions with two admissible stencil bases each."""
-    probes: list[ProbeSpec] = []
-    points: list[tuple[float, ...]] = []
-    rank = datum.rank
-    for axis in range(rank):
-        direction = tuple(
-            1.0 if j == axis else 0.1373 + 0.0691 * ((axis + j) % 3) for j in range(rank)
-        )
-        if min_root_phase(datum, TorusPoint.real_point(direction)) < 0.02:
-            direction = tuple(
-                1.0 if j == axis else 0.2141 + 0.0577 * ((axis + 2 * j) % 5) for j in range(rank)
-            )
-        if min_root_phase(datum, TorusPoint.real_point(direction)) < 0.02:
-            raise ValidationError("could not place probe directions")
-        found = 0
-        for base in PROBE_BASES:
-            h = PROBE_STEP
-            stencil = [base + d for d in (-h, -h / 2, -h / 4, h / 4, h / 2, h)]
-            coords = [tuple(s * c for c in direction) for s in stencil]
-            if all(_sin_margin(datum, pt) >= 0.1 for pt in coords):
-                probes.append(ProbeSpec(direction, base, h, grid_len + len(points)))
-                points.extend(coords)
-                found += 1
-                if found == 2:
-                    break
-        if found < 2:
-            raise ValidationError("could not place enough probe bases on an axis")
-    return probes, points
-
 
 def _grid_offsets(datum: CartanDatum, seed: int = 0) -> tuple[Fraction, ...]:
     """Per-axis fractional offsets r/97 making every lattice point exact-regular."""
@@ -179,8 +114,7 @@ def synth_family(
     keys: Sequence[GeneratorKey],
     axis_count: int | None = None,
 ) -> ChiFamily:
-    """Sample chi_j(g) = tau_g(generator_j) over a shifted uniform lattice, a
-    near-identity ray, and derivative probes."""
+    """Sample chi_j(g) = tau_g(generator_j) over a shifted uniform lattice."""
     datum = spec.datum
     n = default_axis_count(datum.rank, axis_count)
     if n < 4:
@@ -189,111 +123,25 @@ def synth_family(
     # coordinate k of an axis with offset r/97 is (97k + r)/q with q = 97n, in [0, 1)
     q = 97 * n
     axes = [[97 * k + off.numerator for k in range(n)] for off in offsets]
-    ray_direction = _pick_ray_direction(datum, seed=101)
-    scales = tuple(RAY_START_SCALE * 2.0 ** (-k) for k in range(RAY_LEVELS + 1))
-    ray_points = [TorusPoint.real_point(tuple(s * c for c in ray_direction)) for s in scales]
-    probes, probe_coords = _pick_probes(datum, n**datum.rank + len(ray_points))
-    probe_points = [TorusPoint.real_point(c) for c in probe_coords]
-    grid = LatticeGrid(axes, q, ray_points + probe_points)
-    columns = zip(tau_lattice(spec, keys, axes, q), tau_grid(spec, keys, ray_points + probe_points))
-    values = {key.lam: on + off for key, (on, off) in zip(keys, columns)}
     family = ChiFamily(
         labels=tuple(key.lam for key in keys),
-        grid=grid,
-        values=values,
+        grid=LatticeGrid(axes, q),
+        values={key.lam: column for key, column in zip(keys, tau_lattice(spec, keys, axes, q))},
         axis_count=n,
         offsets=offsets,
-        ray_direction=ray_direction,
-        ray_scales=scales,
-        ray_start=grid.lattice_size,
-        probes=tuple(probes),
     )
     family.check()
     return family
 
 
 # ---------------------------------------------------------------------------
-# recovery
+# the transform
 
 def _nonzero(values: Sequence, what: str) -> Sequence:
-    """The values, unless one is zero (recovery divides by them or takes logs)."""
+    """The values, unless one is zero (recovery divides by them)."""
     if 0 in values:
         raise ReconstructionError(f"{what} include a zero")
     return values
-
-
-def richardson(values: Sequence, order: int = 3) -> list:
-    """Last column of the Neville table that extrapolates samples at halving
-    scales t_k = t_0 2^{-k} to t = 0, at most ``order`` columns deep.  With
-    t_{k-j} = 2^j t_k the update is the classical Richardson form
-    (2^j T[k][j-1] - T[k-1][j-1]) / (2^j - 1)."""
-    column = list(values)
-    for j in range(1, min(order, len(column) - 1) + 1):
-        factor = 2.0**j
-        column = [
-            (factor * column[i] - column[i - 1]) / (factor - 1.0) for i in range(1, len(column))
-        ]
-    return column
-
-
-def recover_dims(family: ChiFamily) -> dict:
-    """K-type dimensions from ratio limits along the near-identity ray.
-
-    The reference label j0 minimizes the limits |chi_j / chi_j'|, which marks a
-    one-dimensional K-type; its dimension is set to 1 and every other limit
-    must sit within 1e-3 of an integer.
-    """
-    if not family.labels:
-        return {}
-    ref = family.labels[0]
-    ref_vals = _nonzero(family.ray_values(ref), f"the ray samples of {ref}")
-    limits = {}
-    for label in family.labels:
-        vals = family.ray_values(label)
-        ratio = [abs(v) / abs(w) for v, w in zip(vals, ref_vals)]
-        limits[label] = richardson(ratio)[-1]
-    j0 = min(family.labels, key=lambda lab: limits[lab])  # ties: label order via min
-    _nonzero([limits[j0]], "the ratio limits")
-    dims = {}
-    for label in family.labels:
-        raw = limits[label] / limits[j0]
-        nearest = round(raw)
-        if nearest < 1 or abs(raw - nearest) > DIM_TOL:
-            raise ReconstructionError(
-                f"ratio limit {raw!r} for label {label} is not a positive integer"
-            )
-        dims[label] = int(nearest)
-    return dims
-
-
-class CharacterRecovery(NamedTuple):
-    reference_label: Weight
-    psi_ray: tuple[complex, ...]
-    char_lattice: dict
-
-
-def recover_characters(family: ChiFamily, dims: dict) -> CharacterRecovery:
-    """psi = i |chi_j0|^{-1} on the ray, and lattice character samples via the
-    ratio chi_j / chi_j0; psi * chi_j must be a fourth root of unity times a
-    positive real near the identity."""
-    j0 = next((lab for lab in family.labels if dims[lab] == 1), None)
-    if j0 is None:
-        raise ReconstructionError("no label of dimension 1 to serve as reference")
-    v0_ray = _nonzero(family.ray_values(j0), f"the ray samples of {j0}")
-    psi_ray = tuple(1j / abs(v) for v in v0_ray)
-    char_lattice = {}
-    size = family.lattice_size
-    v0 = _nonzero(family.values[j0][:size], f"the lattice samples of {j0}")
-    for label in family.labels:
-        vals = family.ray_values(label)
-        tail = [psi_ray[k] * vals[k] for k in (-1, -2)]
-        z = (tail[0] + tail[1]) / 2
-        if abs(z) < 1e-9:
-            raise ReconstructionError(f"samples of {label} too close to zero near the identity")
-        if max((u * z).real for u in (1 + 0j, -1 + 0j, 1j, -1j)) < 0.5 * abs(z):
-            raise ReconstructionError(f"sign of {label} unresolved near the identity")
-        char_lattice[label] = tuple(map(operator.truediv, family.values[label], v0))
-    return CharacterRecovery(j0, psi_ray, char_lattice)
 
 
 def _check_box(axis_count: int, bound: int) -> None:
@@ -301,41 +149,224 @@ def _check_box(axis_count: int, bound: int) -> None:
         raise ValidationError("grid too coarse for the requested frequency box")
 
 
-def lattice_twiddles(family: ChiFamily, bound: int) -> list[dict]:
-    """The factors e^{-2 pi i f (k + offset) / n} per axis and frequency |f| <= bound,
-    read from the lattice's table: with offsets r/d and q = n d, the point
-    k + r/d of an axis is a_k/q with a_k = d k + r, so the factor is
-    zeta[-2 f a_k mod 2q]."""
+def _axis_points(family: ChiFamily, stride: int = 1) -> tuple[dict, int, list[list[int]]]:
+    """The lattice's table zeta[k] = e^{i pi k/q}, 2q, and per axis the
+    numerators a_k of its points t = a_k/q, k = 0, stride, 2 stride, ...: with
+    offsets r/d and q = n d, the point (k + r/d)/n has a_k = d k + r."""
     n = family.axis_count
-    _check_box(n, bound)
     d = math.lcm(*(off.denominator for off in family.offsets))
-    two_q = 2 * n * d
     zeta, _, _ = phase_tables(n * d)
-    return [
-        {f: [zeta[-2 * f * (d * k + r) % two_q] for k in range(n)] for f in range(-bound, bound + 1)}
-        for r in (off.numerator * d // off.denominator for off in family.offsets)
-    ]
+    rs = [off.numerator * d // off.denominator for off in family.offsets]
+    return zeta, 2 * n * d, [[d * k + r for k in range(0, n, stride)] for r in rs]
 
 
-def lattice_fourier(family: ChiFamily, samples: Sequence[complex], bound: int, twiddles=None) -> dict:
-    """Discrete Fourier inner products <chi, e^mu> over the shifted lattice, for all integral
-    mu with fundamental coordinates in [-bound, bound]; ``twiddles`` as lattice_twiddles'."""
-    n = family.axis_count
-    rank = family.rank
-    if twiddles is None:
-        twiddles = lattice_twiddles(family, bound)
-    blocks = {(): list(samples[: family.lattice_size])}
-    for axis in range(rank - 1, -1, -1):
+def axis_twiddles(family: ChiFamily, windows: Sequence[Iterable[int]], stride: int = 1) -> list[dict]:
+    """Per axis j and doubled frequency c in windows[j], the factors
+    e^{-pi i c t} = zeta[-c a_k mod 2q] at the points t = a_k/q of every
+    ``stride``-th index (``_axis_points``)."""
+    zeta, two_q, axes = _axis_points(family, stride)
+    return [{c: [zeta[-c * a % two_q] for a in ax] for c in window} for window, ax in zip(windows, axes)]
+
+
+def lattice_twiddles(family: ChiFamily, bound: int) -> list[dict]:
+    """``axis_twiddles`` of the integral weights with fundamental coordinates in
+    [-bound, bound], keyed by doubled coordinate."""
+    _check_box(family.axis_count, bound)
+    return axis_twiddles(family, [range(-2 * bound, 2 * bound + 1, 2)] * family.rank)
+
+
+def lattice_fourier(samples: Sequence[complex], twiddles: Sequence[dict]) -> dict:
+    """Discrete Fourier inner products <chi, e^mu> over a (sub-)lattice, one per
+    choice of a key on each axis of ``twiddles`` (as axis_twiddles'), keyed by
+    the weight with those doubled coordinates; the samples are in
+    ``itertools.product`` order over the axes' points."""
+    blocks = {(): list(samples)}
+    for table in reversed(twiddles):
+        n = len(next(iter(table.values())))
         new: dict = {}
         for suffix, vec in blocks.items():
             rows = [vec[i : i + n] for i in range(0, len(vec), n)]
-            for f, tw in twiddles[axis].items():
-                new[(f,) + suffix] = [sum(map(operator.mul, row, tw)) for row in rows]
+            for c, tw in table.items():
+                new[(c,) + suffix] = [sum(map(operator.mul, row, tw)) for row in rows]
         blocks = new
-    total = n**rank
-    return {
-        Weight(tuple(2 * f for f in key)): vec[0] / total for key, vec in blocks.items()
-    }
+    total = len(samples)
+    return {Weight(key): vec[0] / total for key, vec in blocks.items()}
+
+
+# ---------------------------------------------------------------------------
+# recovery
+
+def canonical_sign(w: Weight) -> Weight:
+    for c in w.coords2:
+        if c > 0:
+            return w
+        if c < 0:
+            return -w
+    return w
+
+
+def candidate_box(rank: int, bound: int) -> tuple[Weight, ...]:
+    """Nonzero integral weights with fundamental coordinates in [-bound, bound],
+    one representative per +/- pair."""
+    seen = set()
+    for fund in itertools.product(range(-bound, bound + 1), repeat=rank):
+        w = Weight(tuple(2 * f for f in fund))
+        if w.is_zero:
+            continue
+        seen.add(canonical_sign(w))
+    return tuple(sorted(seen, key=lambda w: w.coords2))
+
+
+def divide_binomial(poly: dict, beta: Weight) -> dict | None:
+    """poly / (e^{beta/2} - e^{-beta/2}) for a Laurent polynomial (doubled
+    exponents -> nonzero integers), or None when it does not divide.  With
+    y = e^beta the binomial is e^{-beta/2} (y - 1): on each line x + Z beta
+    the coefficients a_k of x + k beta must sum to 0, and the quotient there
+    has -(a_lo + ... + a_k) at x + k beta + beta/2."""
+    b = beta.coords2
+    j = next(i for i, c in enumerate(b) if c)
+    lines: dict = {}
+    for e, a in poly.items():
+        k = e[j] // b[j]
+        lines.setdefault(tuple(x - k * y for x, y in zip(e, b)), {})[k] = a
+    out = {}
+    for base, line in lines.items():
+        partial = 0
+        for k in range(min(line), max(line) + 1):
+            partial -= line.get(k, 0)
+            if partial:
+                out[tuple(x + k * y + y // 2 for x, y in zip(base, b))] = partial
+        if partial:
+            return None
+    return out
+
+
+def unit_factorizations(poly: dict, candidates: Sequence[Weight]) -> list[tuple[Weight, ...]]:
+    """Every set of candidates (in candidate order) whose binomials
+    e^{beta/2} - e^{-beta/2} divide ``poly`` exactly and leave a unit +-e^mu.
+    A binomial that divides a quotient divides ``poly``, so only the divisors
+    of ``poly`` are searched."""
+    divisors = [w for w in candidates if divide_binomial(poly, w) is not None]
+    found = []
+
+    def search(rest: dict, start: int, chosen: tuple) -> None:
+        if len(rest) == 1 and abs(next(iter(rest.values()))) == 1:
+            found.append(chosen)
+            return
+        for i in range(start, len(divisors)):
+            quotient = divide_binomial(rest, divisors[i])
+            if quotient is not None:
+                search(quotient, i + 1, chosen + (divisors[i],))
+
+    if poly:
+        search(poly, 0, ())
+    return found
+
+
+def _sublattice(values: Sequence, n: int, rank: int, stride: int) -> list:
+    """The values at every ``stride``-th point per axis, in product order."""
+    index = [0]
+    for axis in range(rank):
+        step = n ** (rank - 1 - axis)
+        index = [i + k * step for i in index for k in range(0, n, stride)]
+    return [values[i] for i in index]
+
+
+def _integral_reciprocal(family: ChiFamily, label: Weight) -> tuple[dict, float] | None:
+    """1/chi_label as a Laurent polynomial with integer coefficients, with the
+    worst distance of its coefficients from integers, or None.  Read on the
+    sub-lattice of COARSEST_AXIS points per axis, at the doubled frequencies of
+    both parities in a window of that many per parity around -label; the stride
+    halves until exactly one parity class is integral and nonzero.  A window
+    that misses the support aliases with the phase of the offset, r/97, so it
+    comes out non-integral rather than wrong."""
+    n, rank = family.axis_count, family.rank
+    stride = max(1, n // COARSEST_AXIS)
+    while True:
+        if n % stride == 0:
+            m = n // stride
+            samples = _sublattice(family.values[label], n, rank, stride)
+            recip = [1 / v for v in _nonzero(samples, f"the lattice samples of {label}")]
+            windows = [range(-c - m, -c + m) for c in label.coords2]
+            coeffs = lattice_fourier(recip, axis_twiddles(family, windows, stride))
+            classes: dict = {}
+            for w, c in coeffs.items():
+                classes.setdefault(tuple(x % 2 for x in w.coords2), []).append((w.coords2, c))
+            integral = []
+            for members in classes.values():
+                residual = max(abs(c - round(c.real)) for _, c in members)
+                poly = {e: round(c.real) for e, c in members if round(c.real)}
+                if residual <= DIM_TOL and poly:
+                    integral.append((poly, residual))
+            if len(integral) == 1:
+                return integral[0]
+        if stride == 1:
+            return None
+        stride //= 2
+
+
+class NoncompactRecovery(NamedTuple):
+    reference_label: Weight
+    weights: frozenset
+    residual: float  # worst distance of the spinor's coefficients from integers
+    spin_power: int
+
+
+def recover_noncompact_weights(family: ChiFamily, candidates: Sequence[Weight]) -> NoncompactRecovery:
+    """The reference label is the first whose reciprocal is a Laurent polynomial
+    with integer coefficients, +-e^mu prod_{beta in S} (e^{beta/2} - e^{-beta/2});
+    S, the noncompact set, is the one set of candidates (up to sign) whose
+    binomials divide it down to a unit, and |S| is the spin power.  Refused
+    when no label's reciprocal is integral, or when no set or two sets leave a
+    unit (on sl2r the binomial of alpha/2 divides that of alpha, but only
+    {alpha} leaves a unit)."""
+    cands = tuple(dict.fromkeys(canonical_sign(w) for w in candidates if not w.is_zero))
+    for label in family.labels:
+        found = _integral_reciprocal(family, label)
+        if found is not None:
+            break
+    else:
+        raise ReconstructionError("no label whose reciprocal is a Laurent polynomial with integer coefficients")
+    poly, residual = found
+    sets = unit_factorizations(poly, cands)
+    if len(sets) > 1:
+        a, b = ([w.coords2 for w in s] for s in sets[:2])
+        raise ReconstructionError(f"two candidate sets factor the reciprocal of {label}: {a} and {b}")
+    if not sets:
+        raise ReconstructionError(f"no candidate set factors the reciprocal of {label} down to a unit")
+    return NoncompactRecovery(label, frozenset(sets[0]), residual, len(sets[0]))
+
+
+class CharacterRecovery(NamedTuple):
+    reference_label: Weight
+    char_lattice: dict
+
+
+def recover_characters(family: ChiFamily, reference: Weight) -> CharacterRecovery:
+    """Lattice character samples chi_j / chi_ref per label."""
+    v0 = _nonzero(family.values[reference], f"the lattice samples of {reference}")
+    char_lattice = {label: tuple(map(operator.truediv, family.values[label], v0)) for label in family.labels}
+    return CharacterRecovery(reference, char_lattice)
+
+
+def recover_dims(family: ChiFamily, chars: CharacterRecovery) -> dict:
+    """K-type dimensions: chi_j / chi_ref at the identity, the sum of its
+    Fourier coefficients with fundamental coordinates f in (-n/2, n/2), which
+    is the lattice mean of the ratio times the product of the per-axis
+    Dirichlet kernels sum_{|f| <= h} e^{-2 pi i f t} = sin((2h + 1) pi t) / sin(pi t),
+    read from the lattice's table.  Each must sit within DIM_TOL of a positive
+    integer."""
+    zeta, two_q, axes = _axis_points(family)
+    width = 2 * ((family.axis_count - 1) // 2) + 1
+    dirichlet = [{0: [zeta[width * a % two_q].imag / zeta[a].imag for a in ax]} for ax in axes]
+    dims = {}
+    for label in family.labels:
+        [raw] = lattice_fourier(chars.char_lattice[label], dirichlet).values()
+        nearest = round(raw.real)
+        if nearest < 1 or abs(raw - nearest) > DIM_TOL:
+            raise ReconstructionError(f"dimension {raw!r} of label {label} is not a positive integer")
+        dims[label] = nearest
+    return dims
 
 
 def recover_highest_weights(
@@ -359,7 +390,7 @@ def recover_highest_weights(
         if label == chars.reference_label:
             out[label] = Weight((0,) * datum.rank)
             continue
-        coeffs = lattice_fourier(family, chars.char_lattice[label], bound, twiddles)
+        coeffs = lattice_fourier(chars.char_lattice[label], twiddles)
         support = [w for w, c in coeffs.items() if abs(c) > 0.5]
         if not support:
             raise ReconstructionError(f"no Fourier coefficient above 1/2 for {label}")
@@ -368,120 +399,6 @@ def recover_highest_weights(
             raise ReconstructionError(f"no dominant weight in the support of {label}")
         out[label] = max(dominant, key=lambda w: (pairing(datum, w + r, w + r), w.coords2))
     return out
-
-
-def canonical_sign(w: Weight) -> Weight:
-    for c in w.coords2:
-        if c > 0:
-            return w
-        if c < 0:
-            return -w
-    return w
-
-
-def candidate_box(rank: int, bound: int) -> tuple[Weight, ...]:
-    """Nonzero integral weights with fundamental coordinates in [-bound, bound],
-    one representative per +/- pair."""
-    seen = set()
-    for fund in itertools.product(range(-bound, bound + 1), repeat=rank):
-        w = Weight(tuple(2 * f for f in fund))
-        if w.is_zero:
-            continue
-        seen.add(canonical_sign(w))
-    return tuple(sorted(seen, key=lambda w: w.coords2))
-
-
-class NoncompactRecovery(NamedTuple):
-    weights: frozenset
-    residual: float
-    spin_power: int
-
-
-def _log_derivatives(family: ChiFamily, chars: CharacterRecovery) -> list[float]:
-    v0 = family.values[chars.reference_label]
-    out = []
-    for probe in family.probes:
-        stencil = _nonzero(v0[probe.start : probe.start + 6], "the probe samples of the reference label")
-        logs = [-math.log(abs(v)) for v in stencil]
-        h = probe.step
-        d_h = (logs[5] - logs[0]) / (2 * h)
-        d_h2 = (logs[4] - logs[1]) / h
-        d_h4 = (logs[3] - logs[2]) / (h / 2)
-        r1 = (4 * d_h2 - d_h) / 3
-        r2 = (4 * d_h4 - d_h2) / 3
-        out.append((16 * r2 - r1) / 15)
-    return out
-
-
-def _model_term(w: Weight, probe: ProbeSpec) -> float:
-    u = root_phase(w, TorusPoint.real_point(probe.direction))
-    x = math.pi * probe.base * u
-    s = math.sin(x)
-    if abs(s) < 1e-12:
-        return math.inf
-    return math.pi * u * math.cos(x) / s
-
-
-def recover_noncompact_weights(
-    family: ChiFamily, chars: CharacterRecovery, candidates: Sequence[Weight]
-) -> NoncompactRecovery:
-    """Fit the log-derivative of psi along the probes by a sum of cotangent
-    terms over a subset of the candidate weights; the subset size is the spin
-    power recovered from the ray decay of |psi|.  The search is exact: every
-    subset within FIT_TOL (rms) is found, and the fit is refused unless there
-    is exactly one."""
-    scales = family.ray_scales
-    psi_mag = [abs(p) for p in chars.psi_ray]
-    slope = (math.log(psi_mag[-1]) - math.log(psi_mag[-3])) / (
-        math.log(scales[-1]) - math.log(scales[-3])
-    )
-    m = round(slope)
-    if abs(slope - m) > 0.1 or m < 0:
-        raise ReconstructionError(f"decay exponent {slope!r} of psi is not a clean integer")
-    if m == 0:
-        return NoncompactRecovery(frozenset(), 0.0, 0)
-    data = _log_derivatives(family, chars)
-    cands = tuple(dict.fromkeys(canonical_sign(w) for w in candidates if not w.is_zero))
-    if len(cands) < m:
-        raise ReconstructionError("candidate set smaller than the required subset")
-    terms = [[_model_term(w, p) for p in family.probes] for w in cands]
-
-    def residual(subset) -> float:
-        sq = 0.0
-        for i in range(len(data)):
-            model = sum(terms[w][i] for w in subset)
-            if not math.isfinite(model):
-                return math.inf
-            sq += (data[i] - model) ** 2
-        return math.sqrt(sq / len(data))
-
-    # Meet in the middle (Horowitz-Sahni): a subset with rms residual <= FIT_TOL
-    # is within FIT_TOL * sqrt(P) of data[0] on the first probe.  Split each
-    # index subset into its first ceil(m/2) indices and the rest, and bisect the
-    # sorted first-probe sums of the rests for that window, twice as wide to
-    # absorb rounding.  A candidate with a singular term fits nothing.
-    usable = [i for i, row in enumerate(terms) if all(map(math.isfinite, row))]
-    tails = sorted(
-        (sum(terms[i][0] for i in tail), tail)
-        for tail in itertools.combinations(usable, m - (m + 1) // 2)
-    )
-    sums = [s for s, _ in tails]
-    width = 2 * FIT_TOL * math.sqrt(len(data))
-    hits = []
-    for head in itertools.combinations(usable, (m + 1) // 2):
-        target = data[0] - sum(terms[i][0] for i in head)
-        lo = bisect.bisect_left(sums, target - width)
-        for _, tail in tails[lo : bisect.bisect_right(sums, target + width)]:
-            if not tail or tail[0] > head[-1]:
-                hits.append((residual(head + tail), head + tail))
-    fits = sorted(hit for hit in hits if hit[0] <= FIT_TOL)
-    if len(fits) > 1:
-        a, b = ([cands[i].coords2 for i in subset] for _, subset in fits[:2])
-        raise ReconstructionError(f"two candidate subsets fit the psi derivatives: {a} and {b}")
-    if not fits:
-        best = f"best residual {min(hits)[0]!r}" if hits else "no subset reached the first-probe window"
-        raise ReconstructionError(f"no candidate subset fits the psi derivatives ({best})")
-    return NoncompactRecovery(frozenset(cands[i] for i in fits[0][1]), fits[0][0], m)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +412,6 @@ class RecoveryReport(NamedTuple):
     noncompact_weights: frozenset
     noncompact_residual: float
     spin_power: int
-    psi_ray: tuple[complex, ...]
 
 
 def run_reconstruction(
@@ -505,25 +421,23 @@ def run_reconstruction(
     weight_bound: int = 6,
     candidate_bound: int = 3,
 ) -> RecoveryReport:
-    """synth -> dims -> characters -> highest weights -> noncompact weights.
-    A frequency box the grid cannot resolve is refused before any synthesis."""
+    """synth -> reference and noncompact weights -> characters -> dims ->
+    highest weights.  A frequency box the grid cannot resolve is refused
+    before any synthesis."""
     _check_box(default_axis_count(spec.rank, axis_count), weight_bound)
     family = synth_family(spec, keys, axis_count)
-    dims = recover_dims(family)
-    chars = recover_characters(family, dims)
+    nc = recover_noncompact_weights(family, candidate_box(spec.rank, candidate_bound))
+    chars = recover_characters(family, nc.reference_label)
+    dims = recover_dims(family, chars)
     highest = recover_highest_weights(
         family, chars, weight_bound, spec.datum, spec.compact_positive
-    )
-    nc = recover_noncompact_weights(
-        family, chars, candidate_box(spec.rank, candidate_bound)
     )
     return RecoveryReport(
         labels=family.labels,
         dims=dims,
-        reference_label=chars.reference_label,
+        reference_label=nc.reference_label,
         highest_weights=highest,
         noncompact_weights=nc.weights,
         noncompact_residual=nc.residual,
         spin_power=nc.spin_power,
-        psi_ray=chars.psi_ray,
     )

@@ -175,12 +175,6 @@ def root_phase(alpha: Weight, g: TorusPoint):
     return math.fsum(f * t for f, t in zip(fund, g.coords))
 
 
-def min_root_phase(datum: CartanDatum, g: TorusPoint) -> float:
-    """min |<alpha/2, t>| over the positive roots: how far a real direction
-    stays from the root hyperplanes."""
-    return min(abs(root_phase(alpha, g)) for alpha in positive_roots(datum))
-
-
 def is_regular(g: TorusPoint, datum: CartanDatum) -> bool:
     """Exact regularity: no root pairing lands in the integers.  Real-mode
     points are rejected; regularity is only decided exactly."""

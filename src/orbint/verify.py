@@ -59,7 +59,7 @@ from .stable import (
     lpacket_sum,
     stable_tau,
 )
-from .tannaka import ChiFamily, canonical_sign, lattice_fourier, run_reconstruction
+from .tannaka import ChiFamily, canonical_sign, lattice_fourier, lattice_twiddles, run_reconstruction
 from .toruschar import (
     ConjugacyDescriptor,
     TorusPoint,
@@ -76,10 +76,14 @@ from .toruschar import (
 
 DATUM_NAMES = ("A1", "A2", "B2", "C2", "G2")
 PRESET_NAMES = ("sl2r", "su21", "sp4r", "compact(A1)", "compact(A2)")
-# Forms that are no preset, by compact root indices.  The compact simple roots
-# of F4/paint0 include its highest root, so its W_K is not a parabolic subgroup.
+# Forms that are no preset, by compact root indices: Vogan diagrams with one
+# painted node, whose compact roots have an even coefficient on the painted
+# simple root.  The compact simple roots of F4/paint0 include its highest root,
+# so its W_K is not a parabolic subgroup.
 PAINTED_FORMS = {
     "A3/paint1": (0, 2, 6, 8),
+    "B3/paint0": (1, 2, 4, 6, 10, 11, 13, 15),
+    "C3/paint0": (1, 2, 4, 6, 8, 10, 11, 13, 15, 17),
     "B4/paint0": (1, 2, 3, 5, 6, 8, 9, 11, 13, 17, 18, 19, 21, 22, 24, 25, 27, 29),
     "F4/paint0": (1, 2, 3, 5, 6, 8, 9, 12, 15, 23, 25, 26, 27, 29, 30, 32, 33, 36, 39, 47),
 }
@@ -168,7 +172,7 @@ def key_from_json(spec: RealFormSpec, data) -> GeneratorKey:
 def fourier_multiplicities(family: ChiFamily, samples: Sequence[complex], bound: int) -> dict:
     """Rounded integer weight multiplicities of a sampled character."""
     out = {}
-    for w, c in lattice_fourier(family, samples, bound).items():
+    for w, c in lattice_fourier(samples, lattice_twiddles(family, bound)).items():
         nearest = round(c.real)
         if nearest != 0 and abs(c - nearest) < 0.5:
             out[w] = nearest
@@ -598,12 +602,18 @@ def check_lds_signs(presets=None) -> CheckResult:
     return CheckResult("lds-system-signs", True, "|lds| independent of the system; pair sum vanishes")
 
 
-# form: (generator labels, expected K-type dimensions, axis count)
+# form: (generator labels, expected K-type dimensions, axis count); the first
+# label is the reference, and every highest weight is its label minus it
 TANNAKA_CASES = {
     "compact(A1)": (((0,), (2,), (4,)), (1, 2, 3), None),
     "su21": (((0, 0), (2, 0), (0, 2)), (1, 2, 1), None),
     "sl2r": (((0,), (2,), (4,)), (1, 1, 1), None),
+    "compact(B2)": (((0, 0), (2, 0), (0, 2)), (1, 5, 4), None),
     "A3/paint1": (((0, 0, 0), (0, 0, 2), (0, 0, 4)), (1, 2, 3), 16),
+    "compact(A3)": (((0, 0, 0), (2, 0, 0), (0, 0, 2)), (1, 4, 4), 16),
+    "compact(B3)": (((0, 0, 0), (2, 0, 0), (0, 0, 2)), (1, 7, 8), 16),
+    "B3/paint0": (((1, 0, 0), (1, 0, 2), (1, 0, 4)), (1, 4, 10), 16),
+    "C3/paint0": (((0, 0, 0), (0, 0, 2), (0, 0, 4)), (1, 10, 42), 16),
 }
 
 
@@ -619,7 +629,7 @@ def check_tannaka(presets=None) -> CheckResult:
         expected = {
             "dims": dict(zip(labels, dims)),
             "reference_label": labels[0],
-            "highest_weights": {lab: lab for lab in labels},
+            "highest_weights": {lab: lab - labels[0] for lab in labels},
             "noncompact_weights": {canonical_sign(a) for a in spec.noncompact_positive},
             "spin_power": len(spec.noncompact_positive),
         }
@@ -667,12 +677,13 @@ def check_compact_generators(presets=None) -> CheckResult:
 def check_dims_scale_invariance(presets=None) -> CheckResult:
     if not _use(presets, "compact(A1)"):
         return _na("dims-scale-invariance")
-    from .tannaka import recover_dims, synth_family
+    from .tannaka import recover_characters, recover_dims, synth_family
 
     spec = real_form("compact(A1)")
     keys = [generator_key(spec, Weight((2 * k,))) for k in range(3)]
     family = synth_family(spec, keys)
-    dims = recover_dims(family)
+    ref = keys[0].lam
+    dims = recover_dims(family, recover_characters(family, ref))
     factor = [1.7 + 0.3 * math.cos(i) for i in range(len(family.grid))]
     scaled = family._replace(
         values={
@@ -680,20 +691,22 @@ def check_dims_scale_invariance(presets=None) -> CheckResult:
             for lab, vals in family.values.items()
         },
     )
-    if recover_dims(scaled) != dims:
+    if recover_dims(scaled, recover_characters(scaled, ref)) != dims:
         return CheckResult("dims-scale-invariance", False, "common factor changed the dims")
-    return CheckResult("dims-scale-invariance", True, "ratio limits ignore a common factor")
+    return CheckResult(
+        "dims-scale-invariance", True, "a common factor cancels in the ratios to the reference label"
+    )
 
 
 def check_fourier_extraction(presets=None) -> CheckResult:
     if not _use(presets, "compact(A2)"):
         return _na("fourier-extraction")
-    from .tannaka import recover_characters, recover_dims, synth_family
+    from .tannaka import recover_characters, synth_family
 
     spec = real_form("compact(A2)")
     keys = [generator_key(spec, Weight(c)) for c in ((0, 0), (2, 2))]
     family = synth_family(spec, keys, axis_count=24)
-    chars = recover_characters(family, recover_dims(family))
+    chars = recover_characters(family, keys[0].lam)
     table = fourier_multiplicities(family, chars.char_lattice[Weight((2, 2))], bound=4)
     expected = weight_multiplicities(spec.datum, Weight((2, 2)))
     if table != expected:

@@ -506,13 +506,14 @@ def test_verbose_tau_reports_conditioning(capsys):
     assert abs(record["conditioning"] - expected) <= 1e-14
 
 
-def test_vanishing_ray_samples_exit_2(capsys):
-    # at rank 3 the near-identity numerators round to exactly zero
-    code, out, err = run_cli(
-        capsys, "tannaka", "--preset", "compact(A3)", "--lambdas", "0,0,0;1,0,0;0,0,1", "--axis-count", "16"
-    )
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+def test_tannaka_compact_a3_exits_0(capsys):
+    # the README lambdas at the default axis count (32 at rank 3)
+    code, out, err = run_cli(capsys, "tannaka", "--preset", "compact(A3)", "--lambdas", "0,0,0;1,0,0;0,0,1")
+    assert code == 0 and err == ""
+    record = json.loads(out)
+    assert [d["dim"] for d in record["dims"]] == [1, 4, 4]
+    assert all(h["weight2"] == h["lambda2"] for h in record["highest_weights"])
+    assert record["noncompact_weights2"] == [] and record["spin_power"] == 0
 
 
 def test_tannaka_painted_a3(capsys):
