@@ -21,8 +21,7 @@ from .rootsys import (
     _subsystem_simples,
     all_roots,
     build_datum,
-    is_dominant,
-    pairing,
+    integer_pairings,
     positive_roots,
     reflection,
     rho,
@@ -218,9 +217,15 @@ class GeneratorKey(NamedTuple):
 
 
 def generator_key(spec: RealFormSpec, lam: Weight) -> GeneratorKey:
+    """The key of lam, refused unless lam is dominant for the compact positive
+    system and on the form's lattice.  Dominance is read on the integer
+    coroot rows c of the compact simple roots (``compact_steps``, cached per
+    spec): sum_j lam2_j c_j = 2 <lam, beta^vee> >= 0 for each, and every
+    compact positive root is a nonnegative sum of the simple ones."""
     if lam.rank != spec.rank:
         raise ValidationError("weight rank does not match the real form")
-    if not is_dominant(spec.datum, lam, spec.compact_positive):
+    x = lam.coords2
+    if not all(sum(c * x[j] for j, c in terms) >= 0 for _, terms in compact_steps(spec)):
         raise ValidationError(f"{lam} is not dominant for the compact positive system")
     if spec.lattice == "spin_descent":
         if not (lam + rho_n(spec)).is_integral:
@@ -239,7 +244,7 @@ def hc_parameter(spec: RealFormSpec, key: GeneratorKey) -> Weight:
 def is_regular_param(spec: RealFormSpec, lam: Weight) -> bool:
     """True iff the parameter pairs nonzero with every root (discrete series);
     False marks a limit of discrete series."""
-    return all(pairing(spec.datum, lam, alpha) != 0 for alpha in positive_roots(spec.datum))
+    return 0 not in integer_pairings(spec.datum, lam, positive_roots(spec.datum))
 
 
 class KClass(NamedTuple):

@@ -2,8 +2,13 @@
 
 All lattice arithmetic is exact.  Weights are stored as doubled integer
 coordinates (``coords2 = 2*lambda`` in the fundamental-weight basis) so that
-half-sums of roots and half-roots stay in the lattice; pairings are Fractions
-built from the symmetrized Cartan matrix.
+half-sums of roots and half-roots stay in the lattice.  The invariant form is
+kept in integers: ``integer_form`` is the symmetrized pairing matrix D A^{-1}
+over one common denominator s, an integer matrix M with
+4s (lambda, mu) = lambda2^T M mu2, cached per datum.  Sign tests (dominance,
+regularity) and ratios of pairings (coroot coordinates, heights, dimension
+products) read these integers (``integer_pairings``) and build at most one
+Fraction at the end; ``pairing`` is one of them over 4s.
 
 Weyl groups and weight orbits come from one breadth-first walk,
 ``reflection_orbit``: W (and W_K) is the walk of the regular vector
@@ -16,7 +21,9 @@ Group orders come from a product formula over the positive roots
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
+from operator import mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ValidationError
@@ -468,31 +475,32 @@ def weyl_order(datum: CartanDatum, positive: Sequence[Weight] | None = None) -> 
     R^+), exactly and building no element: the product over alpha in R^+ of
     (h + 1) / h, h = <rho_R, alpha^vee> the height of the coroot (Macdonald,
     The Poincare series of a Coxeter group, 1972).  Over a closed subsystem
-    it is the order of the group its reflections generate."""
+    it is the order of the group its reflections generate.  With k and n the
+    integers of (rho_R, alpha) and (alpha, alpha), h = 2k/n, so each factor is
+    (2k + n) / 2k and the product one integer quotient."""
     positive = positive_roots(datum) if positive is None else positive
-    r = rho(positive, datum.rank)
-    order = Fraction(1)
-    for alpha in positive:
-        h = 2 * pairing(datum, r, alpha) / pairing(datum, alpha, alpha)
-        order *= (h + 1) / h
-    return int(order)
+    num = den = 1
+    for alpha, k in zip(positive, integer_pairings(datum, rho(positive, datum.rank), positive)):
+        (n,) = integer_pairings(datum, alpha, (alpha,))
+        num *= 2 * k + n
+        den *= 2 * k
+    return num // den
 
 
 def reflection(datum: CartanDatum, alpha: Weight) -> Reflection:
     """The reflection s_alpha on coords2 as the pair (a, c) with s_alpha = I - a c^T:
     a is alpha in fundamental coordinates, c_j = <omega_j, alpha^vee>."""
-    n = datum.rank
-    norm = pairing(datum, alpha, alpha)
+    v = _form_covector(datum, alpha)  # v_j = 2s (omega_j, alpha), as omega_j has coords2 2e_j
+    norm = sum(map(mul, alpha.coords2, v))  # 4s (alpha, alpha)
     if norm == 0:
         raise ValidationError("cannot reflect in a null vector")
-    # <omega_j, alpha^vee> = 2 (omega_j, alpha) / (alpha, alpha)
-    basis = [Weight(tuple(2 if k == j else 0 for k in range(n))) for j in range(n)]
+    # <omega_j, alpha^vee> = 2 (omega_j, alpha) / (alpha, alpha) = 4 v_j / norm
     coroot = []
-    for w in basis:
-        cj = 2 * pairing(datum, w, alpha) / norm
-        if cj.denominator != 1:
+    for x in v:
+        cj, rest = divmod(4 * x, norm)
+        if rest:
             raise ValidationError("coroot pairing is not integral")
-        coroot.append(int(cj))
+        coroot.append(cj)
     return alpha.halved().coords2, tuple(coroot)
 
 
@@ -543,32 +551,50 @@ def rho(roots: Iterable[Weight], rank: int | None = None) -> Weight:
 
 
 # ---------------------------------------------------------------------------
-# pairing
+# the invariant form
 
 @functools.lru_cache(maxsize=None)
-def _pairing_matrix(datum: CartanDatum) -> tuple[tuple[Fraction, ...], ...]:
-    # (lambda, mu) = lambda^T D A^{-1} mu in fundamental coordinates
+def integer_form(datum: CartanDatum) -> tuple[IntMatrix, int]:
+    """The invariant form in integers: (M, s) with 4s (lambda, mu) = lambda2^T M mu2
+    on doubled coordinates.  In fundamental coordinates (lambda, mu) =
+    lambda^T D A^{-1} mu, symmetric as D A is; s is the least common
+    denominator of D A^{-1} and M = s D A^{-1}."""
     ainv = _invert_fraction([[Fraction(x) for x in row] for row in datum.cartan])
     n = datum.rank
-    return tuple(
-        tuple(datum.symmetrizer[i] * ainv[i][j] for j in range(n)) for i in range(n)
-    )
+    sym = [[datum.symmetrizer[i] * ainv[i][j] for j in range(n)] for i in range(n)]
+    s = math.lcm(*(x.denominator for row in sym for x in row))
+    return tuple(tuple(int(x * s) for x in row) for row in sym), s
+
+
+def _form_covector(datum: CartanDatum, lam: Weight) -> list[int]:
+    """M lam2, so that 4s (lam, mu) = mu2 . (M lam2) (M is symmetric)."""
+    x = lam.coords2
+    return [sum(map(mul, row, x)) for row in integer_form(datum)[0]]
+
+
+def integer_pairings(datum: CartanDatum, lam: Weight, others: Iterable[Weight]) -> list[int]:
+    """4s (lam, mu) for each mu in ``others``, s of ``integer_form``: the
+    integers that every sign test and every ratio of pairings reads."""
+    v = _form_covector(datum, lam)
+    return [sum(map(mul, mu.coords2, v)) for mu in others]
 
 
 def pairing(datum: CartanDatum, a: Weight, b: Weight) -> Fraction:
-    """Symmetric bilinear form from the symmetrized Cartan matrix, exact."""
-    mat = _pairing_matrix(datum)
-    total = Fraction(0)
-    for i, ai in enumerate(a.coords2):
-        if ai == 0:
-            continue
-        row = mat[i]
-        total += ai * sum(row[j] * bj for j, bj in enumerate(b.coords2) if bj != 0)
-    return total / 4
+    """The symmetric invariant form, exact: one integer of ``integer_pairings`` over 4s."""
+    (value,) = integer_pairings(datum, a, (b,))
+    return Fraction(value, 4 * integer_form(datum)[1])
 
 
 def is_dominant(datum: CartanDatum, lam: Weight, pos: Sequence[Weight]) -> bool:
-    return all(pairing(datum, lam, alpha) >= 0 for alpha in pos)
+    return all(k >= 0 for k in integer_pairings(datum, lam, pos))
+
+
+def dimension_ratio(datum: CartanDatum, big_lambda: Weight, pos: Sequence[Weight]) -> Fraction:
+    """prod (Lambda, alpha) / (rho, alpha) over ``pos`` (rho its half-sum),
+    exactly: both products have one factor per root, so the scale 4s cancels
+    and the ratio is one Fraction of two integer products."""
+    num = math.prod(integer_pairings(datum, big_lambda, pos))
+    return Fraction(num, math.prod(integer_pairings(datum, rho(pos, datum.rank), pos)))
 
 
 # ---------------------------------------------------------------------------
@@ -579,25 +605,18 @@ def weyl_dim(datum: CartanDatum, lam: Weight, pos: Sequence[Weight] | None = Non
     pos = positive_roots(datum) if pos is None else tuple(pos)
     if not is_dominant(datum, lam, pos):
         raise ValidationError(f"weight {lam} is not dominant for the given positive system")
-    if not pos:
-        return Fraction(1)
-    r = rho(pos)
-    num = Fraction(1)
-    den = Fraction(1)
-    shifted = lam + r
-    for alpha in pos:
-        num *= pairing(datum, shifted, alpha)
-        den *= pairing(datum, r, alpha)
-    return num / den
+    return dimension_ratio(datum, lam + rho(pos, datum.rank), pos)
 
 
 def _subsystem_simples(pos: Sequence[Weight]) -> tuple[Weight, ...]:
-    pos_set = set(pos)
-    simples = []
-    for alpha in pos:
-        if not any((alpha - beta) in pos_set for beta in pos if beta != alpha):
-            simples.append(alpha)
-    return tuple(simples)
+    """The roots of the positive system ``pos`` that are not the sum of two
+    of its roots, in the order of ``pos``; compared as coordinate tuples, as
+    the test is quadratic in |pos|."""
+    coords = {alpha.coords2 for alpha in pos}
+    return tuple(
+        alpha for alpha in pos
+        if not any(tuple(map(sub, alpha.coords2, beta)) in coords for beta in coords)
+    )
 
 
 def weight_multiplicities(

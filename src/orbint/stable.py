@@ -35,7 +35,7 @@ from .realform import (
     is_regular_param,
     rho_c,
 )
-from .rootsys import Weight, pairing, positive_roots, rho
+from .rootsys import Weight, dimension_ratio, integer_pairings, positive_roots
 from .toruschar import TorusPoint, _csum, root_factors, transformed_system
 
 PACKET_TOL = 1e-10
@@ -106,16 +106,7 @@ def limit_at_identity(spec: RealFormSpec, x: KClass, direction: Sequence) -> Fra
 def formal_degree(spec: RealFormSpec, lam_hc: Weight) -> Fraction:
     """Magnitude of the dimension-product formula at the parameter; zero exactly
     when the parameter is singular.  Haar normalizations are not modeled."""
-    pos = positive_roots(spec.datum)
-    if not pos:
-        return Fraction(1)
-    r = rho(pos)
-    num = Fraction(1)
-    den = Fraction(1)
-    for alpha in pos:
-        num *= pairing(spec.datum, lam_hc, alpha)
-        den *= pairing(spec.datum, r, alpha)
-    return abs(num / den)
+    return abs(dimension_ratio(spec.datum, lam_hc, positive_roots(spec.datum)))
 
 
 def tau_e(spec: RealFormSpec, x: KClass) -> Fraction:
@@ -145,8 +136,7 @@ def continuity_check(spec: RealFormSpec, x: KClass, direction: Sequence) -> Cont
     sign = (-1) ** (spec.dim_gk // 2) * spec.spin_sign
     signed = 0
     for key, coeff in x.terms:
-        lam_hc = hc_parameter(spec, key)
-        product = math.prod(pairing(spec.datum, lam_hc, alpha) for alpha in spec.positive_system)
+        product = math.prod(integer_pairings(spec.datum, hc_parameter(spec, key), spec.positive_system))
         signed += coeff * sign * ((product > 0) - (product < 0)) * tau_e(spec, KClass.generator(key))
     deviation = abs(limit - signed)
     return ContinuityReport(limit, tau_e(spec, x), deviation == 0, deviation)

@@ -41,6 +41,7 @@ from .toruschar import TorusPoint, is_regular
 
 DIM_TOL = 1e-3  # how far a dimension or a spinor coefficient may sit from an integer
 COARSEST_AXIS = 8  # points per axis of the first sub-lattice the spinor is read on
+MAX_LATTICE_POINTS = 2**16  # the largest lattice a reconstruction synthesizes: 64^2, 32^3, 16^4
 
 
 class LatticeGrid(abc.Sequence):
@@ -422,9 +423,17 @@ def run_reconstruction(
     candidate_bound: int = 3,
 ) -> RecoveryReport:
     """synth -> reference and noncompact weights -> characters -> dims ->
-    highest weights.  A frequency box the grid cannot resolve is refused
-    before any synthesis."""
-    _check_box(default_axis_count(spec.rank, axis_count), weight_bound)
+    highest weights.  Refused before any synthesis: a negative weight or
+    candidate bound, a frequency box the grid cannot resolve, and a lattice of
+    more than MAX_LATTICE_POINTS points."""
+    if weight_bound < 0:
+        raise ValidationError("the weight bound must be nonnegative")
+    if candidate_bound < 0:
+        raise ValidationError("the candidate bound must be nonnegative")
+    n = default_axis_count(spec.rank, axis_count)
+    _check_box(n, weight_bound)
+    if n**spec.rank > MAX_LATTICE_POINTS:
+        raise ValidationError(f"a lattice of {n}^{spec.rank} points exceeds the cap of {MAX_LATTICE_POINTS}")
     family = synth_family(spec, keys, axis_count)
     nc = recover_noncompact_weights(family, candidate_box(spec.rank, candidate_bound))
     chars = recover_characters(family, nc.reference_label)

@@ -13,6 +13,7 @@ import pytest
 import orbint.cli
 import orbint.ktrace
 import orbint.stable
+import orbint.tannaka
 from orbint.cli import Config, main
 from orbint.jsonio import dumps
 from orbint.ktrace import lds_character, lds_character_sum
@@ -534,3 +535,17 @@ def test_too_large_frequency_box_exits_2(capsys):
     code, out, err = run_cli(capsys, "tannaka", "--preset", "su21", "--lambdas", "0,0;1,0", "--bound", "40")
     assert code == 2 and out == ""
     assert err == "error: grid too coarse for the requested frequency box\n"
+
+
+@pytest.mark.parametrize("extra, message", [
+    (("--bound", "-3"), "the weight bound must be nonnegative"),
+    (("--candidate-bound", "-1"), "the candidate bound must be nonnegative"),
+    (("--axis-count", "100000"), "a lattice of 100000^2 points exceeds the cap of 65536"),
+])
+def test_reconstruction_bounds_are_refused_before_synthesis(capsys, monkeypatch, extra, message):
+    def no_synthesis(*args):
+        raise AssertionError("a family was synthesized")
+
+    monkeypatch.setattr(orbint.tannaka, "synth_family", no_synthesis)
+    code, out, err = run_cli(capsys, "tannaka", "--preset", "su21", "--lambdas", "0,0;2,0", *extra)
+    assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -6,11 +6,19 @@ from e that never builds W.  These are the direct constructions it replaced:
 full matrix products with determinant signs, W_K from every compact
 reflection, the first element of each coset W_K w found by multiplying out the
 coset, and the chamber test applied to every element of W.
+
+The invariant form is kept in integers over one common denominator; the
+Fraction route it replaced is kept here too: each pairing a sum of Fractions
+over the symmetrized Cartan matrix D A^{-1}, and the sign tests and ratios
+(dominance, coroots, Weyl orders, dimension products, generator keys) built
+from those Fractions.
 """
 
+import functools
 from fractions import Fraction
 
-from orbint.realform import build_real_form
+from orbint.errors import ValidationError
+from orbint.realform import GeneratorKey, build_real_form, rho_n
 from orbint.rootsys import (
     Weight,
     _det_fraction,
@@ -20,12 +28,99 @@ from orbint.rootsys import (
     _subsystem_simples,
     all_roots,
     build_datum,
-    pairing,
+    positive_roots,
     reflection,
     rho,
     weyl_group,
 )
 from orbint.verify import _matmul
+
+
+@functools.lru_cache(maxsize=None)
+def _fraction_form(datum):
+    # (lambda, mu) = lambda^T D A^{-1} mu in fundamental coordinates
+    ainv = _invert_fraction([[Fraction(x) for x in row] for row in datum.cartan])
+    n = datum.rank
+    return tuple(tuple(datum.symmetrizer[i] * ainv[i][j] for j in range(n)) for i in range(n))
+
+
+def fraction_pairing(datum, a, b):
+    """(a, b) as a sum of Fractions over the symmetrized Cartan matrix."""
+    mat = _fraction_form(datum)
+    total = Fraction(0)
+    for i, ai in enumerate(a.coords2):
+        if ai == 0:
+            continue
+        row = mat[i]
+        total += ai * sum(row[j] * bj for j, bj in enumerate(b.coords2) if bj != 0)
+    return total / 4
+
+
+def fraction_is_dominant(datum, lam, pos):
+    return all(fraction_pairing(datum, lam, alpha) >= 0 for alpha in pos)
+
+
+def fraction_reflection(datum, alpha):
+    """(a, c) of s_alpha = I - a c^T, c_j = 2 (omega_j, alpha) / (alpha, alpha)."""
+    n = datum.rank
+    norm = fraction_pairing(datum, alpha, alpha)
+    if norm == 0:
+        raise ValidationError("cannot reflect in a null vector")
+    coroot = []
+    for j in range(n):
+        cj = 2 * fraction_pairing(datum, Weight(tuple(2 if k == j else 0 for k in range(n))), alpha) / norm
+        if cj.denominator != 1:
+            raise ValidationError("coroot pairing is not integral")
+        coroot.append(int(cj))
+    return alpha.halved().coords2, tuple(coroot)
+
+
+def fraction_weyl_order(datum, positive=None):
+    """prod (h + 1) / h over the positive roots, h = 2 (rho, alpha) / (alpha, alpha)."""
+    positive = positive_roots(datum) if positive is None else positive
+    r = rho(positive, datum.rank)
+    order = Fraction(1)
+    for alpha in positive:
+        h = 2 * fraction_pairing(datum, r, alpha) / fraction_pairing(datum, alpha, alpha)
+        order *= (h + 1) / h
+    return int(order)
+
+
+def _fraction_dimension_product(datum, big_lambda, pos):
+    if not pos:
+        return Fraction(1)
+    r = rho(pos)
+    num = Fraction(1)
+    den = Fraction(1)
+    for alpha in pos:
+        num *= fraction_pairing(datum, big_lambda, alpha)
+        den *= fraction_pairing(datum, r, alpha)
+    return num / den
+
+
+def fraction_weyl_dim(datum, lam, pos=None):
+    pos = positive_roots(datum) if pos is None else tuple(pos)
+    if not fraction_is_dominant(datum, lam, pos):
+        raise ValidationError(f"weight {lam} is not dominant for the given positive system")
+    return _fraction_dimension_product(datum, lam + rho(pos, datum.rank), pos)
+
+
+def fraction_formal_degree(spec, lam_hc):
+    return abs(_fraction_dimension_product(spec.datum, lam_hc, positive_roots(spec.datum)))
+
+
+def fraction_generator_key(spec, lam):
+    """The key of lam, with dominance tested on every compact positive root."""
+    if lam.rank != spec.rank:
+        raise ValidationError("weight rank does not match the real form")
+    if not fraction_is_dominant(spec.datum, lam, spec.compact_positive):
+        raise ValidationError(f"{lam} is not dominant for the compact positive system")
+    if spec.lattice == "spin_descent":
+        if not (lam + rho_n(spec)).is_integral:
+            raise ValidationError(f"{lam} + rho_n is not integral (spin descent fails)")
+    elif not lam.is_integral:
+        raise ValidationError(f"{lam} is not integral")
+    return GeneratorKey(lam)
 
 
 def matmul_closure(rank, gen_matrices):
@@ -56,10 +151,10 @@ def matmul_closure(rank, gen_matrices):
 def reflection_matrix(datum, alpha):
     """Column j is s_alpha(e_j) = e_j - 2 (e_j, alpha) / (alpha, alpha) alpha in coords2."""
     n = datum.rank
-    norm = pairing(datum, alpha, alpha)
+    norm = fraction_pairing(datum, alpha, alpha)
     columns = []
     for j in range(n):
-        coeff = 2 * pairing(datum, Weight(tuple(int(k == j) for k in range(n))), alpha) / norm
+        coeff = 2 * fraction_pairing(datum, Weight(tuple(int(k == j) for k in range(n))), alpha) / norm
         columns.append([int(k == j) - coeff * alpha.coords2[k] for k in range(n)])
     assert all(x.denominator == 1 for col in columns for x in col)
     return tuple(tuple(int(columns[j][k]) for j in range(n)) for k in range(n))
