@@ -5,7 +5,9 @@ distinguishing by random sampling, and (limits of) discrete-series characters.
 Every tau value comes from one column-wise body, ``_checked_paths``: from
 one column of root factors per positive root over a block of points (taken
 with the singular guard), it forms the Weyl denominator and its compact and
-noncompact parts as whole-column products and checks both paths per point.
+noncompact parts as whole-column products, each seeded with its first
+column, and checks both paths per point.  The path sign (-1)^m spin_sign
+goes into D and D_n once per block, since x / (-d) = -(x / d) exactly.
 Per generator it adds only a numerator column, the alternating sum over a
 cached orbit of the Harish-Chandra parameter, the W_K orbit (``wk_orbit``)
 for tau and the W orbit (``w_orbit``) for the stable integral.  Both orbits
@@ -22,7 +24,10 @@ time, each phase an integer k mod 2q read from the tables of ``phase_tables(q)``
 (zeta[k] = e^{i pi k/q}; k/q is one correctly rounded division, so the doubles
 are the same).  The tables depend only on q: a small cache keeps them across
 calls, each filled only where it is read, and the Fourier twiddles of
-``tannaka`` are entries of the same zeta.
+``tannaka`` are entries of the same zeta.  Each orbit term is one read of a
+signed table s zeta[k], and ``_fold_terms`` sums an orbit's term columns as
+``orbit_sum``'s fsum does, bit for bit, but calls fsum only for three or more
+terms: one IEEE addition of two doubles is already correctly rounded.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import random
 from array import array
 from fractions import Fraction
 from itertools import chain, product
-from operator import mul, sub, truediv
+from operator import add, attrgetter, mul, sub, truediv
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import ConsistencyError, SingularPointError, ValidationError
@@ -149,22 +154,27 @@ def _root_positions(spec: RealFormSpec) -> tuple[tuple[int, ...], tuple[int, ...
     return compact, noncompact, index
 
 
-def _column_product(columns: Sequence[Sequence[complex]], indices: Iterable[int], size: int) -> list[complex]:
-    """Pointwise products of the given columns, multiplied in that order from 1."""
-    product = [complex(1.0)] * size
+def _column_product(columns: Sequence[Sequence[complex]], indices: Iterable[int], size: int) -> Sequence[complex]:
+    """Pointwise products of the given columns, multiplied in that order: the
+    first column itself (read, never written), then one product per further
+    column; ``size`` ones for no column."""
+    indices = iter(indices)
+    first = next(indices, None)
+    if first is None:
+        return [complex(1.0)] * size
+    product = columns[first]
     for i in indices:
         product = list(map(mul, product, columns[i]))
     return product
 
 
 @functools.lru_cache(maxsize=None)
-def _path_layout(spec: RealFormSpec) -> tuple[tuple[int, ...], tuple[int, ...], complex, complex, complex]:
+def _path_layout(spec: RealFormSpec) -> tuple[tuple[int, ...], tuple[int, ...], complex]:
     """What ``_checked_paths`` reads of a spec: the compact and noncompact root
-    positions, then (-1)^m spin_sign, (-1)^m and spin_sign as complex numbers,
-    which multiply a complex value exactly as the ints do."""
+    positions, then (-1)^m spin_sign as a complex number, which multiplies a
+    complex value exactly as the int does."""
     compact, noncompact, _ = _root_positions(spec)
-    parity, spin = (-1) ** (spec.dim_gk // 2), spec.spin_sign
-    return compact, noncompact, complex(parity * spin), complex(parity), complex(spin)
+    return compact, noncompact, complex((-1) ** (spec.dim_gk // 2) * spec.spin_sign)
 
 
 def _checked_paths(layout: tuple, factors: Sequence, numers: Sequence, point_at: Callable,
@@ -176,13 +186,15 @@ def _checked_paths(layout: tuple, factors: Sequence, numers: Sequence, point_at:
     paths differ beyond DUAL_PATH_TOL raises a ConsistencyError naming
     ``point_at(i)``; only then is ``failure``, the error of the point after the
     block, raised."""
-    compact, noncompact, sign_a, parity, spin = layout
+    compact, noncompact, sign = layout
     size = len(numers[0])
-    denom = _column_product(factors, range(len(factors)), size)
+    # x / (s d) is -(x / d) = (s x) / d exactly for s = -1, so the sign goes
+    # into the two shared denominators once instead of into every numerator
+    denom = list(map(sign.__mul__, _column_product(factors, range(len(factors)), size)))
     denom_c = _column_product(factors, compact, size)
-    delta_p = list(map(spin.__mul__, _column_product(factors, noncompact, size)))
-    paths = [(list(map(truediv, map(sign_a.__mul__, numer), denom)),
-              list(map(truediv, map(parity.__mul__, map(truediv, numer, denom_c)), delta_p))) for numer in numers]
+    delta_p = list(map(sign.__mul__, _column_product(factors, noncompact, size)))
+    paths = [(list(map(truediv, numer, denom)), list(map(truediv, map(truediv, numer, denom_c), delta_p)))
+             for numer in numers]
     # a screen with the same verdict, as each point's bound is at least DUAL_PATH_TOL
     if not all(max(map(abs, map(sub, a, b)), default=0.0) <= DUAL_PATH_TOL for a, b in paths):
         for i in range(size):
@@ -238,28 +250,52 @@ class _Table(dict):
 def phase_tables(q: int) -> tuple[_Table, _Table, dict]:
     """The tables of the lattice t = n/q, read by integer phase k and shared by
     every call at that q, each holding only the entries read so far: zeta[k] =
-    e^{i pi k/q}, the root factor zeta[k] - zeta[-k], and per sign s the real
-    and imaginary parts of s zeta[k], the terms that fsum adds."""
+    e^{i pi k/q}, the root factor zeta[k] - zeta[-k], and per sign s the orbit
+    term s zeta[k], the same product of an int and a complex as
+    ``orbit_sum``'s (so no part of a term is -0.0)."""
     two_q = 2 * q
     zeta = _Table(lambda k: cmath.exp(1j * math.pi * ((k % two_q) / q)))  # k = shift + pairing < 4q
     factor = _Table(lambda k: zeta[k] - zeta[-k % two_q])
-    parts = {s: (_Table(lambda k, s=s: (s * zeta[k]).real), _Table(lambda k, s=s: (s * zeta[k]).imag))
-             for s in (1, -1)}
-    return zeta, factor, parts
+    signed = {s: _Table(lambda k, s=s: s * zeta[k]) for s in (1, -1)}
+    return zeta, factor, signed
+
+
+_real, _imag = attrgetter("real"), attrgetter("imag")
+
+
+def _fold_terms(columns: Sequence[Iterable[complex]], size: int) -> list[complex]:
+    """Per point, the sum of the orbit's term columns (each ``size`` long) that
+    ``orbit_sum`` gives, complex(fsum(re), fsum(im)), bit for bit: no term
+    sums to 0; one term is its column (fsum would only turn a -0.0 part into
+    0.0, and the signed tables hold none); two terms add in one IEEE addition
+    per part, the correctly rounded sum that fsum returns (Shewchuk 1997);
+    only three or more terms go through fsum."""
+    if not columns:
+        return [0j] * size
+    if len(columns) == 1:
+        return list(columns[0])
+    if len(columns) == 2:
+        return list(map(add, *columns))
+    columns = [list(column) for column in columns]
+    re = map(math.fsum, zip(*[map(_real, column) for column in columns]))
+    im = map(math.fsum, zip(*[map(_imag, column) for column in columns]))
+    return list(map(complex, re, im))
 
 
 def tau_lattice(spec: RealFormSpec, keys: Sequence[GeneratorKey], axes: Sequence[Sequence[int]],
                 q: int) -> list[tuple[complex, ...]]:
     """``tau_grid`` on the product lattice t = (n_1/q, ..., n_r/q), n_j in axes[j],
     in ``itertools.product`` order, bit for bit, errors included.  Each root
-    pairing and numerator phase is an integer mod 2q, read from ``phase_tables(q)``.
-    A slab, the points of one n_1 (all points at rank 1), adds c_1 n_1 to the
-    pairings over the other axes, which are built once, as is each root's first
-    inner point of every residue class mod q: a slab's singular points."""
+    pairing and numerator phase is an integer mod 2q, read from ``phase_tables(q)``:
+    one root factor per root and point, one signed term s zeta^k per orbit
+    term and point, which ``_fold_terms`` sums.  A slab, the points of one n_1
+    (all points at rank 1), adds c_1 n_1 to the pairings over the other axes,
+    which are built once, as is each root's first inner point of every residue
+    class mod q: a slab's singular points."""
     if not keys:
         return []
     two_q, split = 2 * q, min(1, len(axes) - 1)
-    _, factor, parts = phase_tables(q)
+    _, factor, signed = phase_tables(q)
     inner = list(product(*axes[split:]))
     layout = _path_layout(spec)
 
@@ -275,7 +311,7 @@ def tau_lattice(spec: RealFormSpec, keys: Sequence[GeneratorKey], axes: Sequence
     firsts = [dict(zip(reversed([a % q for a in column]), range(len(inner) - 1, -1, -1)))
               for _, column in roots]
     orbits = [wk_orbit(spec, hc_parameter(spec, key)) for key in keys]
-    orbits = [[(parts[s], pairings(u)) for s, u in zip(o.signs, zip(*[iter(o.coords)] * o.rank))]
+    orbits = [[(signed[s], pairings(u)) for s, u in zip(o.signs, zip(*[iter(o.coords)] * o.rank))]
               for o in orbits]
     values: list[list[complex]] = [[] for _ in keys]
     for head in product(*axes[:split]):
@@ -288,13 +324,8 @@ def tau_lattice(spec: RealFormSpec, keys: Sequence[GeneratorKey], axes: Sequence
             failure = SingularPointError(f"torus point is singular for root {alpha}", root=alpha)
         factors = [list(map(factor.__getitem__, map(k.__add__, column[:size])))
                    for k, (_, column) in zip(shifts, roots)]
-        numers = []
-        for terms in orbits:  # an empty orbit sums to 0
-            columns = [(re_of, im_of, list(map(shift(c2, head).__add__, column[:size])))
-                       for (re_of, im_of), (c2, column) in terms]
-            re = map(math.fsum, zip(*[map(re_of.__getitem__, phase) for re_of, _, phase in columns]))
-            im = map(math.fsum, zip(*[map(im_of.__getitem__, phase) for _, im_of, phase in columns]))
-            numers.append(list(map(complex, re, im)) if terms else [0j] * size)
+        numers = [_fold_terms([map(term.__getitem__, map(shift(c2, head).__add__, column[:size]))
+                               for term, (c2, column) in terms], size) for terms in orbits]
         point_at = lambda i: TorusPoint(tuple(Fraction(n, q) for n in head + inner[i]), True)  # noqa: E731
         for column, (a, _) in zip(values, _checked_paths(layout, factors, numers, point_at, failure)):
             column.extend(a)

@@ -107,7 +107,11 @@ def _grid_offsets(datum: CartanDatum, seed: int = 0) -> tuple[Fraction, ...]:
 
 
 def default_axis_count(rank: int, axis_count: int | None = None) -> int:
-    return (64 if rank <= 2 else 32) if axis_count is None else int(axis_count)
+    """The given axis count, else the largest power of two, at most 64, whose
+    lattice fits MAX_LATTICE_POINTS: 64 up to rank 2, then 32, 16, 8, 4."""
+    if axis_count is not None:
+        return int(axis_count)
+    return min(64, 2 ** ((MAX_LATTICE_POINTS.bit_length() - 1) // rank))
 
 
 def synth_family(
@@ -280,7 +284,17 @@ def _integral_reciprocal(family: ChiFamily, label: Weight) -> tuple[dict, float]
     both parities in a window of that many per parity around -label; the stride
     halves until exactly one parity class is integral and nonzero.  A window
     that misses the support aliases with the phase of the offset, r/97, so it
-    comes out non-integral rather than wrong."""
+    comes out non-integral rather than wrong.
+
+    Each parity class is transformed on its own, and only after a screen: its
+    coefficient nearest -label must sit within DIM_TOL of an integer.  A class
+    is integral only if all its coefficients are, so a class that fails the
+    screen is not.  ``lattice_fourier`` computes each coefficient from that
+    frequency's own twiddles, by the same sums in the same order whatever else
+    the tables hold, so the screened coefficient and each transformed class
+    are the doubles of the whole window's transform, and every verdict is the
+    same.  So a refusal, where no class is integral, computes one coefficient
+    per class and stride rather than all (2m)^r of the window."""
     n, rank = family.axis_count, family.rank
     stride = max(1, n // COARSEST_AXIS)
     while True:
@@ -289,14 +303,17 @@ def _integral_reciprocal(family: ChiFamily, label: Weight) -> tuple[dict, float]
             samples = _sublattice(family.values[label], n, rank, stride)
             recip = [1 / v for v in _nonzero(samples, f"the lattice samples of {label}")]
             windows = [range(-c - m, -c + m) for c in label.coords2]
-            coeffs = lattice_fourier(recip, axis_twiddles(family, windows, stride))
-            classes: dict = {}
-            for w, c in coeffs.items():
-                classes.setdefault(tuple(x % 2 for x in w.coords2), []).append((w.coords2, c))
+            twiddles = axis_twiddles(family, windows, stride)
             integral = []
-            for members in classes.values():
-                residual = max(abs(c - round(c.real)) for _, c in members)
-                poly = {e: round(c.real) for e, c in members if round(c.real)}
+            for parity in itertools.product((0, 1), repeat=rank):
+                tables = [{c: tw for c, tw in table.items() if c % 2 == p} for table, p in zip(twiddles, parity)]
+                nearest = (-c + (c + p) % 2 for c, p in zip(label.coords2, parity))
+                [screened] = lattice_fourier(recip, [{k: table[k]} for table, k in zip(tables, nearest)]).values()
+                if abs(screened - round(screened.real)) > DIM_TOL:
+                    continue
+                coeffs = lattice_fourier(recip, tables)
+                residual = max(abs(c - round(c.real)) for c in coeffs.values())
+                poly = {w.coords2: round(c.real) for w, c in coeffs.items() if round(c.real)}
                 if residual <= DIM_TOL and poly:
                     integral.append((poly, residual))
             if len(integral) == 1:

@@ -244,6 +244,44 @@ def test_sl2r_half_root_divides_but_leaves_no_unit():
     assert unit_factorizations(poly, candidate_box(1, 3)) == [(alpha,)]
 
 
+def whole_window_reciprocal(family, label):
+    """``_integral_reciprocal`` as one transform of the whole window, both
+    parities at once, with no screen."""
+    n, rank = family.axis_count, family.rank
+    stride = max(1, n // orbint.tannaka.COARSEST_AXIS)
+    while True:
+        if n % stride == 0:
+            m = n // stride
+            recip = [1 / v for v in orbint.tannaka._sublattice(family.values[label], n, rank, stride)]
+            windows = [range(-c - m, -c + m) for c in label.coords2]
+            coeffs = lattice_fourier(recip, orbint.tannaka.axis_twiddles(family, windows, stride))
+            classes = {}
+            for w, c in coeffs.items():
+                classes.setdefault(tuple(x % 2 for x in w.coords2), []).append((w.coords2, c))
+            integral = []
+            for members in classes.values():
+                residual = max(abs(c - round(c.real)) for _, c in members)
+                poly = {e: round(c.real) for e, c in members if round(c.real)}
+                if residual <= orbint.tannaka.DIM_TOL and poly:
+                    integral.append((poly, residual))
+            if len(integral) == 1:
+                return integral[0]
+        if stride == 1:
+            return None
+        stride //= 2
+
+
+@pytest.mark.parametrize("spec, axis_count", [
+    (real_form("su21"), None), (real_form("compact(C2)"), None), (painted_forms("G2", [(0,)])[0], None),
+    (painted_forms("B3", [(1,)])[0], 16), (painted_forms("B3", [(2,)])[0], 8),
+], ids=["su21", "compact(C2)", "G2/paint0", "B3/paint1", "B3/paint2"])
+def test_screened_classes_give_the_whole_window_verdicts(spec, axis_count):
+    # every label, refused or not: the same polynomial and residual, bit for bit
+    family = synth_family(spec, small_keys(spec, 3), axis_count)
+    for label in family.labels:
+        assert orbint.tannaka._integral_reciprocal(family, label) == whole_window_reciprocal(family, label)
+
+
 SWEEP_FORMS = [(real_form(name), None) for name in ("sl2r", "su21", "sp4r")]
 SWEEP_FORMS += [
     (spec, axis_count)
@@ -346,6 +384,15 @@ def test_too_large_frequency_box_is_refused_before_synthesis(monkeypatch):
     for axis_count, bound in ((None, 32), (None, 40), (16, 8)):  # the default axis count is 64
         with pytest.raises(ValidationError, match="grid too coarse for the requested frequency box"):
             run_reconstruction(spec, keys, axis_count=axis_count, weight_bound=bound)
+
+
+@pytest.mark.parametrize("rank", range(1, 7))
+def test_default_axis_count_fits_the_cap(rank):
+    # 64 up to rank 2, then the largest power of two whose lattice fits
+    n = orbint.tannaka.default_axis_count(rank)
+    assert n == (64, 64, 32, 16, 8, 4)[rank - 1]
+    assert n**rank <= orbint.tannaka.MAX_LATTICE_POINTS < (2 * n) ** rank or n == 64
+    assert orbint.tannaka.default_axis_count(rank, 12) == 12
 
 
 def test_vanishing_samples_raise_reconstruction_error():

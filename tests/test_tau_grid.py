@@ -12,6 +12,7 @@ W-orbit sum.
 
 import functools
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -288,6 +289,32 @@ def lattice_keys(spec):
     weights) and one with a coordinate beyond 32 bits."""
     big = GeneratorKey(Weight((2 * 10**11,) + (2,) * (spec.rank - 1)))
     return small_keys(spec, 2) + [singular_key(spec), big]
+
+
+def test_lattice_keys_reach_every_numerator_fold():
+    # tau_lattice folds an orbit of 0, 1, 2 and 3 or more terms by different
+    # code (``ktrace._fold_terms``); the lattice tests must reach all four
+    sizes = {min(len(wk_orbit(spec, hc_parameter(spec, key)).signs), 3)
+             for spec in LATTICE_FORMS for key in lattice_keys(spec)}
+    assert sizes == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("terms", [1, 2, 3])
+def test_fold_is_the_fsum_of_the_parts(terms):
+    # bit for bit, signed zeros included (as hex); each column is a random
+    # point of the unit square, or the negation of the previous column's
+    # entry, so that two-term sums cancel exactly
+    rng = random.Random(terms)
+    size = 400
+    columns = []
+    for _ in range(terms):
+        prev = columns[-1] if columns else [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))] * size
+        columns.append([-1 * z if rng.random() < 0.25 else complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                        for z in prev])
+    want = [complex(math.fsum(z.real for z in zs), math.fsum(z.imag for z in zs)) for zs in zip(*columns)]
+    got = ktrace._fold_terms([iter(column) for column in columns], size)
+    assert [(z.real.hex(), z.imag.hex()) for z in got] == [(z.real.hex(), z.imag.hex()) for z in want]
+    assert ktrace._fold_terms([], 3) == [0j] * 3
 
 
 def outcome(fn):
