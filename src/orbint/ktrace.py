@@ -169,12 +169,19 @@ def _column_product(columns: Sequence[Sequence[complex]], indices: Iterable[int]
 
 
 @functools.lru_cache(maxsize=None)
-def _path_layout(spec: RealFormSpec) -> tuple[tuple[int, ...], tuple[int, ...], complex]:
+def _path_layout(spec: RealFormSpec) -> tuple:
     """What ``_checked_paths`` reads of a spec: the compact and noncompact root
-    positions, then (-1)^m spin_sign as a complex number, which multiplies a
-    complex value exactly as the int does."""
+    positions, (-1)^m spin_sign as a complex number, which multiplies a
+    complex value exactly as the int does, and the positive system."""
     compact, noncompact, _ = _root_positions(spec)
-    return compact, noncompact, complex((-1) ** (spec.dim_gk // 2) * spec.spin_sign)
+    return compact, noncompact, complex((-1) ** (spec.dim_gk // 2) * spec.spin_sign), spec.positive_system
+
+
+def _underflow(roots: Sequence[Weight], factors: Sequence[complex]) -> SingularPointError:
+    """The error of a point where a product of its root factors underflows to
+    0.0: numerically singular for the root of the smallest factor."""
+    alpha = roots[min(range(len(roots)), key=lambda i: abs(factors[i]))]
+    return SingularPointError(f"torus point is numerically singular for root {alpha}", root=alpha)
 
 
 def _checked_paths(layout: tuple, factors: Sequence, numers: Sequence, point_at: Callable,
@@ -182,17 +189,23 @@ def _checked_paths(layout: tuple, factors: Sequence, numers: Sequence, point_at:
     """Each key's (path_a, path_b) columns over a block of points, from a root
     factor column per root of ``spec.positive_system`` and a numerator column
     per key, with ``layout = _path_layout(spec)``; path_b is the compact
-    character numer/D_c over the spinor.  The first point (then key) whose
-    paths differ beyond DUAL_PATH_TOL raises a ConsistencyError naming
-    ``point_at(i)``; only then is ``failure``, the error of the point after the
-    block, raised."""
-    compact, noncompact, sign = layout
+    character numer/D_c over the spinor.  A denominator that underflows to
+    0.0 ends the block there, with a numerically singular ``failure``.  The
+    first point (then key) whose paths differ beyond DUAL_PATH_TOL raises a
+    ConsistencyError naming ``point_at(i)``; only then is ``failure``, the
+    error of the point after the block, raised."""
+    compact, noncompact, sign, roots = layout
     size = len(numers[0])
     # x / (s d) is -(x / d) = (s x) / d exactly for s = -1, so the sign goes
     # into the two shared denominators once instead of into every numerator
     denom = list(map(sign.__mul__, _column_product(factors, range(len(factors)), size)))
     denom_c = _column_product(factors, compact, size)
     delta_p = list(map(sign.__mul__, _column_product(factors, noncompact, size)))
+    zeros = [column.index(0) for column in (denom, denom_c, delta_p) if 0 in column]
+    if zeros:  # the paths below stop where the numerators do
+        size = min(zeros)
+        failure = _underflow(roots, [column[size] for column in factors])
+        numers = [numer[:size] for numer in numers]
     paths = [(list(map(truediv, numer, denom)), list(map(truediv, map(truediv, numer, denom_c), delta_p)))
              for numer in numers]
     # a screen with the same verdict, as each point's bound is at least DUAL_PATH_TOL
@@ -326,7 +339,7 @@ def tau_lattice(spec: RealFormSpec, keys: Sequence[GeneratorKey], axes: Sequence
                    for k, (_, column) in zip(shifts, roots)]
         numers = [_fold_terms([map(term.__getitem__, map(shift(c2, head).__add__, column[:size]))
                                for term, (c2, column) in terms], size) for terms in orbits]
-        point_at = lambda i: TorusPoint(tuple(Fraction(n, q) for n in head + inner[i]), True)  # noqa: E731
+        point_at = lambda i: TorusPoint(tuple(Fraction(n, q) for n in head + inner[i]))  # noqa: E731
         for column, (a, _) in zip(values, _checked_paths(layout, factors, numers, point_at, failure)):
             column.extend(a)
     return [tuple(column) for column in values]
@@ -334,8 +347,8 @@ def tau_lattice(spec: RealFormSpec, keys: Sequence[GeneratorKey], axes: Sequence
 
 def tau_generator(spec: RealFormSpec, key: GeneratorKey, g: TorusPoint) -> TauValue:
     """tau_g on a single Dirac-induction generator, with both routes and the
-    point's conditioning.  Exact points must be regular; real-mode points
-    (limit paths) rely on the denominator-magnitude guard instead."""
+    point's conditioning.  The point must be regular, in doubles too: no root
+    phase that rounds to an integer, no denominator that underflows to 0.0."""
     [factors], [([path_a], [path_b])] = _scattered_paths(spec, [key], [g])
     return TauValue(path_a, path_a, path_b, factors.conditioning)
 
@@ -440,6 +453,8 @@ def lds_value(
     denom = complex(1.0)
     for beta in system:
         denom *= factors.factor(*index[beta])
+    if denom == 0:  # the product underflowed
+        raise _underflow(spec.positive_system, factors.factors)
     m = spec.dim_gk // 2
     numer = orbit_sum(wk_orbit(spec, lam_hc), g)
     return (-1) ** m * spec.spin_sign * numer / denom

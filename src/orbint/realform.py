@@ -301,7 +301,7 @@ def kclass_from_json(spec: RealFormSpec, data) -> KClass:
         try:
             lam = Weight(tuple(int(c) for c in item["lambda2"]))
             coeff = int(item["coeff"])
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):  # OverflowError: an infinite number
             raise ValidationError(f"malformed K-class term {item!r}") from None
         pairs.append((generator_key(spec, lam), coeff))
     return KClass.from_pairs(pairs)

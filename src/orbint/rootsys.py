@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import functools
 import math
+import re
+import sys
 from fractions import Fraction
 from operator import mul, sub
 from typing import Iterable, NamedTuple, Sequence
@@ -195,14 +197,34 @@ class Weight(_Frozen):
         return "(" + ", ".join(str(f) for f in self.fundamental()) + ")"
 
 
+_NUMBER = re.compile(r"[-+]?(?=\.?\d)(\d*)(?:/(\d+)|(?:\.(\d*))?(?:[eE]([-+]?\d+))?)")  # Fraction's syntax
+
+
+def parse_rational(token: str) -> Fraction:
+    """A number token, "p/q" or a decimal such as "0.37" or "1e-3", taken
+    exactly: "0.1" is 1/10.  A token whose numerator or denominator, as written,
+    has more digits than the interpreter's int-to-str limit (4300 by default)
+    is refused before any integer is built: "1e100000000" costs no time."""
+    match = _NUMBER.fullmatch(token.strip())
+    if match is None:
+        raise ValidationError(f"{token!r} is not a rational number")
+    num, denom, decimal, exp = (part or "" for part in match.groups())
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    shift = int(exp or 0) - len(decimal) if len(exp) <= limit else limit + 1  # the value is int(num + decimal) * 10**shift
+    if max(len(num + decimal) + max(shift, 0), 1 - min(shift, 0), len(denom)) > limit:
+        raise ValidationError(f"number {token[:40]} has more than {limit} digits in its numerator or denominator")
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ValidationError(f"{token!r} has a zero denominator") from None
+
+
 def weight_from_fundamental(coords: Iterable) -> Weight:
-    """Build a Weight from fundamental coordinates (ints, Fractions, or 'p/q' strings)."""
+    """Build a Weight from fundamental coordinates: numbers or number tokens
+    (``parse_rational``)."""
     doubled = []
     for c in coords:
-        try:
-            f = Fraction(c) * 2
-        except (ValueError, TypeError, ZeroDivisionError):
-            raise ValidationError(f"coordinate {c!r} is not a rational number") from None
+        f = parse_rational(str(c)) * 2
         if f.denominator != 1:
             raise ValidationError(f"coordinate {c} is not in the half-weight lattice")
         doubled.append(int(f))
@@ -292,14 +314,10 @@ def _series_matrix(series: str, n: int) -> tuple[list[list[int]], list[Fraction]
     return a, d
 
 
-def validate_cartan(matrix: Sequence[Sequence[int]], symmetrizer: Sequence) -> None:
+def validate_cartan(matrix: Sequence[Sequence[int]], d: Sequence[Fraction]) -> None:
     n = len(matrix)
     if n == 0 or any(len(row) != n for row in matrix):
         raise ValidationError("Cartan matrix must be square and nonempty")
-    try:
-        d = [Fraction(x) for x in symmetrizer]
-    except (ValueError, TypeError, ZeroDivisionError):
-        raise ValidationError(f"symmetrizer entries must be rational numbers: {symmetrizer!r}") from None
     if len(d) != n:
         raise ValidationError("symmetrizer length must equal the rank")
     if any(x <= 0 for x in d):
@@ -348,8 +366,8 @@ def build_datum(spec, symmetrizer=None) -> CartanDatum:
         raise ValidationError("explicit Cartan matrices require a symmetrizer")
     if len(matrix) > _MAX_RANK:
         raise ValidationError(f"rank {len(matrix)} exceeds the desk-scale cap {_MAX_RANK}")
-    validate_cartan(matrix, symmetrizer)
-    d = tuple(Fraction(x) for x in symmetrizer)
+    d = tuple(parse_rational(str(x)) for x in symmetrizer)
+    validate_cartan(matrix, d)
     return CartanDatum(len(matrix), tuple(tuple(row) for row in matrix), d, None)
 
 

@@ -63,7 +63,7 @@ class LatticeGrid(abc.Sequence):
         for axis in reversed(self.axes):
             i, k = divmod(i, len(axis))
             coords.append(Fraction(axis[k], self.q))
-        return TorusPoint(tuple(reversed(coords)), True)
+        return TorusPoint(tuple(reversed(coords)))
 
 
 class ChiFamily(NamedTuple):

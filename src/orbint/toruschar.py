@@ -1,9 +1,10 @@
 """Torus points, exact regularity, weight exponentials, Weyl numerators and
 denominators, the spinor character, and the Atiyah-Bott style fixed-point sum.
 
-Pairings are exact before the one transcendental call per factor; complex
-values are machine doubles.  Roots pair with an exact point t = n/q in
-integers (<alpha/2, t> = a/q: singular iff q | a, phase (a mod 2q)/q).
+Torus points are exact (Fractions), and roots pair with t = n/q in integers
+(<alpha/2, t> = a/q: singular iff q | a, phase (a mod 2q)/q) before the one
+transcendental call per factor; complex values are machine doubles, and a
+phase that rounds to an integer in them is numerically singular.
 ``orbit_sum``'s per-term phases stay Fractions (``ktrace`` says why).
 
 The evaluation kernel of tau, stable sums, packets and synthesis has two
@@ -24,6 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import SingularPointError, ValidationError
@@ -35,38 +37,24 @@ from .rootsys import (
     _Frozen,
     _set,
     integer_inverse,
+    parse_rational,
     positive_roots,
 )
-
-# Real-mode singularity guard on |e^{alpha/2} - e^{-alpha/2}|; exact mode decides exactly.
-SINGULAR_GUARD = 1e-13
-# Real coordinates count mod 2; a double of magnitude 2**52 or more has no
-# fractional part left, and far larger ones overflow the root pairings.
-MAX_REAL_COORD = 2.0**52
 
 
 class TorusPoint(NamedTuple):
     """Torus coordinates t with g = exp(2 pi sum_j t_j x_j) over the simple coroots,
     so e^lambda(g) = exp(2 pi i <lambda, t>) with lambda in fundamental coordinates.
 
-    Exact points carry Fractions reduced mod 2 (half-integral weights have
-    period 2 per coordinate); real points carry floats for limit paths.
+    The coordinates are Fractions reduced mod 2 (half-integral weights have
+    period 2 per coordinate), as ``exact_point`` builds them.
     """
 
     coords: tuple
-    exact: bool
 
     @staticmethod
     def exact_point(values: Iterable) -> "TorusPoint":
-        coords = tuple(Fraction(v) % 2 for v in values)
-        return TorusPoint(coords, True)
-
-    @staticmethod
-    def real_point(values: Iterable) -> "TorusPoint":
-        coords = tuple(float(v) for v in values)
-        if not all(abs(c) < MAX_REAL_COORD for c in coords):
-            raise ValidationError(f"real torus coordinates {coords} are not all finite and below 2**52")
-        return TorusPoint(coords, False)
+        return TorusPoint(tuple(Fraction(v) % 2 for v in values))
 
     @property
     def rank(self) -> int:
@@ -74,33 +62,16 @@ class TorusPoint(NamedTuple):
 
 
 def parse_torus_point(text: str) -> TorusPoint:
-    """Parse comma-separated coordinates; all-rational tokens give an exact point,
-    any decimal token switches the whole point to real mode."""
+    """Parse comma-separated coordinates, rationals or decimals, each taken
+    exactly (``rootsys.parse_rational``): 0.1 is the point 1/10."""
     tokens = [t.strip() for t in text.split(",") if t.strip()]
     if not tokens:
         raise ValidationError("empty torus point")
-    exact = all(("/" in t or _is_int(t)) for t in tokens)
-    try:
-        values = [Fraction(t) if ("/" in t or _is_int(t)) else float(t) for t in tokens]
-    except (ValueError, ZeroDivisionError):
-        raise ValidationError(f"cannot parse torus point {text!r}") from None
-    if exact:
-        return TorusPoint.exact_point(values)
-    return TorusPoint.real_point(values)
-
-
-def _is_int(token: str) -> bool:
-    try:
-        int(token)
-        return True
-    except ValueError:
-        return False
+    return TorusPoint.exact_point(map(parse_rational, tokens))
 
 
 def serialize_torus_point(g: TorusPoint) -> list[str]:
-    if g.exact:
-        return [str(c) for c in g.coords]
-    return [repr(c) for c in g.coords]
+    return [str(c) for c in g.coords]
 
 
 # ---------------------------------------------------------------------------
@@ -143,14 +114,7 @@ def eval_weight(lam: Weight, g: TorusPoint) -> complex:
     in doubled coordinates before the exponential."""
     if lam.rank != g.rank:
         raise ValidationError("weight and torus point have different ranks")
-    if g.exact:
-        phase = Fraction(0)
-        for c2, t in zip(lam.coords2, g.coords):
-            phase += c2 * t
-        phase %= 2
-        return cmath.exp(1j * math.pi * float(phase))
-    total = math.fsum(c2 * t for c2, t in zip(lam.coords2, g.coords))
-    return cmath.exp(1j * math.pi * total)
+    return cmath.exp(1j * math.pi * float(sum(map(mul, lam.coords2, g.coords)) % 2))
 
 
 def _root_pairings(g: TorusPoint, roots: Sequence[Weight]) -> Iterator[tuple[Weight, int, int]]:
@@ -164,29 +128,14 @@ def _root_pairings(g: TorusPoint, roots: Sequence[Weight]) -> Iterator[tuple[Wei
         yield alpha, sum(c // 2 * n for c, n in zip(alpha.coords2, ns)), q
 
 
-def root_phase(alpha: Weight, g: TorusPoint):
-    """u = <alpha/2, t>, so that e^{alpha/2}(g) = exp(pi i u) and the factor
-    e^{alpha/2} - e^{-alpha/2} = 2i sin(pi u) vanishes iff u is an integer.
-    Exact (a Fraction) at exact points, an fsum float at real ones."""
-    fund = alpha.halved().coords2  # also rejects a non-integral weight
-    if g.exact:
-        [(_, a, q)] = _root_pairings(g, [alpha])
-        return Fraction(a, q)
-    return math.fsum(f * t for f, t in zip(fund, g.coords))
-
-
 def is_regular(g: TorusPoint, datum: CartanDatum) -> bool:
-    """Exact regularity: no root pairing lands in the integers.  Real-mode
-    points are rejected; regularity is only decided exactly."""
-    if not g.exact:
-        raise ValidationError("regularity is decided only for exact rational points")
+    """Exact regularity: no root pairing lands in the integers."""
     return all(a % q for _, a, q in _root_pairings(g, positive_roots(datum)))
 
 
 def guard_nonsingular(g: TorusPoint, roots: Sequence[Weight]) -> None:
     """Raise SingularPointError (carrying the offending root) if any factor
-    e^{alpha/2} - e^{-alpha/2} vanishes at g (exactly, or within the real-mode
-    guard): the guard of ``root_factors``."""
+    e^{alpha/2} - e^{-alpha/2} vanishes at g: the guard of ``root_factors``."""
     root_factors(g, roots)
 
 
@@ -212,36 +161,27 @@ class RootFactors(NamedTuple):
 
 
 def root_factors(g: TorusPoint, roots: Sequence[Weight]) -> RootFactors:
-    """One pairing u = <alpha/2, t> per root gives both the singular verdict
-    and the factor of alpha: u = a/q in integers at exact points
-    (``_root_pairings``), an fsum float at real ones.
+    """One pairing <alpha/2, t> = a/q per root, in integers (``_root_pairings``),
+    gives both the singular verdict and the factor of alpha.
 
     Raises ValidationError first when the point's rank is not the roots' (the
     pairings would silently drop coordinates), then SingularPointError at the
-    first singular root (exactly, or below SINGULAR_GUARD at real points).
-    The exponentials are those of ``eval_weight`` bit for bit, e^{i pi (+-a mod 2q)/q}
-    or e^{+-i pi u}, so each factor equals
+    first root on a wall: exactly (q | a), or numerically, where a phase
+    (+-a mod 2q)/q rounds to an integer as a double, so that the factor is 0.0
+    or only rounding error.  The exponentials are those of ``eval_weight`` bit
+    for bit, e^{i pi (+-a mod 2q)/q}, so each factor equals
     ``eval_weight(alpha/2, g) - eval_weight(-alpha/2, g)``.
     """
     if roots and roots[0].rank != g.rank:
         raise ValidationError("weight and torus point have different ranks")
-    plus = []
-    minus = []
-    if g.exact:
-        for alpha, a, q in _root_pairings(g, roots):
-            if a % q == 0:
-                raise SingularPointError(f"torus point is singular for root {alpha}", root=alpha)
-            plus.append(cmath.exp(1j * math.pi * (a % (2 * q) / q)))
-            minus.append(cmath.exp(1j * math.pi * (-a % (2 * q) / q)))
-    else:
-        for alpha in roots:
-            u = root_phase(alpha, g)
-            if abs(2.0 * math.sin(math.pi * u)) < SINGULAR_GUARD:
-                raise SingularPointError(
-                    f"torus point is numerically singular for root {alpha}", root=alpha
-                )
-            plus.append(cmath.exp(1j * math.pi * u))
-            minus.append(cmath.exp(1j * math.pi * -u))
+    plus, minus = [], []
+    for alpha, a, q in _root_pairings(g, roots):
+        up, down = a % (2 * q) / q, -a % (2 * q) / q
+        if up.is_integer() or down.is_integer():  # always so when q | a
+            kind = "singular" if a % q == 0 else "numerically singular"
+            raise SingularPointError(f"torus point is {kind} for root {alpha}", root=alpha)
+        plus.append(cmath.exp(1j * math.pi * up))
+        minus.append(cmath.exp(1j * math.pi * down))
     return RootFactors(tuple(plus), tuple(minus), tuple(p - m for p, m in zip(plus, minus)))
 
 
@@ -261,19 +201,8 @@ def orbit_sum(orbit: SignedOrbit, g: TorusPoint) -> complex:
     if orbit.rank != g.rank:
         raise ValidationError("weight and torus point have different ranks")
     images = zip(*[iter(orbit.coords)] * orbit.rank)  # consecutive rank-long slices
-    terms = []
-    if g.exact:
-        for sign, image in zip(orbit.signs, images):
-            phase = Fraction(0)
-            for c2, t in zip(image, g.coords):
-                phase += c2 * t
-            phase %= 2
-            terms.append(sign * cmath.exp(1j * math.pi * float(phase)))
-    else:
-        for sign, image in zip(orbit.signs, images):
-            total = math.fsum(c2 * t for c2, t in zip(image, g.coords))
-            terms.append(sign * cmath.exp(1j * math.pi * total))
-    return _csum(terms)
+    return _csum([sign * cmath.exp(1j * math.pi * float(sum(map(mul, image, g.coords)) % 2))
+                  for sign, image in zip(orbit.signs, images)])
 
 
 def _csum(values: Iterable[complex]) -> complex:
@@ -324,17 +253,8 @@ def ab_fixed_sum(nu: Weight, g: TorusPoint, group, roots: Sequence[Weight]) -> c
 # Weyl action on torus points
 
 def weyl_act_point(w: WeylElement, g: TorusPoint) -> TorusPoint:
-    """Transform torus coordinates so that e^mu(w.g) = e^{w^{-1} mu}(g)."""
-    mat = tuple(zip(*integer_inverse(w.matrix)))  # the transpose
-    if g.exact:
-        coords = tuple(
-            sum(row[j] * g.coords[j] for j in range(len(row))) % 2 for row in mat
-        )
-        return TorusPoint(coords, True)
-    coords = tuple(
-        math.fsum(row[j] * g.coords[j] for j in range(len(row))) for row in mat
-    )
-    return TorusPoint(coords, False)
+    """t -> (w^{-1})^T t mod 2, so that e^mu(w.g) = e^{w^{-1} mu}(g)."""
+    return TorusPoint(tuple(sum(map(mul, col, g.coords)) % 2 for col in zip(*integer_inverse(w.matrix))))
 
 
 def transformed_system(w: WeylElement, roots: Sequence[Weight]) -> tuple[Weight, ...]:

@@ -1,14 +1,20 @@
 """CLI subcommands: JSON output, determinism, config round trip, exit codes."""
 
 import ast
+import contextlib
+import io
 import json
 import os
 import re
 import shlex
 import subprocess
 import sys
+import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import orbint.cli
 import orbint.ktrace
@@ -18,6 +24,7 @@ from orbint.cli import Config, main
 from orbint.jsonio import dumps
 from orbint.ktrace import lds_character, lds_character_sum
 from orbint.rootsys import all_roots
+from orbint.toruschar import TorusPoint, parse_torus_point
 from weyl_oracles import painted_forms
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -118,19 +125,106 @@ def test_exit_codes(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["tau", "--preset", "sl2r", "--lambda", "1", "--t", "nan"], 2),
+        (["tau", "--preset", "sl2r", "--lambda", "1", "--t", "inf"], 2),
+        # 1e308 is the even integer 10^308, so the point is the identity
+        (["tau", "--preset", "sl2r", "--lambda", "1", "--t", "1e308"], 3),
+        (["limit", "--preset", "sl2r", "--lambda", "3", "--direction", "nan"], 2),
+        (["limit", "--preset", "sl2r", "--lambda", "3", "--direction", "inf"], 2),
+    ],
+    ids=[f"argv{i}" for i in range(5)],
+)
+def test_non_finite_torus_input_is_rejected(capsys, argv, want):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == want and out == ""
+    assert err.startswith("error:" if want == 2 else "singular evaluation point:") and err.count("\n") == 1
+
+
+NEAR_HALF = "50000000000000001/100000000000000000"  # 2t rounds to the integer 1.0
+NEAR_SU21 = "1/5,80000000000000001/100000000000000000"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
-        ["tau", "--preset", "sl2r", "--lambda", "1", "--t", "nan"],
-        ["tau", "--preset", "sl2r", "--lambda", "1", "--t", "inf"],
-        ["tau", "--preset", "sl2r", "--lambda", "1", "--t", "1e308"],
-        ["limit", "--preset", "sl2r", "--lambda", "3", "--direction", "nan"],
-        ["limit", "--preset", "sl2r", "--lambda", "3", "--direction", "inf"],
+        ["tau", "--preset", "sl2r", "--lambda", "1", "--t", NEAR_HALF],
+        ["tau", "--preset", "su21", "--lambda", "1,0", "--t", NEAR_SU21],
+        ["stable", "--preset", "su21", "--lambda", "1,0", "--t", NEAR_SU21],
+        ["packet", "--preset", "sl2r", "--Lambda", "3", "--t", NEAR_HALF],
+        ["schmid", "--preset", "su21", "--Lambda", "1,1", "--t", NEAR_SU21],
+        ["demo-sl2", "--t", NEAR_HALF],
+        ["tau", "--preset", "su21", "--lambda", "1,0", "--t", "0.2,0.80000000000000001"],
+        # -2t mod 2 rounds to 2.0: a wall in doubles on the identity's side
+        ["tau", "--preset", "sl2r", "--lambda", "1", "--t", "1e-17"],
+        ["tau", "--preset", "sl2r", "--lambda", "1", "--t", "1e-400"],
     ],
 )
-def test_non_finite_torus_input_is_rejected(capsys, argv):
+def test_points_within_rounding_of_a_wall_are_numerically_singular(capsys, argv):
+    # a regular exact point whose root phase rounds to an integer in doubles
+    # used to end in a ZeroDivisionError traceback, or to print rounding error
+    start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("singular evaluation point: torus point is numerically singular for root")
+    assert err.count("\n") == 1
+
+
+def digits(n):
+    return "1" * n
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["limit", "--preset", "sl2r", "--lambda", "3", "--direction", "1e100000"],
+        ["limit", "--preset", "sl2r", "--lambda", "3", "--direction", "1e100000000"],
+        ["limit", "--preset", "sl2r", "--lambda", "3", "--direction", "1e" + digits(5000)],
+        ["tau", "--preset", "sl2r", "--lambda", "1e5000", "--t", "1/5"],
+        ["tau", "--preset", "sl2r", "--lambda", "1", "--t", "1e-5000"],
+        ["tau", "--preset", "sl2r", "--lambda", "1", "--t", "1/" + digits(5001)],
+        ["tau", "--preset", "sl2r", "--lambda", "1", "--t", "0." + digits(5000)],
+        ["packet", "--preset", "sl2r", "--Lambda", digits(5001), "--t", "1/5"],
+        ["tannaka", "--preset", "su21", "--lambdas", "0,0;1e5000,0"],
+        ["stable", "--preset", "sl2r", "--class", '[{"lambda2": [%s], "coeff": 1}]' % digits(5001), "--t", "1/5"],
+        ["stable", "--preset", "sl2r", "--class", '[{"lambda2": [2], "coeff": %s}]' % digits(5001), "--t", "1/5"],
+        ["datum", "--matrix", "2,-1;-1,2", "--symmetrizer", "1,1e100000000"],
+        ["datum", "--matrix", "2,-1;-1,2", "--symmetrizer", "1e5000,1e5000"],
+    ],
+)
+def test_numbers_past_the_digit_limit_are_rejected_at_once(capsys, argv):
+    # each used to end in a ValueError traceback (or, for 1e100000000, to hang)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def run_captured(*argv):
+    """``main`` on argv: exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+DECIMAL_TOKENS = st.from_regex(r"[-+]?[0-9]{1,3}\.[0-9]{0,20}([eE][-+]?[0-9]{1,2})?", fullmatch=True)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.lists(DECIMAL_TOKENS, min_size=2, max_size=2))
+@example(["0.2", "0.37"])
+@example(["0.2", "0.80000000000000001"])
+@example(["1e-5", "0.5"])
+def test_decimal_torus_points_are_the_rationals_they_spell(tokens):
+    text = ",".join(tokens)
+    assert parse_torus_point(text) == TorusPoint.exact_point(Fraction(d) for d in tokens)
+    rational = ",".join(str(Fraction(d)) for d in tokens)
+    args = ["tau", "--preset", "su21", "--lambda", "1,0"]
+    assert run_captured(*args, "--t=" + text) == run_captured(*args, "--t=" + rational)
 
 
 @pytest.mark.parametrize(
@@ -146,6 +240,8 @@ def test_non_finite_torus_input_is_rejected(capsys, argv):
         ["datum", "--matrix", "2,-1;-1,2", "--symmetrizer", "a,1"],
         ["datum", "--matrix", "2,-1;-1,2", "--symmetrizer", "1/0,1"],
         ["tau", "--type", "A2", "--compact-indices", "0,x", "--lambda", "0,0", "--t", "1/5,2/7"],
+        ["stable", "--preset", "sl2r", "--class", '[{"lambda2": [Infinity], "coeff": 1}]', "--t", "1/5"],
+        ["stable", "--preset", "sl2r", "--class", '[{"lambda2": [2], "coeff": 1e400}]', "--t", "1/5"],
     ],
 )
 def test_malformed_numbers_are_rejected(capsys, argv):

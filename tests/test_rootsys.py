@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from orbint.rootsys import (
     all_roots,
     build_datum,
     pairing,
+    parse_rational,
     positive_roots,
     rho,
     weight_from_fundamental,
@@ -214,6 +216,32 @@ def test_weight_helpers():
         weight_from_fundamental([Fraction(1, 3)])
     with pytest.raises(ValidationError):
         w.halved()
+
+
+@pytest.mark.parametrize(
+    "token, value",
+    [("0.37", Fraction(37, 100)), ("-1/3", Fraction(-1, 3)), (" 2.5e-3 ", Fraction(1, 400)),
+     (".5", Fraction(1, 2)), ("7.", 7), ("+1E2", 100), ("0.1", Fraction(1, 10))],
+)
+def test_parse_rational_is_exact(token, value):
+    assert parse_rational(token) == value
+
+
+def test_parse_rational_bounds_the_digits_before_building():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    assert parse_rational("9" * limit) == int("9" * limit)
+    assert parse_rational(f"1e{limit - 1}") == 10 ** (limit - 1)
+    assert parse_rational(f"1e-{limit - 1}") == Fraction(1, 10 ** (limit - 1))
+    too_long = ["9" * (limit + 1), "1/" + "9" * (limit + 1), f"1e{limit}", f"1e-{limit}",
+                "0." + "1" * limit, "1e100000000", "1e-" + "9" * (limit + 1)]
+    for token in too_long:
+        with pytest.raises(ValidationError, match="digits"):
+            parse_rational(token)
+    for token in ["nan", "inf", "", "a", "1/2/3", "--1", "1e", "/2", "1 / 2", "1_000"]:
+        with pytest.raises(ValidationError, match="not a rational number"):
+            parse_rational(token)
+    with pytest.raises(ValidationError, match="zero denominator"):
+        parse_rational("1/0")
 
 
 def test_rank_cap_and_unknown_types():

@@ -2,7 +2,8 @@
 
 ``tau_grid``, ``tau_generator``, ``tau_class``, ``synth_family`` and
 ``lpacket_sum`` are compared ``==`` against the oracles in ``tau_oracles.py``,
-on the five presets and three painted forms, at exact and real-mode points.
+on the five presets and three painted forms, at points of small prime
+denominators and at binary fractions with denominators near 2^60.
 ``tau_lattice``, the integer-phase route of the synthesis lattice, is
 compared ``==`` against ``tau_grid`` over the same points, errors included.
 ``stable_tau`` sums over the W orbit instead of the coset translates, so it
@@ -66,12 +67,13 @@ def exact_points(spec, seed, count=3):
     return [random_regular_point(spec.datum, rng) for _ in range(count)]
 
 
-def real_points(spec, seed):
-    """A generic real point and two points of a ray toward the identity."""
+def binary_points(spec, seed):
+    """A generic point and two points of a ray toward the identity, each
+    coordinate a random double taken exactly (a binary fraction)."""
     rng = random.Random(seed)
-    generic = TorusPoint.real_point(rng.uniform(0.05, 0.95) for _ in range(spec.rank))
+    generic = TorusPoint.exact_point(rng.uniform(0.05, 0.95) for _ in range(spec.rank))
     direction = [rng.uniform(0.3, 1.0) for _ in range(spec.rank)]
-    return [generic] + [TorusPoint.real_point(s * c for c in direction) for s in (1e-2, 2.5e-3)]
+    return [generic] + [TorusPoint.exact_point(s * c for c in direction) for s in (1e-2, 2.5e-3)]
 
 
 def singular_key(spec):
@@ -87,7 +89,7 @@ def singular_key(spec):
 @pytest.mark.parametrize("spec", FORMS, ids=IDS)
 def test_tau_grid_and_generator_match_the_per_key_formula(spec):
     keys = keys_of(spec)[:3] + [singular_key(spec)]
-    points = exact_points(spec, 61) + real_points(spec, 62)
+    points = exact_points(spec, 61) + binary_points(spec, 62)
     assert tau_grid(spec, keys, points) == oracle.tau_grid(spec, keys, points)
     for g in points:
         for key in keys:
@@ -144,7 +146,7 @@ def test_wk_orbit_matches_the_group_orbit(spec):
 def test_class_and_stable_values_match(spec):
     keys = keys_of(spec)
     rng = random.Random(63)
-    for g in exact_points(spec, 64, 2) + real_points(spec, 65)[:1]:
+    for g in exact_points(spec, 64, 2) + binary_points(spec, 65)[:1]:
         x = random_class(keys, rng)
         assert tau_class(spec, x, ConjugacyDescriptor.elliptic(g)) == oracle.tau_class(spec, x, g)
         value = stable_tau(spec, x, g)
@@ -191,7 +193,7 @@ def test_stable_tau_builds_no_weyl_group_element():
 def test_lpacket_sum_matches(spec):
     keys = keys_of(spec)[:2]
     lams = [hc_parameter(spec, key) for key in keys] + [hc_parameter(spec, singular_key(spec))]
-    for g in exact_points(spec, 66, 2) + real_points(spec, 67)[:1]:
+    for g in exact_points(spec, 66, 2) + binary_points(spec, 67)[:1]:
         for lam_hc in lams:
             assert lpacket_sum(spec, lam_hc, g) == oracle.lpacket_sum(spec, lam_hc, g)
 
@@ -226,17 +228,34 @@ def raised(fn):
 @pytest.mark.parametrize("spec", FORMS, ids=IDS)
 def test_singular_points_raise_the_same_root(spec):
     keys = keys_of(spec)[:2]
-    exact = singular_exact_point(spec)
-    near = TorusPoint.real_point(float(c) + 1e-16 for c in exact.coords)
-    for g in (exact, near):
-        points = exact_points(spec, 68, 1) + [g]
-        want = raised(lambda: oracle.tau_grid(spec, keys, points))
-        for got in (
-            raised(lambda: tau_grid(spec, keys, points)),
-            raised(lambda: tau_generator(spec, keys[0], g)),
-            raised(lambda: lpacket_sum(spec, hc_parameter(spec, keys[0]), g)),
-        ):
-            assert got.root == want.root and str(got) == str(want)
+    g = singular_exact_point(spec)
+    points = exact_points(spec, 68, 1) + [g]
+    want = raised(lambda: oracle.tau_grid(spec, keys, points))
+    for got in (
+        raised(lambda: tau_grid(spec, keys, points)),
+        raised(lambda: tau_generator(spec, keys[0], g)),
+        raised(lambda: lpacket_sum(spec, hc_parameter(spec, keys[0]), g)),
+    ):
+        assert got.root == want.root and str(got) == str(want)
+
+
+def test_denominators_that_underflow_are_numerically_singular():
+    # near the identity each of B5/paint0's 25 root factors is at most about
+    # 7e-13: none is 0.0, and no phase rounds to an integer, but their product
+    # underflows to 0.0
+    (spec,) = painted_forms("B5", [(0,)])
+    g = TorusPoint.exact_point(Fraction(k, 10**15) for k in (1, 3, 7, 19, 41))
+    factors = root_factors(g, spec.positive_system).factors
+    assert 0 < min(map(abs, factors)) and math.prod(factors) == 0
+    weakest = spec.positive_system[min(range(len(factors)), key=lambda i: abs(factors[i]))]
+    key = singular_key(spec)  # an empty W_K orbit: the denominators alone decide
+    points = exact_points(spec, 75, 1) + [g, singular_exact_point(spec)]
+    for got in (
+        raised(lambda: tau_grid(spec, [key], points)),
+        raised(lambda: tau_generator(spec, key, g)),
+        raised(lambda: lpacket_sum(spec, hc_parameter(spec, key), g)),
+    ):
+        assert got.root == weakest and str(got) == f"torus point is numerically singular for root {weakest}"
 
 
 def test_empty_keys_and_points():
@@ -263,7 +282,7 @@ def test_weights_beyond_32_bits():
     # orbit coordinates that overflow array('i') are kept as Python ints
     spec = real_form("compact(A2)")
     key = GeneratorKey(Weight((2 * 10**11, 2)))
-    points = exact_points(spec, 69, 2) + real_points(spec, 70)[:1]
+    points = exact_points(spec, 69, 2) + binary_points(spec, 70)[:1]
     assert tau_grid(spec, [key], points) == oracle.tau_grid(spec, [key], points)
 
 
@@ -281,7 +300,7 @@ def lattice(n, offsets):
 
 
 def lattice_points(axes, q):
-    return [TorusPoint(tuple(Fraction(m, q) for m in ns), True) for ns in itertools.product(*axes)]
+    return [TorusPoint(tuple(Fraction(m, q) for m in ns)) for ns in itertools.product(*axes)]
 
 
 def lattice_keys(spec):
