@@ -472,7 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambdas", required=True,
                    help="semicolon-separated generator weights, e.g. 0,0;1,0;0,1")
     p.add_argument("--axis-count", dest="axis_count", type=int, default=None)
-    p.add_argument("--bound", type=int, default=6, help="highest-weight search box")
+    p.add_argument("--bound", type=int, default=None,
+                   help="highest-weight search box (default: min(6, (axis count - 1) // 2))")
     p.add_argument("--candidate-bound", dest="candidate_bound", type=int, default=3)
 
     p = command("demo-sl2", cmd_demo_sl2, "the rank-one worked example end to end", spec=False)

@@ -1,6 +1,7 @@
 """Deterministic JSON emission: fixed float formatting (17 significant digits),
 complex numbers as {re, im} records, Fractions as "p/q" strings.  Identical
-inputs therefore produce byte-identical output."""
+inputs therefore produce byte-identical output.  ``read_int`` reads the
+integers of JSON input."""
 
 from __future__ import annotations
 
@@ -45,3 +46,12 @@ def _encode(obj) -> str:
 
 def dumps(obj) -> str:
     return _encode(obj)
+
+
+def read_int(value) -> int:
+    """``int(value)`` of a parsed JSON value, but a boolean or a number off the
+    integers raises ValueError instead of reading as 1 or 0 or truncating:
+    2.0 reads as 2, while 2.5, 1e400 (infinite) and true are refused."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)

@@ -178,10 +178,12 @@ def _path_layout(spec: RealFormSpec) -> tuple:
 
 
 def _underflow(roots: Sequence[Weight], factors: Sequence[complex]) -> SingularPointError:
-    """The error of a point where a product of its root factors underflows to
-    0.0: numerically singular for the root of the smallest factor."""
-    alpha = roots[min(range(len(roots)), key=lambda i: abs(factors[i]))]
-    return SingularPointError(f"torus point is numerically singular for root {alpha}", root=alpha)
+    """The error of a point whose root factors multiply to 0.0, for the root of
+    the first smallest factor: singular if that factor is exactly 0 (on the
+    lattice, q | k), numerically singular if the product underflowed."""
+    i = min(range(len(roots)), key=lambda i: abs(factors[i]))
+    kind = "singular" if factors[i] == 0 else "numerically singular"
+    return SingularPointError(f"torus point is {kind} for root {roots[i]}", root=roots[i])
 
 
 def _checked_paths(layout: tuple, factors: Sequence, numers: Sequence, point_at: Callable,
@@ -189,9 +191,9 @@ def _checked_paths(layout: tuple, factors: Sequence, numers: Sequence, point_at:
     """Each key's (path_a, path_b) columns over a block of points, from a root
     factor column per root of ``spec.positive_system`` and a numerator column
     per key, with ``layout = _path_layout(spec)``; path_b is the compact
-    character numer/D_c over the spinor.  A denominator that underflows to
-    0.0 ends the block there, with a numerically singular ``failure``.  The
-    first point (then key) whose paths differ beyond DUAL_PATH_TOL raises a
+    character numer/D_c over the spinor.  A denominator of 0.0 (a zero factor
+    or an underflow) ends the block there, with ``_underflow``'s ``failure``.
+    The first point (then key) whose paths differ beyond DUAL_PATH_TOL raises a
     ConsistencyError naming ``point_at(i)``; only then is ``failure``, the
     error of the point after the block, raised."""
     compact, noncompact, sign, roots = layout
@@ -303,8 +305,10 @@ def tau_lattice(spec: RealFormSpec, keys: Sequence[GeneratorKey], axes: Sequence
     one root factor per root and point, one signed term s zeta^k per orbit
     term and point, which ``_fold_terms`` sums.  A slab, the points of one n_1
     (all points at rank 1), adds c_1 n_1 to the pairings over the other axes,
-    which are built once, as is each root's first inner point of every residue
-    class mod q: a slab's singular points."""
+    which are built once.  Where q | k for a root, zeta[k] and zeta[-k] are one
+    double, so its factor is exactly 0.0 and ``_checked_paths`` stops there
+    with ``_underflow``'s "singular"; for q below 2^52 no other factor is 0.0,
+    so the point, root and message are ``tau_grid``'s."""
     if not keys:
         return []
     two_q, split = 2 * q, min(1, len(axes) - 1)
@@ -319,28 +323,16 @@ def tau_lattice(spec: RealFormSpec, keys: Sequence[GeneratorKey], axes: Sequence
         return sum(map(mul, c2, head)) % two_q
 
     roots = [pairings([c // 2 for c in alpha.coords2]) for alpha in spec.positive_system]
-    # a point is singular for a root iff its phase is 0 mod q: the first inner
-    # index whose column entry is -shift mod q (reversed, so the first index wins)
-    firsts = [dict(zip(reversed([a % q for a in column]), range(len(inner) - 1, -1, -1)))
-              for _, column in roots]
     orbits = [wk_orbit(spec, hc_parameter(spec, key)) for key in keys]
     orbits = [[(signed[s], pairings(u)) for s, u in zip(o.signs, zip(*[iter(o.coords)] * o.rank))]
               for o in orbits]
     values: list[list[complex]] = [[] for _ in keys]
     for head in product(*axes[:split]):
-        shifts = [shift(c2, head) for c2, _ in roots]
-        hits = [(first[-k % q], r) for r, (first, k) in enumerate(zip(firsts, shifts)) if -k % q in first]
-        size, r = min(hits, default=(len(inner), 0))
-        failure = None
-        if hits:
-            alpha = spec.positive_system[r]
-            failure = SingularPointError(f"torus point is singular for root {alpha}", root=alpha)
-        factors = [list(map(factor.__getitem__, map(k.__add__, column[:size])))
-                   for k, (_, column) in zip(shifts, roots)]
-        numers = [_fold_terms([map(term.__getitem__, map(shift(c2, head).__add__, column[:size]))
-                               for term, (c2, column) in terms], size) for terms in orbits]
+        factors = [list(map(factor.__getitem__, map(shift(c2, head).__add__, column))) for c2, column in roots]
+        numers = [_fold_terms([map(term.__getitem__, map(shift(c2, head).__add__, column))
+                               for term, (c2, column) in terms], len(inner)) for terms in orbits]
         point_at = lambda i: TorusPoint(tuple(Fraction(n, q) for n in head + inner[i]))  # noqa: E731
-        for column, (a, _) in zip(values, _checked_paths(layout, factors, numers, point_at, failure)):
+        for column, (a, _) in zip(values, _checked_paths(layout, factors, numers, point_at)):
             column.extend(a)
     return [tuple(column) for column in values]
 

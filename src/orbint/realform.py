@@ -10,6 +10,7 @@ from operator import add
 from typing import NamedTuple, Sequence
 
 from .errors import ValidationError
+from .jsonio import read_int
 from .rootsys import (
     CartanDatum,
     Weight,
@@ -299,9 +300,9 @@ def kclass_from_json(spec: RealFormSpec, data) -> KClass:
     pairs = []
     for item in data:
         try:
-            lam = Weight(tuple(int(c) for c in item["lambda2"]))
-            coeff = int(item["coeff"])
-        except (KeyError, TypeError, ValueError, OverflowError):  # OverflowError: an infinite number
+            lam = Weight(tuple(map(read_int, item["lambda2"])))
+            coeff = read_int(item["coeff"])
+        except (KeyError, TypeError, ValueError):
             raise ValidationError(f"malformed K-class term {item!r}") from None
         pairs.append((generator_key(spec, lam), coeff))
     return KClass.from_pairs(pairs)

@@ -6,10 +6,10 @@ Forward synthesis (synth_family) may consult the real-form data to place its
 sample grid away from singular loci; the recovery functions see only labels,
 grid coordinates, and sampled values.  The lattice, t = n/q with q = 97n,
 goes through ``ktrace.tau_lattice`` (integer phases, one slab of points at a
-time); its points are built only when read (``LatticeGrid``).  Every step is
-one separable transform (``lattice_fourier``) with its own per-axis table of
-factors, each an entry of the lattice's table of e^{i pi k/q}
-(``ktrace.phase_tables``):
+time); a family holds it as its integer axes and q, and builds no point.
+Every step is one separable transform (``lattice_fourier``) with its own
+per-axis table of factors, each an entry of the lattice's table of
+e^{i pi k/q} (``ktrace.phase_tables``):
 
 - the reference label is the first whose reciprocal is a Laurent polynomial
   with integer coefficients, +-e^mu prod_{beta in S} (e^{beta/2} - e^{-beta/2}),
@@ -26,10 +26,8 @@ factors, each an entry of the lattice's table of e^{i pi k/q}
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 import random
-from collections import abc
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -44,65 +42,42 @@ COARSEST_AXIS = 8  # points per axis of the first sub-lattice the spinor is read
 MAX_LATTICE_POINTS = 2**16  # the largest lattice a reconstruction synthesizes: 64^2, 32^3, 16^4
 
 
-class LatticeGrid(abc.Sequence):
-    """The points t = (n_1/q, ..., n_r/q), n_j in axes[j], in ``itertools.product``
-    order, each built when it is read."""
-
-    def __init__(self, axes: Sequence[Sequence[int]], q: int):
-        self.axes, self.q = axes, q
-        self.lattice_size = math.prod(map(len, axes))
-
-    def __len__(self) -> int:
-        return self.lattice_size
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(map(self.__getitem__, range(*index.indices(len(self)))))
-        i = range(len(self))[index]  # negative indices count from the end; IndexError past it
-        coords = []
-        for axis in reversed(self.axes):
-            i, k = divmod(i, len(axis))
-            coords.append(Fraction(axis[k], self.q))
-        return TorusPoint(tuple(reversed(coords)))
-
-
 class ChiFamily(NamedTuple):
-    """Sampled tau-functions chi_j(g) for a list of generator labels on a
-    shifted uniform lattice (exact points, axis_count per axis, built when
-    read); every value list has grid length."""
+    """Sampled tau-functions chi_j(g) for a list of generator labels on the
+    lattice t = (n_1/q, ..., n_r/q), n_j in axes[j] (all of one length), one
+    value per point in ``itertools.product`` order."""
 
     labels: tuple[Weight, ...]
-    grid: LatticeGrid
+    axes: tuple[tuple[int, ...], ...]
+    q: int
     values: dict
-    axis_count: int
-    offsets: tuple[Fraction, ...]
 
     @property
     def rank(self) -> int:
-        return len(self.offsets)
+        return len(self.axes)
+
+    @property
+    def axis_count(self) -> int:
+        return len(self.axes[0])
 
     @property
     def lattice_size(self) -> int:
         return self.axis_count**self.rank
 
-    def check(self) -> None:
-        if len(self.grid) != self.lattice_size:
-            raise ValidationError("family grid length does not match its layout")
-        for label in self.labels:
-            if len(self.values[label]) != len(self.grid):
-                raise ValidationError("value list length does not match the grid")
-
 
 # ---------------------------------------------------------------------------
 # forward synthesis
 
-def _grid_offsets(datum: CartanDatum, seed: int = 0) -> tuple[Fraction, ...]:
-    """Per-axis fractional offsets r/97 making every lattice point exact-regular."""
+def _grid_offsets(datum: CartanDatum, seed: int = 0) -> tuple[int, ...]:
+    """Per-axis residues r_j in [1, 97) with r/97 regular, which makes the whole
+    lattice regular: axis j holds 97k + r_j over q = 97n, a root pairs with a
+    point to a = sum_j (c2_j // 2) n_j = sum_j (c2_j // 2) r_j mod 97, and
+    q | a needs 97 | a, a wall through r/97."""
     for attempt in range(200):
         rng = random.Random(seed + attempt)
-        offs = tuple(Fraction(rng.randrange(1, 97), 97) for _ in range(datum.rank))
-        if is_regular(TorusPoint.exact_point(offs), datum):
-            return offs
+        rs = tuple(rng.randrange(1, 97) for _ in range(datum.rank))
+        if is_regular(TorusPoint.exact_point(Fraction(r, 97) for r in rs), datum):
+            return rs
     raise ValidationError("could not choose regular grid offsets")
 
 
@@ -124,19 +99,15 @@ def synth_family(
     n = default_axis_count(datum.rank, axis_count)
     if n < 4:
         raise ValidationError("grid too coarse")
-    offsets = _grid_offsets(datum)
-    # coordinate k of an axis with offset r/97 is (97k + r)/q with q = 97n, in [0, 1)
+    # coordinate k of an axis with residue r is (97k + r)/q with q = 97n, in [0, 1)
     q = 97 * n
-    axes = [[97 * k + off.numerator for k in range(n)] for off in offsets]
-    family = ChiFamily(
+    axes = tuple(tuple(97 * k + r for k in range(n)) for r in _grid_offsets(datum))
+    return ChiFamily(
         labels=tuple(key.lam for key in keys),
-        grid=LatticeGrid(axes, q),
+        axes=axes,
+        q=q,
         values={key.lam: column for key, column in zip(keys, tau_lattice(spec, keys, axes, q))},
-        axis_count=n,
-        offsets=offsets,
     )
-    family.check()
-    return family
 
 
 # ---------------------------------------------------------------------------
@@ -154,15 +125,11 @@ def _check_box(axis_count: int, bound: int) -> None:
         raise ValidationError("grid too coarse for the requested frequency box")
 
 
-def _axis_points(family: ChiFamily, stride: int = 1) -> tuple[dict, int, list[list[int]]]:
+def _axis_points(family: ChiFamily, stride: int = 1) -> tuple[dict, int, list[Sequence[int]]]:
     """The lattice's table zeta[k] = e^{i pi k/q}, 2q, and per axis the
-    numerators a_k of its points t = a_k/q, k = 0, stride, 2 stride, ...: with
-    offsets r/d and q = n d, the point (k + r/d)/n has a_k = d k + r."""
-    n = family.axis_count
-    d = math.lcm(*(off.denominator for off in family.offsets))
-    zeta, _, _ = phase_tables(n * d)
-    rs = [off.numerator * d // off.denominator for off in family.offsets]
-    return zeta, 2 * n * d, [[d * k + r for k in range(0, n, stride)] for r in rs]
+    numerators a_k of its points t = a_k/q, k = 0, stride, 2 stride, ..."""
+    zeta, _, _ = phase_tables(family.q)
+    return zeta, 2 * family.q, [axis[::stride] for axis in family.axes]
 
 
 def axis_twiddles(family: ChiFamily, windows: Sequence[Iterable[int]], stride: int = 1) -> list[dict]:
@@ -436,18 +403,22 @@ def run_reconstruction(
     spec: RealFormSpec,
     keys: Sequence[GeneratorKey],
     axis_count: int | None = None,
-    weight_bound: int = 6,
+    weight_bound: int | None = None,
     candidate_bound: int = 3,
 ) -> RecoveryReport:
     """synth -> reference and noncompact weights -> characters -> dims ->
-    highest weights.  Refused before any synthesis: a negative weight or
-    candidate bound, a frequency box the grid cannot resolve, and a lattice of
-    more than MAX_LATTICE_POINTS points."""
-    if weight_bound < 0:
+    highest weights.  The default weight bound is the largest the axis count n
+    resolves, at most 6: min(6, (n - 1) // 2), which is 6 up to rank 4 at the
+    default n.  Refused before any synthesis: a negative weight or candidate
+    bound, a frequency box the grid cannot resolve, and a lattice of more than
+    MAX_LATTICE_POINTS points."""
+    if weight_bound is not None and weight_bound < 0:
         raise ValidationError("the weight bound must be nonnegative")
     if candidate_bound < 0:
         raise ValidationError("the candidate bound must be nonnegative")
     n = default_axis_count(spec.rank, axis_count)
+    if weight_bound is None:
+        weight_bound = min(6, (n - 1) // 2)
     _check_box(n, weight_bound)
     if n**spec.rank > MAX_LATTICE_POINTS:
         raise ValidationError(f"a lattice of {n}^{spec.rank} points exceeds the cap of {MAX_LATTICE_POINTS}")

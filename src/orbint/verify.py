@@ -20,6 +20,7 @@ import time
 from typing import NamedTuple, Sequence
 
 from .errors import ValidationError
+from .jsonio import read_int
 from .ktrace import (
     class_is_zero,
     lds_character,
@@ -163,7 +164,7 @@ def key_to_json(key: GeneratorKey) -> dict:
 
 def key_from_json(spec: RealFormSpec, data) -> GeneratorKey:
     try:
-        lam = Weight(tuple(int(c) for c in data["lambda2"]))
+        lam = Weight(tuple(map(read_int, data["lambda2"])))
     except (KeyError, TypeError, ValueError):
         raise ValidationError(f"malformed generator key {data!r}") from None
     return generator_key(spec, lam)
@@ -684,7 +685,7 @@ def check_dims_scale_invariance(presets=None) -> CheckResult:
     family = synth_family(spec, keys)
     ref = keys[0].lam
     dims = recover_dims(family, recover_characters(family, ref))
-    factor = [1.7 + 0.3 * math.cos(i) for i in range(len(family.grid))]
+    factor = [1.7 + 0.3 * math.cos(i) for i in range(family.lattice_size)]
     scaled = family._replace(
         values={
             lab: tuple(v * f for v, f in zip(vals, factor))

@@ -242,12 +242,20 @@ def test_decimal_torus_points_are_the_rationals_they_spell(tokens):
         ["tau", "--type", "A2", "--compact-indices", "0,x", "--lambda", "0,0", "--t", "1/5,2/7"],
         ["stable", "--preset", "sl2r", "--class", '[{"lambda2": [Infinity], "coeff": 1}]', "--t", "1/5"],
         ["stable", "--preset", "sl2r", "--class", '[{"lambda2": [2], "coeff": 1e400}]', "--t", "1/5"],
+        # int() would truncate these to [{"lambda2": [2], "coeff": 1}] and read true as 1
+        ["stable", "--preset", "sl2r", "--class", '[{"lambda2": [2.5], "coeff": 1.9}]', "--t", "1/5"],
+        ["stable", "--preset", "sl2r", "--class", '[{"lambda2": [2.5], "coeff": 1}]', "--t", "1/5"],
+        ["stable", "--preset", "sl2r", "--class", '[{"lambda2": [2], "coeff": 1.9}]', "--t", "1/5"],
+        ["stable", "--preset", "sl2r", "--class", '[{"lambda2": [true], "coeff": 1}]', "--t", "1/5"],
+        ["stable", "--preset", "sl2r", "--class", '[{"lambda2": [2], "coeff": true}]', "--t", "1/5"],
     ],
 )
 def test_malformed_numbers_are_rejected(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+    if "--class" in argv:
+        assert err.startswith("error: malformed K-class term")
 
 
 @pytest.mark.parametrize(

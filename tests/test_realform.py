@@ -223,6 +223,12 @@ def test_serialization_round_trips():
     assert kclass_from_json(spec, kclass_to_json(x)) == x
     with pytest.raises(ValidationError):
         kclass_from_json(spec, [{"lambda2": [1, 0], "coeff": 1}])  # off-lattice
+    # an integral float keeps its reading; a fraction or a boolean is refused
+    assert kclass_from_json(spec, [{"lambda2": [2.0, 0], "coeff": 2.0}]) == KClass.generator(key, 2)
+    assert key_from_json(spec, {"lambda2": [2.0, 0.0]}) == key
+    for bad in ([2.5, 0], [True, 0]):
+        with pytest.raises(ValidationError, match="malformed generator key"):
+            key_from_json(spec, {"lambda2": bad})
 
 
 def test_sl2r_coset_count():

@@ -15,7 +15,7 @@ import orbint.tannaka
 from orbint.errors import ReconstructionError, ValidationError
 from orbint.realform import generator_key, real_form
 from orbint.rootsys import Weight, is_dominant, pairing, rho, weight_multiplicities, weyl_dim
-from orbint.toruschar import TorusPoint
+from orbint.toruschar import TorusPoint, is_regular
 from orbint.verify import fourier_multiplicities, small_keys
 from weyl_oracles import painted_forms
 
@@ -363,14 +363,27 @@ def test_sp4r_dims_and_noncompact_without_trivial_type():
     ids=["compact(A1)", "su21", "A3/paint1"],
 )
 def test_lattice_coordinates_are_the_shifted_grid(spec):
-    # no keys: the grid is built, nothing is evaluated
+    # no keys: the lattice is laid out, nothing is evaluated
     family = synth_family(spec, [])
-    n = family.axis_count
-    lattice = family.grid[: family.lattice_size]
+    n, q = family.axis_count, family.q
+    offsets = [Fraction(r, 97) for r in orbint.tannaka._grid_offsets(spec.datum)]
+    assert q == 97 * n and len(family.axes) == spec.rank and family.lattice_size == n**spec.rank
+    lattice = itertools.product(*family.axes)
     want = itertools.product(range(n), repeat=spec.rank)
-    for point, index in zip(lattice, want, strict=True):
-        expected = tuple((Fraction(k, n) + off / n) % 2 for k, off in zip(index, family.offsets))
-        assert point.coords == expected
+    for ns, index in zip(lattice, want, strict=True):
+        expected = tuple((Fraction(k, n) + off / n) % 2 for k, off in zip(index, offsets))
+        assert TorusPoint.exact_point(Fraction(m, q) for m in ns).coords == expected
+
+
+@pytest.mark.parametrize("spec", [spec for spec, _ in SWEEP_FORMS], ids=[spec.name for spec, _ in SWEEP_FORMS])
+def test_grid_offsets_make_every_lattice_point_regular(spec):
+    # a root pairs with 97k + r to the residue mod 97 it has with r, so a
+    # regular r/97 makes every point regular: checked point by point
+    rs = orbint.tannaka._grid_offsets(spec.datum)
+    assert all(1 <= r <= 96 for r in rs)
+    q = 97 * 8
+    for ns in itertools.product(*[[97 * k + r for k in range(8)] for r in rs]):
+        assert is_regular(TorusPoint.exact_point(Fraction(m, q) for m in ns), spec.datum)
 
 
 def test_too_large_frequency_box_is_refused_before_synthesis(monkeypatch):
@@ -383,6 +396,29 @@ def test_too_large_frequency_box_is_refused_before_synthesis(monkeypatch):
     for axis_count, bound in ((None, 32), (None, 40), (16, 8)):  # the default axis count is 64
         with pytest.raises(ValidationError, match="grid too coarse for the requested frequency box"):
             run_reconstruction(spec, keys, axis_count=axis_count, weight_bound=bound)
+
+
+@pytest.mark.parametrize("rank, n, bound", [(1, 64, 6), (2, 64, 6), (3, 32, 6), (4, 16, 6), (5, 8, 3), (6, 4, 1)])
+def test_default_weight_bound_fits_the_axis_count(monkeypatch, rank, n, bound):
+    # 6 up to rank 4; from rank 5 the default axis count is below 13, and the
+    # default bound shrinks to (n - 1) // 2 instead of refusing the run
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    checked = []
+    check_box = orbint.tannaka._check_box
+    monkeypatch.setattr(orbint.tannaka, "_check_box", lambda *args: checked.append(args) or check_box(*args))
+    monkeypatch.setattr(orbint.tannaka, "synth_family", reached)
+    spec = real_form(f"compact(A{rank})")
+    keys = keys_of(spec, [(0,) * rank])
+    with pytest.raises(Reached):
+        run_reconstruction(spec, keys)
+    assert checked == [(n, bound)]
+    with pytest.raises(ValidationError, match="grid too coarse for the requested frequency box"):
+        run_reconstruction(spec, keys, weight_bound=n // 2)  # an explicit bound is checked as given
 
 
 @pytest.mark.parametrize("rank", range(1, 7))
@@ -417,11 +453,12 @@ def test_vanishing_samples_raise_reconstruction_error():
 
 
 def float_twiddles(family, bound):
-    """e^{-2 pi i f (k + offset)/n} from the float formula."""
+    """e^{-2 pi i f (k + r/97)/n} from the float formula, with axis j's residue
+    r its first numerator (axis j holds 97k + r over q = 97n)."""
     n = family.axis_count
     return [
-        {2 * f: [cmath.exp(-2j * math.pi * f * (k + float(off)) / n) for k in range(n)] for f in range(-bound, bound + 1)}
-        for off in family.offsets
+        {2 * f: [cmath.exp(-2j * math.pi * f * (k + axis[0] / 97) / n) for k in range(n)] for f in range(-bound, bound + 1)}
+        for axis in family.axes
     ]
 
 
@@ -475,28 +512,12 @@ def test_integer_twiddles_match_the_float_formula(spec, axis_count, bound):
     mpmath = pytest.importorskip("mpmath")
     family = synth_family(spec, [], axis_count)
     n = family.axis_count
-    for axis, floats, off in zip(lattice_twiddles(family, bound), float_twiddles(family, bound), family.offsets):
+    residues = [ns[0] for ns in family.axes]
+    for axis, floats, r in zip(lattice_twiddles(family, bound), float_twiddles(family, bound), residues):
         for f in range(-bound, bound + 1):
             for k in range(n):
-                theta = 2 * math.pi * f * (k + float(off)) / n
+                theta = 2 * math.pi * f * (k + r / 97) / n
                 assert abs(axis[2 * f][k] - floats[2 * f][k]) <= 2e-15 * (1 + abs(theta))
                 with mpmath.workdps(30):
-                    exact = complex(mpmath.expjpi(-2 * f * (k + mpmath.mpf(off.numerator) / off.denominator) / n))
+                    exact = complex(mpmath.expjpi(-2 * f * (k + mpmath.mpf(r) / 97) / n))
                 assert abs(axis[2 * f][k] - exact) <= 2e-15
-
-
-def test_lattice_grid_reads_like_the_eager_tuple():
-    spec = real_form("su21")
-    family = synth_family(spec, [], axis_count=6)
-    n, q = family.axis_count, 97 * family.axis_count
-    axes = [[97 * k + off.numerator for k in range(n)] for off in family.offsets]
-    lattice = [TorusPoint(tuple(Fraction(m, q) for m in ns)) for ns in itertools.product(*axes)]
-    eager = tuple(lattice)
-    grid = family.grid
-    assert len(grid) == len(eager) and tuple(grid) == eager and list(reversed(grid)) == list(reversed(eager))
-    assert all(grid[i] == eager[i] for i in range(-len(eager), len(eager)))
-    for cut in (slice(None), slice(3, 40, 7), slice(-5, None), slice(None, None, -3), slice(30, 50)):
-        assert grid[cut] == eager[cut]
-    for bad in (len(eager), -len(eager) - 1):
-        with pytest.raises(IndexError):
-            grid[bad]

@@ -205,7 +205,7 @@ def test_synth_family_values_match(name, axis_count):
     spec = real_form(name)
     keys = small_keys(spec, 3)
     family = synth_family(spec, keys, axis_count)
-    expected = oracle.tau_grid(spec, keys, family.grid)
+    expected = oracle.tau_grid(spec, keys, lattice_points(family.axes, family.q))
     assert [family.values[key.lam] for key in keys] == expected
 
 
@@ -464,7 +464,7 @@ def first_singular(spec, axes, q):
 
 def test_residue_index_finds_the_scanned_singular_point():
     # random axes and small denominators often put the first singular point in
-    # a later slab; the per-call residue index must find the scanned one
+    # a later slab; the zero factors must stop the lattice at the scanned one
     rng = random.Random(15)
     later = 0
     for spec in LATTICE_FORMS:
