@@ -1,8 +1,9 @@
 """Command-line front end: preset catalogue, evaluation commands, identity
 suite, and deterministic JSON output.
 
-Exit codes: 0 success, 2 validation error (including non-finite numbers and
-numbers past the int-to-str digit limit), 3 singular evaluation point (also
+Exit codes: 0 success, 2 validation error (including non-finite numbers,
+numbers past the int-to-str digit limit, JSON input that is not UTF-8 or is
+nested too deeply, and a result that overflows), 3 singular evaluation point (also
 numerically: 0.0 as a root factor or denominator), 4 identity-suite or internal
 consistency-check failure.
 """
@@ -111,11 +112,12 @@ def load_config(path: str | None) -> Config:
         return Config()
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return Config.from_json(json.load(fh))
+            data = json.load(fh)
     except OSError as err:
         raise ValidationError(f"cannot read config {path}: {err}") from err
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:  # not UTF-8, not JSON, or nested too deeply
         raise ValidationError(f"config {path} is not valid JSON: {err}") from err
+    return Config.from_json(data)
 
 
 def merge_args(config: Config, args: argparse.Namespace) -> Config:
@@ -185,7 +187,7 @@ def parse_class(spec: RealFormSpec, args) -> KClass:
     if getattr(args, "kclass", None):
         try:
             data = json.loads(args.kclass)
-        except ValueError as err:  # a JSONDecodeError, or an integer past the int-to-str limit
+        except (ValueError, RecursionError) as err:  # not JSON, an integer past the int-to-str limit, or nested too deeply
             raise ValidationError(f"--class is not valid JSON: {err}") from err
         return kclass_from_json(spec, data)
     if getattr(args, "lam", None):
@@ -194,7 +196,11 @@ def parse_class(spec: RealFormSpec, args) -> KClass:
 
 
 def emit(obj) -> None:
-    sys.stdout.write(jsonio.dumps(obj) + "\n")
+    try:
+        text = jsonio.dumps(obj)
+    except ValueError as err:  # a value that overflowed to inf or nan
+        raise ValidationError(f"the result is not finite: {err}") from err
+    sys.stdout.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ integers of JSON input."""
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 
@@ -49,9 +50,14 @@ def dumps(obj) -> str:
 
 
 def read_int(value) -> int:
-    """``int(value)`` of a parsed JSON value, but a boolean or a number off the
-    integers raises ValueError instead of reading as 1 or 0 or truncating:
-    2.0 reads as 2, while 2.5, 1e400 (infinite) and true are refused."""
+    """``int(value)`` of a parsed JSON value, but a boolean, a number off the
+    integers or one beyond the double range raises ValueError instead of
+    reading as 1 or 0, truncating, or overflowing the first float it meets:
+    2.0 reads as 2, while 2.5, 1e400 (infinite), a 400-digit integer and true
+    are refused."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{value!r} is not an integer")
-    return int(value)
+    value = int(value)
+    if abs(value) > sys.float_info.max:
+        raise ValueError("an integer beyond the double range")
+    return value

@@ -19,13 +19,15 @@ e^{i pi k/q} (``ktrace.phase_tables``):
 - a dimension is the value at the identity of chi_j / chi_ref, the sum of its
   Fourier coefficients: one Dirichlet-kernel contraction;
 - a highest weight is the dominant support weight with the largest
-  |w + rho_c|; the reference label's character is 1, so its weight is 0
-  without a transform.
+  |w + rho_c|, read from the dominant window of the box only, with each axis
+  folded onto a quarter of its points first (``fold_count``); the reference
+  label's character is 1, so its weight is 0 without a transform.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import random
 from fractions import Fraction
@@ -34,7 +36,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import ReconstructionError, ValidationError
 from .ktrace import phase_tables, tau_lattice
 from .realform import GeneratorKey, RealFormSpec
-from .rootsys import CartanDatum, Weight, is_dominant, pairing, rho
+from .rootsys import CartanDatum, Weight, is_dominant, pairing, positive_roots, rho
 from .toruschar import TorusPoint, is_regular
 
 DIM_TOL = 1e-3  # how far a dimension or a spinor coefficient may sit from an integer
@@ -132,12 +134,23 @@ def _axis_points(family: ChiFamily, stride: int = 1) -> tuple[dict, int, list[Se
     return zeta, 2 * family.q, [axis[::stride] for axis in family.axes]
 
 
-def axis_twiddles(family: ChiFamily, windows: Sequence[Iterable[int]], stride: int = 1) -> list[dict]:
+def axis_twiddles(
+    family: ChiFamily, windows: Sequence[Iterable[int]], stride: int = 1, fold: bool = False
+) -> list:
     """Per axis j and doubled frequency c in windows[j], the factors
     e^{-pi i c t} = zeta[-c a_k mod 2q] at the points t = a_k/q of every
-    ``stride``-th index (``_axis_points``)."""
+    ``stride``-th index (``_axis_points``).  With ``fold``, an axis whose
+    window holds only even c (integral weights) gets a ``FoldedAxis``: its
+    factors at the first n / 2^folds of its n points, folds as
+    ``fold_count(n)``."""
     zeta, two_q, axes = _axis_points(family, stride)
-    return [{c: [zeta[-c * a % two_q] for a in ax] for c in window} for window, ax in zip(windows, axes)]
+    tables = []
+    for window, ax in zip(windows, axes):
+        window = tuple(window)
+        folds = fold_count(len(ax)) if fold and all(c % 2 == 0 for c in window) else 0
+        table = {c: [zeta[-c * a % two_q] for a in ax[: len(ax) >> folds]] for c in window}
+        tables.append(FoldedAxis(table, folds) if folds else table)
+    return tables
 
 
 def lattice_twiddles(family: ChiFamily, bound: int) -> list[dict]:
@@ -147,22 +160,81 @@ def lattice_twiddles(family: ChiFamily, bound: int) -> list[dict]:
     return axis_twiddles(family, [range(-2 * bound, 2 * bound + 1, 2)] * family.rank)
 
 
-def lattice_fourier(samples: Sequence[complex], twiddles: Sequence[dict]) -> dict:
+class FoldedAxis(NamedTuple):
+    """An axis table that carries its fold: the factors of even doubled
+    frequencies c at the first n / 2^folds of the axis's n points."""
+
+    factors: dict
+    folds: int
+
+
+def fold_count(n: int) -> int:
+    """How often an axis of n points folds: twice if 4 | n, once if 2 | n.
+    Axis j holds a_k = 97k + r_j over q = 97n, so a_{k + n/2} = a_k + q/2 and
+    a_{k + n/4} = a_k + q/4, and the factor of doubled frequency c = 2f there
+    is its factor at k times e^{-pi i c/2} = (-1)^f, or e^{-pi i c/4} = (-i)^f:
+    exact, so a row folds by additions, subtractions and products with +-1j.
+    At k + n/8 the factor would be an eighth root of unity, which is not."""
+    return 2 if n % 4 == 0 else 1 if n % 2 == 0 else 0
+
+
+def _split(vec: list, chunk: int, w: complex) -> tuple[list, list]:
+    """Each run of ``chunk`` entries of ``vec`` folded onto its lower half in
+    the two ways lower + w * upper and lower - w * upper."""
+    half, starts = chunk // 2, range(0, len(vec), chunk)
+    lo = list(itertools.chain.from_iterable(vec[i : i + half] for i in starts))
+    hi = list(itertools.chain.from_iterable(vec[i + half : i + chunk] for i in starts))
+    if w != 1:
+        hi = list(map(operator.mul, hi, itertools.repeat(w)))
+    return list(map(operator.add, lo, hi)), list(map(operator.sub, lo, hi))
+
+
+def _rows(vec: list, n: int, inner: int) -> list:
+    """The lines of ``vec`` along an axis of n points with ``inner`` entries
+    per point (the product of the later axes' lengths), in product order of
+    the other axes."""
+    span = n * inner
+    return [vec[i + k : i + span : inner] for i in range(0, len(vec), span) for k in range(inner)]
+
+
+def lattice_fourier(samples: Sequence[complex], twiddles: Sequence) -> dict:
     """Discrete Fourier inner products <chi, e^mu> over a (sub-)lattice, one per
     choice of a key on each axis of ``twiddles`` (as axis_twiddles'), keyed by
     the weight with those doubled coordinates; the samples are in
-    ``itertools.product`` order over the axes' points."""
+    ``itertools.product`` order over the axes' points.
+
+    The axes are contracted one at a time, the one with the fewest keys first
+    and, among equals, the last first, so the order of the sums depends on the
+    tables' sizes alone.  A table without a fold takes each coefficient as one
+    dot product of length n per line; a ``FoldedAxis`` first folds every line
+    into one line of n / 2^folds points per residue of c mod 2^(folds + 1)
+    (``fold_count``), and then takes dot products of that length."""
+    tables = [(t.factors, t.folds) if isinstance(t, FoldedAxis) else (t, 0) for t in twiddles]
+    shape = [len(next(iter(factors.values()))) << folds for factors, folds in tables]
     blocks = {(): list(samples)}
-    for table in reversed(twiddles):
-        n = len(next(iter(table.values())))
+    for j in sorted(range(len(tables)), key=lambda j: (len(tables[j][0]), -j)):
+        factors, folds = tables[j]
+        n, inner = shape[j], math.prod(shape[j + 1 :])
+        shape[j] = 1
         new: dict = {}
-        for suffix, vec in blocks.items():
-            rows = [vec[i : i + n] for i in range(0, len(vec), n)]
-            for c, tw in table.items():
-                new[(c,) + suffix] = [sum(map(operator.mul, row, tw)) for row in rows]
+        modulus = 2 << folds if folds else 1  # a line folded f times serves c mod 2^(f + 1)
+        for key, vec in blocks.items():
+            lines, chunk = {0: vec}, n * inner
+            for level in range(folds):
+                # a line folded to the residue b of c mod 2^(level + 1) splits
+                # into the residues b and b + 2^(level + 1) of c mod 2^(level + 2),
+                # its upper half weighted by e^{-pi i b / 2^(level + 1)}: 1, or
+                # -1j for b = 2 at the second fold
+                step, split = 2 << level, {}
+                for b, line in lines.items():
+                    split[b], split[b + step] = _split(line, chunk, -1j if b == 2 else 1)
+                lines, chunk = split, chunk // 2
+            rows = {b: _rows(line, n >> folds, inner) for b, line in lines.items()}
+            for c, tw in factors.items():
+                new[((j, c),) + key] = [sum(map(operator.mul, row, tw)) for row in rows[c % modulus]]
         blocks = new
     total = len(samples)
-    return {Weight(key): vec[0] / total for key, vec in blocks.items()}
+    return {Weight(tuple(c for _, c in sorted(key))): vec[0] / total for key, vec in blocks.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +316,13 @@ def _sublattice(values: Sequence, n: int, rank: int, stride: int) -> list:
     return [values[i] for i in index]
 
 
+def _off_integer(samples: Sequence[complex], tables: Sequence[dict], ks: Sequence[int]) -> bool:
+    """Whether the coefficient at doubled frequencies ``ks`` (one key of each
+    table) sits further than DIM_TOL from an integer."""
+    [coeff] = lattice_fourier(samples, [{k: table[k]} for table, k in zip(tables, ks)]).values()
+    return abs(coeff - round(coeff.real)) > DIM_TOL
+
+
 def _integral_reciprocal(family: ChiFamily, label: Weight) -> tuple[dict, float] | None:
     """1/chi_label as a Laurent polynomial with integer coefficients, with the
     worst distance of its coefficients from integers, or None.  Read on the
@@ -254,14 +333,16 @@ def _integral_reciprocal(family: ChiFamily, label: Weight) -> tuple[dict, float]
     comes out non-integral rather than wrong.
 
     Each parity class is transformed on its own, and only after a screen: its
-    coefficient nearest -label must sit within DIM_TOL of an integer.  A class
-    is integral only if all its coefficients are, so a class that fails the
-    screen is not.  ``lattice_fourier`` computes each coefficient from that
-    frequency's own twiddles, by the same sums in the same order whatever else
-    the tables hold, so the screened coefficient and each transformed class
-    are the doubles of the whole window's transform, and every verdict is the
-    same.  So a refusal, where no class is integral, computes one coefficient
-    per class and stride rather than all (2m)^r of the window."""
+    coefficient nearest -label, and the one two doubled units below it on the
+    last axis, must sit within DIM_TOL of an integer.  A class is integral
+    only if all its coefficients are, so a class that fails the screen is
+    not.  ``lattice_fourier`` computes each coefficient from that frequency's
+    own twiddles, by the same sums in the same order whatever else the tables
+    hold as long as every axis has as many keys, so the screened coefficients
+    and each transformed class are the doubles of the whole window's
+    transform, and every verdict is the same.  So a refusal, where no class
+    is integral, computes one or two coefficients per class and stride rather
+    than all (2m)^r of the window."""
     n, rank = family.axis_count, family.rank
     stride = max(1, n // COARSEST_AXIS)
     while True:
@@ -274,9 +355,9 @@ def _integral_reciprocal(family: ChiFamily, label: Weight) -> tuple[dict, float]
             integral = []
             for parity in itertools.product((0, 1), repeat=rank):
                 tables = [{c: tw for c, tw in table.items() if c % 2 == p} for table, p in zip(twiddles, parity)]
-                nearest = (-c + (c + p) % 2 for c, p in zip(label.coords2, parity))
-                [screened] = lattice_fourier(recip, [{k: table[k]} for table, k in zip(tables, nearest)]).values()
-                if abs(screened - round(screened.real)) > DIM_TOL:
+                nearest = [-c + (c + p) % 2 for c, p in zip(label.coords2, parity)]
+                below = nearest[:-1] + [nearest[-1] - 2]
+                if any(_off_integer(recip, tables, ks) for ks in (nearest, below)):
                     continue
                 coeffs = lattice_fourier(recip, tables)
                 residual = max(abs(c - round(c.real)) for c in coeffs.values())
@@ -367,21 +448,28 @@ def recover_highest_weights(
     weight is the unique weight with the largest |mu + rho|; the greatest
     weight in lexicographic order need not be it.  The reference label's
     character is its samples over themselves, 1 up to rounding, so its
-    weight is 0 without a transform."""
+    weight is 0 without a transform.
+
+    Only the dominant window of the box is transformed: where the simple root
+    alpha_j is one of ``dominance_roots``, a dominant weight has
+    f_j = <w, alpha_j^vee> >= 0, so axis j runs over [0, bound] and not
+    [-bound, bound].  Each axis is folded (``fold_count``)."""
+    _check_box(family.axis_count, bound)
     out = {}
     r = rho(dominance_roots, datum.rank)
-    twiddles = lattice_twiddles(family, bound)
+    compact = set(dominance_roots)
+    windows = [
+        range(0 if alpha in compact else -2 * bound, 2 * bound + 1, 2) for alpha in positive_roots(datum)[: datum.rank]
+    ]
+    twiddles = axis_twiddles(family, windows, fold=True)
     for label in family.labels:
         if label == chars.reference_label:
             out[label] = Weight((0,) * datum.rank)
             continue
         coeffs = lattice_fourier(chars.char_lattice[label], twiddles)
-        support = [w for w, c in coeffs.items() if abs(c) > 0.5]
-        if not support:
-            raise ReconstructionError(f"no Fourier coefficient above 1/2 for {label}")
-        dominant = [w for w in support if is_dominant(datum, w, dominance_roots)]
+        dominant = [w for w, c in coeffs.items() if abs(c) > 0.5 and is_dominant(datum, w, dominance_roots)]
         if not dominant:
-            raise ReconstructionError(f"no dominant weight in the support of {label}")
+            raise ReconstructionError(f"no dominant weight with a Fourier coefficient above 1/2 for {label}")
         out[label] = max(dominant, key=lambda w: (pairing(datum, w + r, w + r), w.coords2))
     return out
 

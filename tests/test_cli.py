@@ -248,6 +248,8 @@ def test_decimal_torus_points_are_the_rationals_they_spell(tokens):
         ["stable", "--preset", "sl2r", "--class", '[{"lambda2": [2], "coeff": 1.9}]', "--t", "1/5"],
         ["stable", "--preset", "sl2r", "--class", '[{"lambda2": [true], "coeff": 1}]', "--t", "1/5"],
         ["stable", "--preset", "sl2r", "--class", '[{"lambda2": [2], "coeff": true}]', "--t", "1/5"],
+        # an integer beyond the double range would overflow at its first product with a float
+        ["stable", "--preset", "su21", "--class", '[{"lambda2": [2, 0], "coeff": %s}]' % ("9" * 401), "--t", "1/5,1/7"],
     ],
 )
 def test_malformed_numbers_are_rejected(capsys, argv):
@@ -256,6 +258,32 @@ def test_malformed_numbers_are_rejected(capsys, argv):
     assert err.startswith("error:") and err.count("\n") == 1
     if "--class" in argv:
         assert err.startswith("error: malformed K-class term")
+
+
+HUGE = "17" + "0" * 307  # within the double range, but three such terms overflow
+
+
+@pytest.mark.parametrize(
+    "config, argv, message",
+    [
+        (None, ["stable", "--preset", "su21", "--class", "[" * 20000 + "]" * 20000, "--t", "1/5,1/7"],
+         "error: --class is not valid JSON"),
+        (b"[" * 30000 + b"]" * 30000, ["datum", "--type", "A1"], "error: config"),
+        (b"\xff\xfe{}", ["datum", "--type", "A1"], "error: config"),
+        (None, ["stable", "--preset", "su21", "--class",
+                json.dumps([{"lambda2": lam, "coeff": int(HUGE)} for lam in ([2, 0], [0, 2], [4, 0])]),
+                "--t", "1/5,1/7"], "error: the result is not finite"),
+    ],
+    ids=["class-nested", "config-nested", "config-not-utf8", "result-overflows"],
+)
+def test_unreadable_json_and_overflowing_results_are_rejected(capsys, tmp_path, config, argv, message):
+    if config is not None:
+        path = tmp_path / "c.json"
+        path.write_bytes(config)
+        argv = ["--config", str(path), *argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(message) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

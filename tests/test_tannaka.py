@@ -282,6 +282,24 @@ def test_screened_classes_give_the_whole_window_verdicts(spec, axis_count):
         assert orbint.tannaka._integral_reciprocal(family, label) == whole_window_reciprocal(family, label)
 
 
+def test_refused_labels_are_screened_without_a_whole_class(monkeypatch):
+    # B3 painted at its last node, default axis count: each label's reciprocal
+    # is refused at every stride, and every parity class fails the screen, so
+    # each call of the transform reads one frequency per axis
+    spec = painted_forms("B3", [(2,)])[0]
+    labels = [Weight(c) for c in ((0, 0, 2), (0, 0, 4), (2, 0, 0))]
+    family = synth_family(spec, [generator_key(spec, lab) for lab in labels])
+    widths = []
+    transform = orbint.tannaka.lattice_fourier
+    monkeypatch.setattr(
+        orbint.tannaka, "lattice_fourier", lambda x, tables: widths.append([len(t) for t in tables]) or transform(x, tables)
+    )
+    for label in labels:
+        widths.clear()
+        assert orbint.tannaka._integral_reciprocal(family, label) is None
+        assert widths and all(w == [1, 1, 1] for w in widths)
+
+
 SWEEP_FORMS = [(real_form(name), None) for name in ("sl2r", "su21", "sp4r")]
 SWEEP_FORMS += [
     (spec, axis_count)
@@ -473,6 +491,39 @@ def full_transform_highest_weights(family, chars, bound, datum, dominance_roots)
         dominant = [w for w, c in coeffs.items() if abs(c) > 0.5 and is_dominant(datum, w, dominance_roots)]
         out[label] = max(dominant, key=lambda w: (pairing(datum, w + r, w + r), w.coords2))
     return out
+
+
+FOLD_CASES = [  # (form, axis count, folds per axis, window name, windows as fundamental-coordinate ranges)
+    ("su21", n, folds, window, ranges)
+    for n, folds in ((64, 2), (24, 2), (30, 1), (15, 0))
+    for window, ranges in (("full", [(-6, 6), (-6, 6)]), ("dominant", [(0, 6), (-6, 6)]))
+]
+# a middle axis contracted first: lines strided across the later axis and chunked by the earlier
+FOLD_CASES += [("A3/paint1", 12, 2, "mixed", [(-2, 2), (0, 1), (-3, 3)])]
+
+
+@pytest.mark.parametrize(
+    "name, axis_count, folds, window, ranges", FOLD_CASES, ids=[f"{c[0]}-{c[1]}-{c[3]}" for c in FOLD_CASES]
+)
+def test_folded_transform_matches_the_plain_sums(name, axis_count, folds, window, ranges):
+    # each coefficient of the folded transform within 1e-13 sum|x|/N of the
+    # plain dot products over the same lattice twiddles, on random samples
+    spec = painted_forms("A3", [(1,)])[0] if name == "A3/paint1" else real_form(name)
+    family = synth_family(spec, [], axis_count)
+    windows = [range(2 * lo, 2 * hi + 1, 2) for lo, hi in ranges]
+    folded = orbint.tannaka.axis_twiddles(family, windows, fold=True)
+    plain = orbint.tannaka.axis_twiddles(family, windows)
+    for table in folded:
+        assert (table.folds if isinstance(table, orbint.tannaka.FoldedAxis) else 0) == folds
+    rng = random.Random(axis_count)
+    samples = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(family.lattice_size)]
+    want = lattice_fourier(samples, plain)
+    got = lattice_fourier(samples, folded)
+    assert set(got) == set(want) == {Weight(c) for c in itertools.product(*windows)}
+    tol = 1e-13 * sum(map(abs, samples)) / len(samples)
+    assert all(abs(got[w] - want[w]) <= tol for w in want)
+    # a window with an odd doubled frequency (a half-integral weight) does not fold
+    assert all(isinstance(t, dict) for t in orbint.tannaka.axis_twiddles(family, [range(-1, 2)] * spec.rank, fold=True))
 
 
 HW_CASES = [  # (spec, keys, axis count, weight bound)
