@@ -18,7 +18,7 @@ from . import jsonio
 from .errors import (
     ConsistencyError, LimitPathError, ReconstructionError, SingularPointError, ValidationError,
 )
-from .ktrace import lds_character, lds_character_sum, tau_generator, tau_value_to_json
+from .ktrace import lds_character, lds_character_sum, tau_generator, tau_numerator, tau_value_to_json
 from .realform import (
     LATTICES,
     KClass,
@@ -241,11 +241,14 @@ def cmd_weyl(config: Config, args) -> int:
 
 
 def _tau_record(spec: RealFormSpec, lam: Weight, g: TorusPoint, verbose: bool) -> dict:
-    value = tau_generator(spec, generator_key(spec, lam), g)
+    key = generator_key(spec, lam)
+    value = tau_generator(spec, key, g)
     record = {"lambda2": list(lam.coords2), "t": serialize_torus_point(g)}
     record.update(tau_value_to_json(value))
     if verbose:
         record["conditioning"] = value.conditioning
+        numerator = tau_numerator(spec, key)
+        record["numerator"] = {"route": numerator.route, "terms": len(numerator.terms.signs)}
     return record
 
 

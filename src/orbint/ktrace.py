@@ -16,6 +16,17 @@ walk the weight itself through simple reflections
 a parameter on a wall of the group gets the empty orbit: its alternating sum
 vanishes identically.
 
+At scattered points a key's W_K numerator has two routes, chosen per key
+from two exact integers before either structure is built
+(``tau_numerator``).  When the K-type is smaller than W_K
+(dim V_lambda < |W_K|), Weyl's character formula for K gives the numerator
+as chi_V D_c, and chi_V is summed over the K-type's weights with their
+multiplicities (``rootsys.weight_multiplicities``, Freudenthal in integers):
+fewer terms, all of one sign, so no cancellation where D_c is small.
+Otherwise the numerator is the signed W_K orbit, as it stands.  The stable
+integral on a compact form, where W = W_K, takes tau's route; on a
+noncompact form, and on the lattice, every numerator is an orbit.
+
 ``tau_grid`` feeds it scattered points as one block, whose numerator phases
 stay Fractions (``toruschar.orbit_sum``): integer ones are faster, but the
 ``tau_exact`` benchmark keeps every pass's results, so its peak RSS would pass
@@ -54,9 +65,13 @@ from .realform import (
 from .rootsys import (
     CartanDatum,
     Weight,
+    is_dominant,
     positive_roots,
     reflection_orbit,
     simple_steps,
+    weight_multiplicities,
+    weyl_dim,
+    weyl_order,
 )
 from .toruschar import (
     ConjugacyDescriptor,
@@ -103,6 +118,16 @@ class TauValue(NamedTuple):
         return abs(self.path_a - self.path_b)
 
 
+def _packed(rank: int, images: Iterable[tuple[int, ...]], coefficients: array) -> SignedOrbit:
+    """Weights (rank-long tuples) with one coefficient each, as flat arrays."""
+    coords = list(chain.from_iterable(images))
+    try:
+        packed = array("i", coords)
+    except OverflowError:  # coordinates beyond 32 bits stay Python ints
+        packed = coords
+    return SignedOrbit(rank, packed, coefficients)
+
+
 def _signed_orbit(steps: tuple, lam: Weight) -> SignedOrbit:
     """The walk of lam under the steps, packed: an image first reached at depth
     d is w(lam) for a unique w of length d, so its sign is (-1)^d.  When a
@@ -112,12 +137,7 @@ def _signed_orbit(steps: tuple, lam: Weight) -> SignedOrbit:
     if walk is None:
         return SignedOrbit(lam.rank, (), ())
     images, _, _, depths = walk
-    coords = list(chain.from_iterable(images))
-    try:
-        packed = array("i", coords)
-    except OverflowError:  # coordinates beyond 32 bits stay Python ints
-        packed = coords
-    return SignedOrbit(lam.rank, packed, array("b", [-1 if d & 1 else 1 for d in depths]))
+    return _packed(lam.rank, images, array("b", [-1 if d & 1 else 1 for d in depths]))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -137,7 +157,41 @@ def w_orbit(spec: RealFormSpec, lam_hc: Weight) -> SignedOrbit:
     return _signed_orbit(simple_steps(spec.datum), lam_hc)
 
 
-OrbitBuilder = Callable[[RealFormSpec, Weight], SignedOrbit]
+class Numerator(NamedTuple):
+    """How the W_K numerator of a key is summed at scattered points.
+    ``route`` "weights": ``terms`` is the K-type's weight table, each weight
+    with its multiplicity, whose sum is the character chi_V; by Weyl's
+    character formula for K the numerator is chi_V D_c.  ``route`` "orbit":
+    ``terms`` is the signed orbit of the Harish-Chandra parameter, summed as
+    it stands."""
+
+    route: str
+    terms: SignedOrbit
+
+
+@functools.lru_cache(maxsize=4096)
+def tau_numerator(spec: RealFormSpec, key: GeneratorKey) -> Numerator:
+    """tau's numerator route for a key, chosen from two exact integers before
+    either structure is built: the weight table when the K-type is smaller
+    than W_K (dim V_lambda < |W_K|), so the sum has fewer terms and no
+    alternating cancellation; otherwise the signed W_K orbit.  A key that is
+    not dominant for K (only built by hand) has no K-type: orbit."""
+    datum, lam, pos = spec.datum, key.lam, spec.compact_positive
+    if is_dominant(datum, lam, pos) and weyl_dim(datum, lam, pos) < weyl_order(datum, pos):
+        table = weight_multiplicities(datum, lam, pos)
+        return Numerator("weights", _packed(spec.rank, (mu.coords2 for mu in table), array("i", table.values())))
+    return Numerator("orbit", wk_orbit(spec, hc_parameter(spec, key)))
+
+
+def stable_numerator(spec: RealFormSpec, key: GeneratorKey) -> Numerator:
+    """The stable integral's numerator: the signed W orbit, except on a compact
+    form, where W = W_K and the numerator is tau's, by the same route."""
+    if spec.is_compact:
+        return tau_numerator(spec, key)
+    return Numerator("orbit", w_orbit(spec, hc_parameter(spec, key)))
+
+
+NumeratorOf = Callable[[RealFormSpec, GeneratorKey], Numerator]
 
 
 @functools.lru_cache(maxsize=None)
@@ -222,11 +276,13 @@ def _checked_paths(layout: tuple, factors: Sequence, numers: Sequence, point_at:
 
 
 def _scattered_paths(spec: RealFormSpec, keys: Sequence[GeneratorKey], points: Sequence[TorusPoint],
-                     orbit_of: OrbitBuilder = wk_orbit) -> tuple[list[RootFactors], list]:
+                     numerator_of: NumeratorOf = tau_numerator) -> tuple[list[RootFactors], list]:
     """``_checked_paths`` at scattered points: each point's ``root_factors``
-    up to the first point that fails, each numerator over ``orbit_of``:
-    ``wk_orbit`` for tau, ``w_orbit`` for the stable integral."""
-    orbits = [orbit_of(spec, hc_parameter(spec, key)) for key in keys]
+    up to the first point that fails, and per key the numerator column that
+    ``numerator_of`` routes (``tau_numerator`` for tau, ``stable_numerator``
+    for the stable integral): ``orbit_sum`` of its terms, times the column of
+    D_c for a weight table."""
+    numerators = [numerator_of(spec, key) for key in keys]
     pos, rows, failure = spec.positive_system, [], None
     for g in points:
         try:
@@ -234,19 +290,26 @@ def _scattered_paths(spec: RealFormSpec, keys: Sequence[GeneratorKey], points: S
         except (SingularPointError, ValidationError) as err:
             failure = err
             break
-    numers = [[orbit_sum(orbit, g) for g in points[: len(rows)]] for orbit in orbits]
+    numers = [[orbit_sum(n.terms, g) for g in points[: len(rows)]] for n in numerators]
     factors = [[row.factors[i] for row in rows] for i in range(len(pos))]
-    return rows, _checked_paths(_path_layout(spec), factors, numers, points.__getitem__, failure)
+    layout = _path_layout(spec)
+    denom_c = _column_product(factors, layout[0], len(rows))
+    numers = [list(map(mul, numer, denom_c)) if n.route == "weights" else numer
+              for n, numer in zip(numerators, numers)]
+    return rows, _checked_paths(layout, factors, numers, points.__getitem__, failure)
 
 
 def tau_grid(spec: RealFormSpec, keys: Sequence[GeneratorKey],
              points: Sequence[TorusPoint]) -> list[tuple[complex, ...]]:
     """tau_g on several generators at several torus points: entry [i][j] is the
     value of keys[i] at points[j].  Every value equals, bit for bit,
-    (-1)^m spin_sign weyl_numerator(lambda_hc, g, W_K) / weyl_denominator(g, R^+)
-    after guard_nonsingular(g, R^+), with the dual path (-1)^m (numer / D_c) /
-    delta_p_char(g) checked per key and point.  Errors are raised at the first
-    failing point, in point order; with no keys nothing is evaluated."""
+    (-1)^m spin_sign numer / weyl_denominator(g, R^+) after
+    guard_nonsingular(g, R^+), with the dual path (-1)^m (numer / D_c) /
+    delta_p_char(g) checked per key and point.  numer is the key's
+    ``tau_numerator``: weyl_numerator(lambda_hc, g, W_K) for a key on the orbit
+    route, and for one on the weight route the fsum of m e^mu(g) over its
+    weight table times weyl_denominator(g, R_c^+).  Errors are raised at the
+    first failing point, in point order; with no keys nothing is evaluated."""
     return [tuple(a) for a, _ in _scattered_paths(spec, keys, points)[1]] if keys else []
 
 
@@ -300,8 +363,10 @@ def _fold_terms(columns: Sequence[Iterable[complex]], size: int) -> list[complex
 def tau_lattice(spec: RealFormSpec, keys: Sequence[GeneratorKey], axes: Sequence[Sequence[int]],
                 q: int) -> list[tuple[complex, ...]]:
     """``tau_grid`` on the product lattice t = (n_1/q, ..., n_r/q), n_j in axes[j],
-    in ``itertools.product`` order, bit for bit, errors included.  Each root
-    pairing and numerator phase is an integer mod 2q, read from ``phase_tables(q)``:
+    in ``itertools.product`` order, every key on the orbit route: bit for bit
+    ``tau_grid``'s values for keys whose ``tau_numerator`` is the orbit, and
+    its errors.  Each root pairing and numerator phase is an integer mod 2q,
+    read from ``phase_tables(q)``:
     one root factor per root and point, one signed term s zeta^k per orbit
     term and point, which ``_fold_terms`` sums.  A slab, the points of one n_1
     (all points at rank 1), adds c_1 n_1 to the pairings over the other axes,
@@ -346,13 +411,13 @@ def tau_generator(spec: RealFormSpec, key: GeneratorKey, g: TorusPoint) -> TauVa
 
 
 def class_sum(
-    spec: RealFormSpec, x: KClass, g: TorusPoint, orbit_of: OrbitBuilder = wk_orbit
+    spec: RealFormSpec, x: KClass, g: TorusPoint, numerator_of: NumeratorOf = tau_numerator
 ) -> complex:
-    """sum coeff * path_a over the class's terms at g, each numerator over
-    ``orbit_of`` (see ``_scattered_paths``); the zero class evaluates nothing."""
+    """sum coeff * path_a over the class's terms at g, each numerator routed by
+    ``numerator_of`` (see ``_scattered_paths``); the zero class evaluates nothing."""
     if x.is_zero:
         return complex(0)
-    _, paths = _scattered_paths(spec, [key for key, _ in x.terms], [g], orbit_of)
+    _, paths = _scattered_paths(spec, [key for key, _ in x.terms], [g], numerator_of)
     return _csum(coeff * a for (_, coeff), ([a], _) in zip(x.terms, paths))
 
 

@@ -1,4 +1,4 @@
-"""Finite root systems, Weyl groups, inner products, and brute-force character oracles.
+"""Finite root systems, Weyl groups, inner products, dimensions and weight multiplicities.
 
 All lattice arithmetic is exact.  Weights are stored as doubled integer
 coordinates (``coords2 = 2*lambda`` in the fundamental-weight basis) so that
@@ -8,7 +8,8 @@ over one common denominator s, an integer matrix M with
 4s (lambda, mu) = lambda2^T M mu2, cached per datum.  Sign tests (dominance,
 regularity) and ratios of pairings (coroot coordinates, heights, dimension
 products) read these integers (``integer_pairings``) and build at most one
-Fraction at the end; ``pairing`` is one of them over 4s.
+Fraction at the end; ``pairing`` is one of them over 4s.  Freudenthal's
+weight multiplicities are integers throughout.
 
 Weyl groups and weight orbits come from one breadth-first walk,
 ``reflection_orbit``: W (and W_K) is the walk of the regular vector
@@ -25,7 +26,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ValidationError
@@ -616,7 +617,7 @@ def dimension_ratio(datum: CartanDatum, big_lambda: Weight, pos: Sequence[Weight
 
 
 # ---------------------------------------------------------------------------
-# character oracles
+# characters
 
 def weyl_dim(datum: CartanDatum, lam: Weight, pos: Sequence[Weight] | None = None) -> Fraction:
     """Dimension product prod <lam+rho, alpha> / <rho, alpha> over the positive roots."""
@@ -640,53 +641,69 @@ def _subsystem_simples(pos: Sequence[Weight]) -> tuple[Weight, ...]:
 def weight_multiplicities(
     datum: CartanDatum, lam: Weight, pos: Sequence[Weight] | None = None
 ) -> dict[Weight, int]:
-    """Full weight-multiplicity table of the irreducible module with highest weight lam.
+    """The weights of the irreducible module with highest weight lam, for the
+    root system with positive part ``pos`` (default R^+), with their
+    multiplicities, lam first and then level by level below it.
 
-    Freudenthal recursion, level by level; exact rational arithmetic throughout.
-    Serves as the brute-force counterpart to closed-form character quotients.
+    Freudenthal's formula (Humphreys, Introduction to Lie Algebras and
+    Representation Theory, 22.3) in the integers of ``integer_form``: with
+    P = 4s ( , ),
+    (P(lam+rho, lam+rho) - P(mu+rho, mu+rho)) m(mu)
+        = 2 sum_{alpha in pos} sum_{k >= 1} m(mu + k alpha) P(mu + k alpha, alpha),
+    where P(mu + k alpha, alpha) = P(mu, alpha) + k P(alpha, alpha) is one dot
+    product with alpha's covector M alpha2, read once per root.  The weights
+    stay doubled, so lam need only be integral for ``pos``: the K-type of a
+    spin-descent form may be half-integral in the coordinates of G.
     """
     pos = positive_roots(datum) if pos is None else tuple(pos)
     if not is_dominant(datum, lam, pos):
         raise ValidationError(f"{lam} is not dominant")
-    if not lam.is_integral:
-        raise ValidationError(f"{lam} is not an integral weight")
     if not pos:
         return {lam: 1}
+    matrix = integer_form(datum)[0]
+    covectors = {alpha.coords2: _form_covector(datum, alpha) for alpha in pos}
+    roots = [(alpha2, v, sum(map(mul, alpha2, v))) for alpha2, v in covectors.items()]  # P(alpha, alpha) last
     simples = _subsystem_simples(pos)
-    r = rho(pos)
-    top = pairing(datum, lam + r, lam + r)
-    mult: dict[Weight, int] = {lam: 1}
-    frontier = [lam]
-    for _ in range(100000):
-        if not frontier:
-            break
-        candidates = sorted(
-            {mu - s for mu in frontier for s in simples}, key=lambda w: w.coords2
-        )
+    lam2 = lam.coords2
+    for beta in simples:  # <lam, beta^vee> = 2 P(lam, beta) / P(beta, beta) is an integer
+        v = covectors[beta.coords2]
+        if 2 * sum(map(mul, lam2, v)) % sum(map(mul, beta.coords2, v)):
+            raise ValidationError(f"{lam} is not an integral weight")
+    rho2 = rho(pos).coords2
+
+    def level(mu: tuple[int, ...]) -> int:  # P(mu + rho, mu + rho)
+        x = tuple(map(add, mu, rho2))
+        return sum(xi * sum(map(mul, row, x)) for xi, row in zip(x, matrix))
+
+    top = level(lam2)
+    mult = {lam2: 1}
+    frontier = [lam2]
+    lowering = [beta.coords2 for beta in simples]
+    while frontier:  # each level is lower than the last, inside the ball |mu + rho| < |lam + rho|
+        candidates = sorted({tuple(map(sub, mu, beta)) for mu in frontier for beta in lowering})
         frontier = []
         for mu in candidates:
             if mu in mult:
                 continue
-            acc = Fraction(0)
-            for alpha in pos:
-                k = 1
-                while True:
-                    above = mult.get(mu + k * alpha)
-                    if above is None:
-                        break  # root strings are unbroken
-                    acc += above * pairing(datum, mu + k * alpha, alpha)
-                    k += 1
+            acc = 0
+            for alpha, v, norm in roots:
+                p = sum(map(mul, mu, v))
+                above = tuple(map(add, mu, alpha))
+                m = mult.get(above)
+                while m is not None:  # root strings are unbroken
+                    p += norm
+                    acc += m * p
+                    above = tuple(map(add, above, alpha))
+                    m = mult.get(above)
             if acc == 0:
                 continue
-            denom = top - pairing(datum, mu + r, mu + r)
+            denom = top - level(mu)
             if denom <= 0:
                 raise ValidationError("Freudenthal recursion left the weight polytope")
-            m = 2 * acc / denom
-            if m.denominator != 1:
+            m, rest = divmod(2 * acc, denom)
+            if rest:
                 raise ValidationError("non-integral multiplicity; inconsistent input")
             if m > 0:
-                mult[mu] = int(m)
+                mult[mu] = m
                 frontier.append(mu)
-    else:  # pragma: no cover
-        raise ValidationError("multiplicity recursion did not terminate")
-    return mult
+    return {Weight(mu): m for mu, m in mult.items()}

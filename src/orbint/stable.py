@@ -5,7 +5,8 @@ Summed over the coset translates v.g, the W_K numerators of tau make up the
 W numerator, and D(v.g) = sign(v) D(g), so the stable integral is one W-orbit
 sum, (-1)^m spin_sign N_W(lambda_hc)(g) / D(g): tau's kernel with
 ``ktrace.w_orbit``, which builds no group element and gives a parameter on a
-wall the empty orbit, an exact zero.  ``lpacket_sum`` keeps the coset route,
+wall the empty orbit, an exact zero.  On a compact form W = W_K, and the
+numerator takes tau's route (``ktrace.stable_numerator``).  ``lpacket_sum`` keeps the coset route,
 the independent side of its packet/stable guard.
 
 Toward the identity along a ray s d, the numerator and D both vanish to order
@@ -24,7 +25,7 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import ConsistencyError, LimitPathError, ValidationError
-from .ktrace import class_sum, lds_value, w_orbit
+from .ktrace import class_sum, lds_value, stable_numerator, w_orbit
 from .ktrace import tau_class  # noqa: F401 - unused here, but benchmarks/selfcheck.py wraps stable.tau_class
 from .realform import (
     KClass,
@@ -45,7 +46,7 @@ def stable_tau(spec: RealFormSpec, x: KClass, g: TorusPoint) -> complex:
     """Stable orbital integral: the sum of tau over the ordinary conjugacy
     classes inside the stable class of g, as one W-orbit numerator over D(g)
     per term of the class (see the module docstring)."""
-    return class_sum(spec, x, g, w_orbit)
+    return class_sum(spec, x, g, stable_numerator)
 
 
 def lpacket_sum(spec: RealFormSpec, lam_hc: Weight, g: TorusPoint) -> complex:

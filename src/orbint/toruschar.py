@@ -14,8 +14,9 @@ synthesis lattice reads the same doubles from integer phase tables in
 root once, which gives both the singular verdict and every root factor.  A
 ``SignedOrbit`` holds an alternating numerator's orbit as flat integer arrays
 (the W_K orbit of tau or the W orbit of the stable integral, which ``ktrace``
-builds by walking the weight with ``rootsys.reflection_orbit``), and
-``orbit_sum`` evaluates it at a point.  Both reproduce ``weyl_denominator`` and
+builds by walking the weight with ``rootsys.reflection_orbit``), or a K-type's
+weight table with multiplicities in place of the signs, and ``orbit_sum``
+evaluates either at a point.  Both reproduce ``weyl_denominator`` and
 ``weyl_numerator`` bit for bit; those stay as the independent routes of the
 identity checks.
 """
@@ -186,9 +187,11 @@ def root_factors(g: TorusPoint, roots: Sequence[Weight]) -> RootFactors:
 
 
 class SignedOrbit(NamedTuple):
-    """The images w(mu) of a weight with the signs of the group elements w, as
-    flat integer coordinates (``rank`` entries per image).  Empty when the
-    alternating sum over them vanishes identically."""
+    """An exponential sum sum_u c_u e^u as flat integer coordinates (``rank``
+    entries per weight u) and one integer coefficient c_u per weight: the
+    images w(mu) of a weight with the signs of the group elements w, empty
+    when the alternating sum over them vanishes identically, or a K-type's
+    weights with their multiplicities."""
 
     rank: int
     coords: Sequence[int]
@@ -196,8 +199,9 @@ class SignedOrbit(NamedTuple):
 
 
 def orbit_sum(orbit: SignedOrbit, g: TorusPoint) -> complex:
-    """sum_w sign(w) e^{w mu}(g) over the orbit: ``weyl_numerator`` bit for bit,
-    each term with the exact phase and exponential of ``eval_weight``."""
+    """sum_u c_u e^u(g) over the terms, each the coefficient times the exact
+    phase and exponential of ``eval_weight``: for an orbit, sum_w sign(w)
+    e^{w mu}(g), ``weyl_numerator`` bit for bit."""
     if orbit.rank != g.rank:
         raise ValidationError("weight and torus point have different ranks")
     images = zip(*[iter(orbit.coords)] * orbit.rank)  # consecutive rank-long slices

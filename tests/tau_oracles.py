@@ -1,20 +1,26 @@
 """The per-key tau formulas that the batch kernel replaced, kept as test oracles.
 
 orbint evaluates tau through ``ktrace.tau_grid``, which pairs each point with
-its roots once and sums each key's numerator over a cached W_K orbit.  These
-are the direct per-key, per-point evaluations it replaced: guard, numerator
-and every denominator recomputed from ``toruschar``'s per-weight functions.
+its roots once and sums each key's numerator over a cached weight table or
+W_K orbit.  These are the direct per-key, per-point evaluations it replaced:
+guard, numerator and every denominator recomputed from ``toruschar``'s
+per-weight functions, the numerator on the route ``weight_route`` picks by
+the same dim V < |W_K| rule, or forced onto the orbit (``tau_grid(...,
+route="orbit")`` is what the synthesis lattice evaluates).
 ``signed_orbit`` is the orbit that ``ktrace.wk_orbit`` and ``ktrace.w_orbit``
 replaced: one image per element of the group, each a matrix-vector product.
 ``stable_tau`` is the coset-translate route that the W-orbit sum replaced,
-and ``mp_stable_tau`` the same W-orbit sum in 40-digit mpmath.
+and ``mp_stable_tau`` the same W-orbit sum in 40-digit mpmath; ``mp_tau`` is
+tau's W_K sum in mpmath, at 40 digits past its cancellation.
 ``fraction_root_phase``, ``fraction_root_factors`` and ``fraction_is_regular``
 pair a point with each root in Fractions, the route that the integer
 pairings of ``toruschar`` replaced.
 """
 
+import math
 from array import array
 from fractions import Fraction
+from operator import mul
 
 from orbint.errors import ConsistencyError, SingularPointError, ValidationError
 from orbint.ktrace import DUAL_PATH_TOL, _validate_positive_system
@@ -33,6 +39,12 @@ from orbint.toruschar import (
     weyl_denominator,
     weyl_numerator,
 )
+from weyl_oracles import (
+    fraction_is_dominant,
+    fraction_weight_multiplicities,
+    fraction_weyl_dim,
+    fraction_weyl_order,
+)
 
 
 def signed_orbit(mu, group):
@@ -43,14 +55,33 @@ def signed_orbit(mu, group):
     return SignedOrbit(mu.rank, coords, signs)
 
 
-def tau_paths(spec, key, g):
-    """(path_a, path_b) of one generator at one point."""
+def weight_route(spec, key):
+    """The numerator route of ``ktrace.tau_numerator``, from the Fraction
+    oracles: a key dominant for K whose K-type is smaller than W_K."""
+    datum, lam, pos = spec.datum, key.lam, spec.compact_positive
+    return fraction_is_dominant(datum, lam, pos) and fraction_weyl_dim(datum, lam, pos) < fraction_weyl_order(datum, pos)
+
+
+def numerator(spec, key, g, route=None):
+    """The W_K numerator of a key at g: where ``weight_route`` holds and
+    ``route`` is not "orbit", the K-type's character, summed over its Fraction
+    Freudenthal table, times weyl_denominator over the compact positive
+    roots; otherwise the alternating sum over the elements of W_K."""
+    if route != "orbit" and weight_route(spec, key):
+        table = fraction_weight_multiplicities(spec.datum, key.lam, spec.compact_positive)
+        chi = _csum(m * eval_weight(mu, g) for mu, m in table.items())
+        return chi * weyl_denominator(g, spec.compact_positive)
+    return weyl_numerator(hc_parameter(spec, key), g, weyl_k(spec))
+
+
+def tau_paths(spec, key, g, route=None):
+    """(path_a, path_b) of one generator at one point, its numerator from
+    ``numerator`` (``route`` "orbit" forces the orbit)."""
     full_pos = spec.positive_system
     guard_nonsingular(g, full_pos)
-    lam_hc = hc_parameter(spec, key)
     m = spec.dim_gk // 2
     sign = (-1) ** m * spec.spin_sign
-    numer = weyl_numerator(lam_hc, g, weyl_k(spec))
+    numer = numerator(spec, key, g, route)
     path_a = sign * numer / weyl_denominator(g, full_pos)
     chi_v = numer / weyl_denominator(g, spec.compact_positive)
     path_b = (-1) ** m * chi_v / delta_p_char(g, spec)
@@ -60,9 +91,9 @@ def tau_paths(spec, key, g):
     return path_a, path_b
 
 
-def tau_grid(spec, keys, points):
+def tau_grid(spec, keys, points, route=None):
     """Key-major: every point for the first key, then the next key."""
-    return [tuple(tau_paths(spec, key, g)[0] for g in points) for key in keys]
+    return [tuple(tau_paths(spec, key, g, route)[0] for g in points) for key in keys]
 
 
 def tau_class(spec, x, g):
@@ -96,6 +127,38 @@ def mp_stable_tau(spec, x, g, dps=40):
             numer = mpmath.fsum(w.sign * exp(_matvec(w.matrix, lam_hc.coords2)) for w in group)
             total += coeff * sign * numer / denom
         return complex(total)
+
+
+def mp_tau(spec, key, g, dps=40):
+    """tau of one generator at an exact point, (-1)^m spin_sign
+    sum_{w in W_K} sign(w) e^{w lambda_hc}(g) / prod_{R+} (e^{a/2} - e^{-a/2})(g),
+    over the elements of W_K, in mpmath with ``dps`` digits left after the
+    numerator's cancellation: the working precision adds the digits of 1/|D|
+    (and ten more), as the numerator is D times the K-type's character, whose
+    terms have modulus 1.  With t = n/q over a common q, each phase is the
+    exact integer k = sum_j c2_j n_j mod 2q, and e^mu(g) = exp(pi i k/q)."""
+    import mpmath
+
+    q = math.lcm(*(t.denominator for t in g.coords))
+    ns = [t.numerator * (q // t.denominator) for t in g.coords]
+
+    def exp(coords2):
+        return mpmath.expjpi(mpmath.mpf(sum(map(mul, coords2, ns)) % (2 * q)) / q)
+
+    def denominator():
+        denom = mpmath.mpc(1)
+        for alpha in spec.positive_system:
+            half = alpha.halved()
+            denom *= exp(half.coords2) - exp((-half).coords2)
+        return denom
+
+    with mpmath.workdps(dps):
+        extra = max(0, int(-mpmath.log10(abs(denominator())))) + 10
+    with mpmath.workdps(dps + extra):
+        lam_hc = hc_parameter(spec, key)
+        numer = mpmath.fsum(w.sign * exp(_matvec(w.matrix, lam_hc.coords2)) for w in weyl_k(spec))
+        sign = (-1) ** (spec.dim_gk // 2) * spec.spin_sign
+        return complex(sign * numer / denominator())
 
 
 def lds_character(spec, lam_hc, system, g):

@@ -628,8 +628,8 @@ def test_verbose_tau_reports_conditioning(capsys):
     code, verbose, _ = run_cli(capsys, "-v", *argv)
     assert code == 0
     record = json.loads(verbose)
-    # only the new field differs
-    assert json.loads(plain) == {k: v for k, v in record.items() if k != "conditioning"}
+    # only the verbose fields differ
+    assert json.loads(plain) == {k: v for k, v in record.items() if k not in ("conditioning", "numerator")}
     assert "conditioning" not in json.loads(plain)
     # the positive roots of A2 in fundamental coordinates are (2,-1), (-1,2)
     # and (1,1); e^{alpha/2}(g) = exp(pi i u) with u = alpha . t
@@ -637,6 +637,26 @@ def test_verbose_tau_reports_conditioning(capsys):
     phases = [2 * t[0] - t[1], 2 * t[1] - t[0], t[0] + t[1]]
     expected = min(abs(2 * math.sin(math.pi * u)) for u in phases)
     assert abs(record["conditioning"] - expected) <= 1e-14
+
+
+@pytest.mark.parametrize("argv, route, terms", [
+    # su21's K-type (1, 0) has dimension 2 = |W_K|: the signed W_K orbit, 2 terms
+    (("--preset", "su21", "--lambda", "1,0", "--t", "1/5,2/7"), "orbit", 2),
+    # compact(D4) at rho: dimension 2^12 >= |W| = 192, the W orbit
+    (("--preset", "compact(D4)", "--lambda", "1,1,1,1", "--t", "1/7,2/11,3/13,1/17"), "orbit", 192),
+    # compact(F4) at (1, 0, 0, 0): the adjoint representation, 49 distinct weights
+    (("--preset", "compact(F4)", "--lambda", "1,0,0,0", "--t", "1/7,2/11,3/13,1/17"), "weights", 49),
+    # the trivial K-type of compact(B5): one weight where the orbit has 3840
+    (("--preset", "compact(B5)", "--lambda=0,0,0,0,0", "--t=61/67,49/67,27/67,13/67,63/67"), "weights", 1),
+    # compact(A2) at (1, 0): the 3 weights of the standard representation
+    (("--preset", "compact(A2)", "--lambda", "1,0", "--t", "1/5,2/7"), "weights", 3),
+])
+def test_verbose_tau_reports_the_numerator_route(capsys, argv, route, terms):
+    code, plain, _ = run_cli(capsys, "tau", *argv)
+    assert code == 0 and "numerator" not in json.loads(plain)
+    code, verbose, _ = run_cli(capsys, "-v", "tau", *argv)
+    assert code == 0
+    assert json.loads(verbose)["numerator"] == {"route": route, "terms": terms}
 
 
 def test_tannaka_compact_a3_exits_0(capsys):

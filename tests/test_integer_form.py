@@ -1,9 +1,10 @@
 """The invariant form in integers against the Fraction route it replaced.
 
-Pairings, dominance, coroots, Weyl orders, dimension products, formal degrees
-and generator-key verdicts must come out equal (``==``, the same messages) to
-the Fraction formulas kept in ``weyl_oracles``."""
+Pairings, dominance, coroots, Weyl orders, dimension products, formal degrees,
+generator-key verdicts and Freudenthal's weight tables must come out equal
+(``==``, the same messages) to the Fraction formulas kept in ``weyl_oracles``."""
 
+import itertools
 import math
 import random
 
@@ -16,6 +17,7 @@ from weyl_oracles import (
     fraction_is_dominant,
     fraction_pairing,
     fraction_reflection,
+    fraction_weight_multiplicities,
     fraction_weyl_dim,
     fraction_weyl_order,
     painted_forms,
@@ -32,6 +34,7 @@ from orbint.rootsys import (
     pairing,
     positive_roots,
     reflection,
+    weight_multiplicities,
     weyl_dim,
     weyl_order,
 )
@@ -156,3 +159,41 @@ def test_generator_key_reads_no_pairing(monkeypatch):
     got = [outcome(generator_key, spec, lam) for spec, lam in cases]
     assert got == expected
     assert sum(g[0] != "refused" for g in got) >= 20
+
+
+@pytest.mark.parametrize("spec", FORMS, ids=FORM_IDS)
+def test_weight_tables_match_the_fraction_route(spec):
+    """Every key with fundamental coordinates in 0, 1/2, ..., 2 whose K-type is
+    smaller than W_K (the tables ``ktrace.tau_numerator`` builds): the integer
+    table equals the Fraction recursion's, and its multiplicities add up to the
+    dimension.  On a spin-descent form with rho_n off the lattice the keys are
+    half-integral for G, and their tables are compared too."""
+    datum, pos = spec.datum, spec.compact_positive
+    order = weyl_order(datum, pos)
+    compared = []
+    for coords2 in itertools.product(range(5), repeat=spec.rank):
+        try:
+            key = generator_key(spec, Weight(coords2))
+        except ValidationError:
+            continue
+        dim = weyl_dim(datum, key.lam, pos)
+        if dim < order:
+            table = weight_multiplicities(datum, key.lam, pos)
+            assert table == fraction_weight_multiplicities(datum, key.lam, pos), key.lam
+            assert sum(table.values()) == dim
+            compared.append(key.lam)
+    assert compared or order == 1  # W_K = 1: no K-type is smaller
+    assert any(not lam.is_integral for lam in compared) == (not rho_n(spec).is_integral)
+
+
+def test_weight_tables_refuse_what_the_fraction_route_refuses():
+    # compact(A2): (1/2, 0) is dominant but not integral, (-1, 0) not dominant;
+    # su21 (K = U(2), compact root alpha_1): (-1, 5) is not dominant for K, and
+    # (1/2, 0) not integral for K, while (1, 1/2) is (two weights, as for V_1)
+    ca2, su21 = real_form("compact(A2)"), real_form("su21")
+    cases = [(ca2, (1, 0)), (ca2, (-2, 0)), (su21, (-2, 10)), (su21, (1, 0)), (su21, (2, 1))]
+    for spec, coords2 in cases:
+        args = (spec.datum, Weight(coords2), spec.compact_positive)
+        assert outcome(weight_multiplicities, *args) == outcome(fraction_weight_multiplicities, *args)
+    assert outcome(weight_multiplicities, ca2.datum, Weight((1, 0)), ca2.compact_positive)[0] == "refused"
+    assert len(weight_multiplicities(su21.datum, Weight((2, 1)), su21.compact_positive)) == 2

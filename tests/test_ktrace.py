@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import tau_oracles as oracle
 
 from orbint.errors import SingularPointError, ValidationError
 from orbint.ktrace import (
@@ -15,6 +16,7 @@ from orbint.ktrace import (
     random_regular_point,
     tau_class,
     tau_generator,
+    tau_numerator,
 )
 from orbint.realform import KClass, generator_key, real_form
 from orbint.rootsys import Weight
@@ -188,3 +190,34 @@ def test_value_serializers():
     assert set(record) == {"value", "path_a", "path_b"}
     text = dumps(record)
     assert '"re"' in text and '"im"' in text
+
+
+# Points where the alternating W_K numerator cancels.  Summed over the orbit,
+# each exited 0 with the wrong value in its comment.  The K-type of each is
+# smaller than W_K, so the numerator is its character, summed over its
+# weights, times D_c, and nothing cancels.
+MENDED = [
+    # the README's compact(B6) point: 0.99999999992 + 2.6e-8i
+    ("compact(B6)", (0, 0, 0, 0, 0, 0), ("1/7", "2/11", "3/13", "1/17", "5/19", "1/23")),
+    # near the identity: 8.4e11 - 1.0e11i
+    ("compact(F4)", (2, 0, 0, 0), ("1/1000", "3/1000", "7/1000", "19/1000")),
+    # on compact(B4)'s default synthesis lattice, conditioning 0.004: 2.977 - 5.461i
+    ("compact(B4)", (0, 0, 0, 0), ("1505/1552", "1509/1552", "1461/1552", "713/1552")),
+    # on compact(B3)'s 32^3 lattice, conditioning 0.008: 0.99977 + 5.1e-5i
+    ("compact(B3)", (0, 0, 0), ("25/1552", "27/1552", "3/1552")),
+    # near the identity: -1.03e20
+    ("compact(A2)", (2, 0), ("1/10000000000000", "3/10000000000000")),
+]
+
+
+@pytest.mark.parametrize("name, lam2, t", MENDED, ids=[case[0] for case in MENDED])
+def test_cancelling_numerators_are_summed_over_the_k_type(name, lam2, t):
+    pytest.importorskip("mpmath")
+    spec = real_form(name)
+    key = generator_key(spec, Weight(lam2))
+    g = TorusPoint.exact_point(Fraction(c) for c in t)
+    assert tau_numerator(spec, key).route == "weights"
+    value = tau_generator(spec, key, g)
+    ref = oracle.mp_tau(spec, key, g)
+    assert abs(value.value - ref) <= 1e-12 * abs(ref)
+    assert abs(value.path_b - ref) <= 1e-12 * abs(ref)

@@ -3,9 +3,12 @@
 ``tau_grid``, ``tau_generator``, ``tau_class``, ``synth_family`` and
 ``lpacket_sum`` are compared ``==`` against the oracles in ``tau_oracles.py``,
 on the five presets and three painted forms, at points of small prime
-denominators and at binary fractions with denominators near 2^60.
-``tau_lattice``, the integer-phase route of the synthesis lattice, is
-compared ``==`` against ``tau_grid`` over the same points, errors included.
+denominators and at binary fractions with denominators near 2^60; the
+oracles pick each key's numerator route (K-type weights or W_K orbit) by the
+same dim V < |W_K| rule.  ``tau_lattice``, the integer-phase route of the
+synthesis lattice, sums every key over its W_K orbit: it is compared ``==``
+against the orbit-route oracle, and against ``tau_grid`` over the same
+points, errors included, for keys whose scattered route is the orbit too.
 ``stable_tau`` sums over the W orbit instead of the coset translates, so it
 is compared within 1e-12 relative to the translate route and to a 40-digit
 W-orbit sum.
@@ -205,7 +208,7 @@ def test_synth_family_values_match(name, axis_count):
     spec = real_form(name)
     keys = small_keys(spec, 3)
     family = synth_family(spec, keys, axis_count)
-    expected = oracle.tau_grid(spec, keys, lattice_points(family.axes, family.q))
+    expected = oracle.tau_grid(spec, keys, lattice_points(family.axes, family.q), route="orbit")
     assert [family.values[key.lam] for key in keys] == expected
 
 
@@ -310,6 +313,38 @@ def lattice_keys(spec):
     return small_keys(spec, 2) + [singular_key(spec), big]
 
 
+@functools.lru_cache(maxsize=None)
+def orbit_keys(spec):
+    """The first two ``small_keys`` whose numerator takes the orbit route at
+    scattered points, where ``tau_grid`` and ``tau_lattice`` agree bit for bit."""
+    for count in itertools.count(2):
+        keys = [key for key in small_keys(spec, count) if not oracle.weight_route(spec, key)]
+        if len(keys) == 2:
+            return keys
+
+
+def check_lattice(spec, keys, axes, q):
+    """``tau_lattice``'s outcome against ``tau_grid``'s over the same points
+    on the keys that take the orbit route at scattered points too, errors
+    included, and against the orbit-route oracle's values on the other keys,
+    at every point of a small lattice and at about 64 evenly strided points
+    of a larger one (each value is a formula of its own point alone)."""
+    points = lattice_points(axes, q)
+    got = outcome(lambda: tau_lattice(spec, keys, axes, q))
+    weights = [oracle.weight_route(spec, key) for key in keys]
+    orbit = [key for key, w in zip(keys, weights) if not w]
+    assert orbit  # the scattered route to compare errors with
+    want = outcome(lambda: tau_grid(spec, orbit, points))
+    if isinstance(got, tuple):
+        assert got == want
+    else:
+        assert [row for row, w in zip(got, weights) if not w] == want
+        other = [key for key, w in zip(keys, weights) if w]
+        stride = len(points) // 64 + 1
+        want = oracle.tau_grid(spec, other, points[::stride], route="orbit")
+        assert [row[::stride] for row, w in zip(got, weights) if w] == want
+
+
 def test_lattice_keys_reach_every_numerator_fold():
     # tau_lattice folds an orbit of 0, 1, 2 and 3 or more terms by different
     # code (``ktrace._fold_terms``); the lattice tests must reach all four
@@ -362,9 +397,7 @@ def test_lattice_route_matches_tau_grid(case):
     index, n, offsets = case
     spec = LATTICE_FORMS[index]
     axes, q = lattice(n, offsets)
-    keys = lattice_keys(spec)
-    want = outcome(lambda: tau_grid(spec, keys, lattice_points(axes, q)))
-    assert outcome(lambda: tau_lattice(spec, keys, axes, q)) == want
+    check_lattice(spec, lattice_keys(spec), axes, q)
 
 
 def test_singular_lattice_raises_the_same_root_and_message():
@@ -385,7 +418,7 @@ def test_lattice_dual_path_error_names_the_same_point(spec, monkeypatch):
     product = ktrace._column_product
     monkeypatch.setattr(ktrace, "_column_product", lambda *args: [1.5 * v for v in product(*args)])
     axes, q = lattice(4, (3, 41, 88)[: spec.rank])
-    keys = small_keys(spec, 2)
+    keys = orbit_keys(spec)
     want = outcome(lambda: tau_grid(spec, keys, lattice_points(axes, q)))
     assert want[0] == "consistency"
     assert outcome(lambda: tau_lattice(spec, keys, axes, q)) == want
@@ -411,7 +444,7 @@ def test_lattice_errors_come_in_point_order(fault, first, monkeypatch):
     spec = real_form("su21")
     axes, q = lattice(4, (50, 3))
     points = lattice_points(axes, q)
-    keys = small_keys(spec, 2)
+    keys = orbit_keys(spec)
     fault_at(monkeypatch, spec, points[fault])
     assert outcome(lambda: tau_grid(spec, keys, points[fault : fault + 1]))[0] == "consistency"
     want = outcome(lambda: tau_grid(spec, keys, points))
@@ -444,7 +477,7 @@ def test_phase_tables_are_kept_per_denominator():
     # cache keeps: every call reads the tables of its own q
     ktrace.phase_tables.cache_clear()
     spec = real_form("su21")
-    keys = small_keys(spec, 2)
+    keys = orbit_keys(spec)
     for n, offsets in [(4, (1, 3)), (6, (5, 7)), (4, (1, 3)), (6, (11, 13)), (5, (3, 4)), (7, (1, 9)),
                        (8, (2, 3)), (4, (8, 9)), (6, (5, 7))]:
         axes, q = lattice(n, offsets)
@@ -468,7 +501,7 @@ def test_residue_index_finds_the_scanned_singular_point():
     rng = random.Random(15)
     later = 0
     for spec in LATTICE_FORMS:
-        keys = small_keys(spec, 2)
+        keys = orbit_keys(spec)
         for _ in range(40):
             q = rng.choice([5, 7, 9, 12])
             axes = [sorted(rng.sample(range(2 * q), rng.randint(2, 5))) for _ in range(spec.rank)]

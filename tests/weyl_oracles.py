@@ -11,7 +11,8 @@ The invariant form is kept in integers over one common denominator; the
 Fraction route it replaced is kept here too: each pairing a sum of Fractions
 over the symmetrized Cartan matrix D A^{-1}, and the sign tests and ratios
 (dominance, coroots, Weyl orders, dimension products, generator keys) built
-from those Fractions.
+from those Fractions.  Freudenthal's recursion for weight multiplicities is
+kept in the same Fractions, one pairing per root-string term.
 """
 
 import functools
@@ -44,8 +45,11 @@ def _fraction_form(datum):
     return tuple(tuple(datum.symmetrizer[i] * ainv[i][j] for j in range(n)) for i in range(n))
 
 
+@functools.lru_cache(maxsize=None)
 def fraction_pairing(datum, a, b):
-    """(a, b) as a sum of Fractions over the symmetrized Cartan matrix."""
+    """(a, b) as a sum of Fractions over the symmetrized Cartan matrix; kept
+    per (datum, a, b), as Freudenthal's recursion asks for the same pairings
+    across the tables of one form."""
     mat = _fraction_form(datum)
     total = Fraction(0)
     for i, ai in enumerate(a.coords2):
@@ -103,6 +107,52 @@ def fraction_weyl_dim(datum, lam, pos=None):
     if not fraction_is_dominant(datum, lam, pos):
         raise ValidationError(f"weight {lam} is not dominant for the given positive system")
     return _fraction_dimension_product(datum, lam + rho(pos, datum.rank), pos)
+
+
+def fraction_weight_multiplicities(datum, lam, pos=None):
+    """Weight -> multiplicity of the irreducible module with highest weight lam
+    for the positive system ``pos``: Freudenthal's recursion level by level,
+    each term a Fraction pairing; lam must be integral for ``pos`` only."""
+    pos = positive_roots(datum) if pos is None else tuple(pos)
+    if not fraction_is_dominant(datum, lam, pos):
+        raise ValidationError(f"{lam} is not dominant")
+    if not pos:
+        return {lam: 1}
+    simples = _subsystem_simples(pos)
+    for beta in simples:
+        if (2 * fraction_pairing(datum, lam, beta) / fraction_pairing(datum, beta, beta)).denominator != 1:
+            raise ValidationError(f"{lam} is not an integral weight")
+    r = rho(pos)
+    top = fraction_pairing(datum, lam + r, lam + r)
+    mult = {lam: 1}
+    frontier = [lam]
+    while frontier:
+        candidates = sorted({mu - s for mu in frontier for s in simples}, key=lambda w: w.coords2)
+        frontier = []
+        for mu in candidates:
+            if mu in mult:
+                continue
+            acc = Fraction(0)
+            for alpha in pos:
+                k = 1
+                while True:
+                    above = mult.get(mu + k * alpha)
+                    if above is None:
+                        break  # root strings are unbroken
+                    acc += above * fraction_pairing(datum, mu + k * alpha, alpha)
+                    k += 1
+            if acc == 0:
+                continue
+            denom = top - fraction_pairing(datum, mu + r, mu + r)
+            if denom <= 0:
+                raise ValidationError("Freudenthal recursion left the weight polytope")
+            m = 2 * acc / denom
+            if m.denominator != 1:
+                raise ValidationError("non-integral multiplicity; inconsistent input")
+            if m > 0:
+                mult[mu] = int(m)
+                frontier.append(mu)
+    return mult
 
 
 def fraction_formal_degree(spec, lam_hc):
