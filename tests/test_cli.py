@@ -71,6 +71,28 @@ def test_stable_and_packet_agree(capsys):
     assert abs(v1["re"] - v2["re"]) <= 1e-12 and abs(v1["im"] - v2["im"]) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "preset, lam_hc, t, want",
+    [
+        ("compact(B3)", "1,1,1", "25/1552,27/1552,3/1552", 4),
+        ("compact(A2)", "1,1", "1/10000000000000,3/10000000000000", 4),
+        ("compact(B3)", "1,1,1", "1/7,2/11,3/13", 0),
+    ],
+    ids=["B3-cancelling", "A2-near-identity", "B3-regular"],
+)
+def test_compact_packets_are_checked_against_the_weight_route(capsys, preset, lam_hc, t, want):
+    # on a compact form the packet sums the W_K orbit of lambda_hc = rho while
+    # the stable integral it is checked against sums the K-type's weights (the
+    # character 1), so where the orbit's terms cancel the packet/stable guard
+    # refuses the packet with exit 4 instead of printing the orbit's value
+    code, out, err = run_cli(capsys, "packet", "--preset", preset, "--Lambda", lam_hc, "--t", t)
+    assert code == want
+    if want:
+        assert out == "" and "packet sum and stable integral disagree by" in err
+    else:
+        assert json.loads(out)["value"]["re"] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_schmid_pair_vanishes(capsys):
     code, out, _ = run_cli(
         capsys, "schmid", "--preset", "sl2r", "--Lambda", "0", "--systems", "id,neg", "--t", "1/5"

@@ -7,8 +7,10 @@ denominators and at binary fractions with denominators near 2^60; the
 oracles pick each key's numerator route (K-type weights or W_K orbit) by the
 same dim V < |W_K| rule.  ``tau_lattice``, the integer-phase route of the
 synthesis lattice, sums every key over its W_K orbit: it is compared ``==``
-against the orbit-route oracle, and against ``tau_grid`` over the same
-points, errors included, for keys whose scattered route is the orbit too.
+against ``tau_grid``'s checked paths with every numerator on the orbit route
+(``orbit_grid``) over the same points, errors included, and ``tau_grid``
+itself takes that numerator for every key whose K-type is not smaller than
+W_K.
 ``stable_tau`` sums over the W orbit instead of the coset translates, so it
 is compared within 1e-12 relative to the translate route and to a 40-digit
 W-orbit sum.
@@ -313,36 +315,13 @@ def lattice_keys(spec):
     return small_keys(spec, 2) + [singular_key(spec), big]
 
 
-@functools.lru_cache(maxsize=None)
-def orbit_keys(spec):
-    """The first two ``small_keys`` whose numerator takes the orbit route at
-    scattered points, where ``tau_grid`` and ``tau_lattice`` agree bit for bit."""
-    for count in itertools.count(2):
-        keys = [key for key in small_keys(spec, count) if not oracle.weight_route(spec, key)]
-        if len(keys) == 2:
-            return keys
+def orbit_grid(spec, keys, points):
+    """``tau_grid`` with every key's numerator summed over its W_K orbit, as
+    ``tau_lattice`` sums it: the same checked paths, errors included."""
+    def orbit(s, key):
+        return ktrace.Numerator("orbit", wk_orbit(s, hc_parameter(s, key)))
 
-
-def check_lattice(spec, keys, axes, q):
-    """``tau_lattice``'s outcome against ``tau_grid``'s over the same points
-    on the keys that take the orbit route at scattered points too, errors
-    included, and against the orbit-route oracle's values on the other keys,
-    at every point of a small lattice and at about 64 evenly strided points
-    of a larger one (each value is a formula of its own point alone)."""
-    points = lattice_points(axes, q)
-    got = outcome(lambda: tau_lattice(spec, keys, axes, q))
-    weights = [oracle.weight_route(spec, key) for key in keys]
-    orbit = [key for key, w in zip(keys, weights) if not w]
-    assert orbit  # the scattered route to compare errors with
-    want = outcome(lambda: tau_grid(spec, orbit, points))
-    if isinstance(got, tuple):
-        assert got == want
-    else:
-        assert [row for row, w in zip(got, weights) if not w] == want
-        other = [key for key, w in zip(keys, weights) if w]
-        stride = len(points) // 64 + 1
-        want = oracle.tau_grid(spec, other, points[::stride], route="orbit")
-        assert [row[::stride] for row, w in zip(got, weights) if w] == want
+    return [tuple(a) for a, _ in ktrace._scattered_paths(spec, keys, points, orbit)[1]] if keys else []
 
 
 def test_lattice_keys_reach_every_numerator_fold():
@@ -397,7 +376,19 @@ def test_lattice_route_matches_tau_grid(case):
     index, n, offsets = case
     spec = LATTICE_FORMS[index]
     axes, q = lattice(n, offsets)
-    check_lattice(spec, lattice_keys(spec), axes, q)
+    keys = lattice_keys(spec)
+    want = outcome(lambda: orbit_grid(spec, keys, lattice_points(axes, q)))
+    assert outcome(lambda: tau_lattice(spec, keys, axes, q)) == want
+
+
+@pytest.mark.parametrize("spec", LATTICE_FORMS, ids=LATTICE_IDS)
+def test_orbit_route_keys_are_tau_grid_on_the_lattice(spec):
+    # a key whose K-type is not smaller than W_K takes the orbit route at
+    # scattered points too, so there tau_lattice is tau_grid, bit for bit
+    axes, q = lattice(4, (3, 41, 88)[: spec.rank])
+    keys = [key for key in lattice_keys(spec) if not oracle.weight_route(spec, key)]
+    assert keys
+    assert tau_lattice(spec, keys, axes, q) == tau_grid(spec, keys, lattice_points(axes, q))
 
 
 def test_singular_lattice_raises_the_same_root_and_message():
@@ -406,10 +397,10 @@ def test_singular_lattice_raises_the_same_root_and_message():
     spec = real_form("su21")
     axes, q = lattice(4, (50, 3))
     keys = lattice_keys(spec)
-    want = outcome(lambda: tau_grid(spec, keys, lattice_points(axes, q)))
+    want = outcome(lambda: orbit_grid(spec, keys, lattice_points(axes, q)))
     assert want[0] == "singular"
     assert outcome(lambda: tau_lattice(spec, keys, axes, q)) == want
-    assert outcome(lambda: tau_grid(spec, keys, lattice_points(axes, q)[:1]))[0] != "singular"
+    assert outcome(lambda: orbit_grid(spec, keys, lattice_points(axes, q)[:1]))[0] != "singular"
 
 
 @pytest.mark.parametrize("spec", LATTICE_FORMS, ids=LATTICE_IDS)
@@ -418,8 +409,8 @@ def test_lattice_dual_path_error_names_the_same_point(spec, monkeypatch):
     product = ktrace._column_product
     monkeypatch.setattr(ktrace, "_column_product", lambda *args: [1.5 * v for v in product(*args)])
     axes, q = lattice(4, (3, 41, 88)[: spec.rank])
-    keys = orbit_keys(spec)
-    want = outcome(lambda: tau_grid(spec, keys, lattice_points(axes, q)))
+    keys = small_keys(spec, 2)
+    want = outcome(lambda: orbit_grid(spec, keys, lattice_points(axes, q)))
     assert want[0] == "consistency"
     assert outcome(lambda: tau_lattice(spec, keys, axes, q)) == want
 
@@ -444,10 +435,10 @@ def test_lattice_errors_come_in_point_order(fault, first, monkeypatch):
     spec = real_form("su21")
     axes, q = lattice(4, (50, 3))
     points = lattice_points(axes, q)
-    keys = orbit_keys(spec)
+    keys = small_keys(spec, 2)
     fault_at(monkeypatch, spec, points[fault])
-    assert outcome(lambda: tau_grid(spec, keys, points[fault : fault + 1]))[0] == "consistency"
-    want = outcome(lambda: tau_grid(spec, keys, points))
+    assert outcome(lambda: orbit_grid(spec, keys, points[fault : fault + 1]))[0] == "consistency"
+    want = outcome(lambda: orbit_grid(spec, keys, points))
     assert want[0] == first
     assert outcome(lambda: tau_lattice(spec, keys, axes, q)) == want
 
@@ -460,8 +451,8 @@ def test_first_singular_point_in_a_later_slab():
     axes, q = lattice(4, (1, 49))
     points = lattice_points(axes, q)
     keys = lattice_keys(spec)
-    tau_grid(spec, keys, points[:4])
-    want = outcome(lambda: tau_grid(spec, keys, points))
+    orbit_grid(spec, keys, points[:4])
+    want = outcome(lambda: orbit_grid(spec, keys, points))
     assert want[0] == "singular" and want[1] == spec.positive_system[1]
     assert outcome(lambda: tau_lattice(spec, keys, axes, q)) == want
 
@@ -477,11 +468,11 @@ def test_phase_tables_are_kept_per_denominator():
     # cache keeps: every call reads the tables of its own q
     ktrace.phase_tables.cache_clear()
     spec = real_form("su21")
-    keys = orbit_keys(spec)
+    keys = small_keys(spec, 2)
     for n, offsets in [(4, (1, 3)), (6, (5, 7)), (4, (1, 3)), (6, (11, 13)), (5, (3, 4)), (7, (1, 9)),
                        (8, (2, 3)), (4, (8, 9)), (6, (5, 7))]:
         axes, q = lattice(n, offsets)
-        assert tau_lattice(spec, keys, axes, q) == tau_grid(spec, keys, lattice_points(axes, q))
+        assert tau_lattice(spec, keys, axes, q) == orbit_grid(spec, keys, lattice_points(axes, q))
     assert ktrace.phase_tables.cache_info().hits >= 2
 
 
@@ -501,14 +492,14 @@ def test_residue_index_finds_the_scanned_singular_point():
     rng = random.Random(15)
     later = 0
     for spec in LATTICE_FORMS:
-        keys = orbit_keys(spec)
+        keys = small_keys(spec, 2)
         for _ in range(40):
             q = rng.choice([5, 7, 9, 12])
             axes = [sorted(rng.sample(range(2 * q), rng.randint(2, 5))) for _ in range(spec.rank)]
             want = first_singular(spec, axes, q)
             got = outcome(lambda: tau_lattice(spec, keys, axes, q))
             if want is None:
-                assert got == tau_grid(spec, keys, lattice_points(axes, q))
+                assert got == orbit_grid(spec, keys, lattice_points(axes, q))
                 continue
             assert got == want
             later += spec.rank > 1 and first_singular(spec, [axes[0][:1]] + axes[1:], q) is None
