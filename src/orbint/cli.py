@@ -350,25 +350,21 @@ def cmd_tannaka(config: Config, args) -> int:
         spec, keys, axis_count=args.axis_count, weight_bound=args.bound,
         candidate_bound=args.candidate_bound,
     )
-    emit(
-        {
-            "labels": [list(lab.coords2) for lab in report.labels],
-            "dims": [
-                {"lambda2": list(lab.coords2), "dim": report.dims[lab]}
-                for lab in report.labels
-            ],
-            "reference_label2": list(report.reference_label.coords2),
-            "highest_weights": [
-                {"lambda2": list(lab.coords2), "weight2": list(report.highest_weights[lab].coords2)}
-                for lab in report.labels
-            ],
-            "noncompact_weights2": sorted(
-                [list(w.coords2) for w in report.noncompact_weights]
-            ),
-            "noncompact_residual": report.noncompact_residual,
-            "spin_power": report.spin_power,
-        }
-    )
+    record = {
+        "labels": [list(lab.coords2) for lab in report.labels],
+        "dims": [{"lambda2": list(lab.coords2), "dim": report.dims[lab]} for lab in report.labels],
+        "reference_label2": list(report.reference_label.coords2),
+        "highest_weights": [
+            {"lambda2": list(lab.coords2), "weight2": list(report.highest_weights[lab].coords2)}
+            for lab in report.labels
+        ],
+        "noncompact_weights2": sorted([list(w.coords2) for w in report.noncompact_weights]),
+        "noncompact_residual": report.noncompact_residual,
+        "spin_power": report.spin_power,
+    }
+    if config.verbosity:
+        record["dim_margin"] = report.dims.margin  # the worst |raw - round(raw)| / DIM_TOL
+    emit(record)
     return 0
 
 

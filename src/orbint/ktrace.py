@@ -31,14 +31,17 @@ noncompact form, and on the lattice, every numerator is an orbit.
 stay Fractions (``toruschar.orbit_sum``): integer ones are faster, but the
 ``tau_exact`` benchmark keeps every pass's results, so its peak RSS would pass
 its bound.  ``tau_lattice`` feeds it the synthesis lattice t = n/q a slab at a
-time, each phase an integer k mod 2q read from the tables of ``phase_tables(q)``
-(zeta[k] = e^{i pi k/q}; k/q is one correctly rounded division, so the doubles
-are the same).  The tables depend only on q: a small cache keeps them across
-calls, each filled only where it is read, and the Fourier twiddles of
-``tannaka`` are entries of the same zeta.  Each orbit term is one read of a
-signed table s zeta[k], and ``_fold_terms`` sums an orbit's term columns as
-``orbit_sum``'s fsum does, bit for bit, but calls fsum only for three or more
-terms: one IEEE addition of two doubles is already correctly rounded.
+time.  Each root pairing and orbit term's phase is a linear form c.n mod 2q;
+with d = gcd(2q, every step along every axis), n = base + d e and the form
+takes only the 2q/d phases c.base + d (c.e mod 2q/d), 2n on the synthesis
+lattice.  So each form reads its row, root factors or signed terms s zeta[k],
+once per call from ``phase_tables(q)`` (zeta[k] = e^{i pi k/q}, also
+``tannaka``'s twiddles; k/q is one correctly rounded division, so the doubles
+are the same), and per slab rotates it by the head's share and gathers its
+column with one ``operator.itemgetter`` over the inner points' indices c.e
+mod 2q/d.  ``_fold_terms`` sums an orbit's term columns as ``orbit_sum``'s
+fsum does, bit for bit, calling fsum only for three or more terms: one IEEE
+addition of two doubles is already correctly rounded.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ import random
 from array import array
 from fractions import Fraction
 from itertools import chain, product
-from operator import add, attrgetter, mul, sub, truediv
+from operator import add, attrgetter, itemgetter, mul, sub, truediv
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import ConsistencyError, SingularPointError, ValidationError
@@ -313,29 +316,19 @@ def tau_grid(spec: RealFormSpec, keys: Sequence[GeneratorKey],
     return [tuple(a) for a, _ in _scattered_paths(spec, keys, points)[1]] if keys else []
 
 
-class _Table(dict):
-    """fill(k) for integer phases k, computed when first read."""
+class _PhaseTable(dict):
+    """zeta[k] = e^{i pi k/q} for the lattice t = n/q, filled where read;
+    ``phase_tables(q)`` shares one per q across calls (the last four q)."""
 
-    def __init__(self, fill: Callable[[int], object]):
-        self.fill = fill
+    def __init__(self, q: int):
+        self.q = q
 
-    def __missing__(self, k: int):
-        value = self[k] = self.fill(k)
+    def __missing__(self, k: int) -> complex:
+        value = self[k] = cmath.exp(1j * math.pi * ((k % (2 * self.q)) / self.q))
         return value
 
 
-@functools.lru_cache(maxsize=4)
-def phase_tables(q: int) -> tuple[_Table, _Table, dict]:
-    """The tables of the lattice t = n/q, read by integer phase k and shared by
-    every call at that q, each holding only the entries read so far: zeta[k] =
-    e^{i pi k/q}, the root factor zeta[k] - zeta[-k], and per sign s the orbit
-    term s zeta[k], the same product of an int and a complex as
-    ``orbit_sum``'s (so no part of a term is -0.0)."""
-    two_q = 2 * q
-    zeta = _Table(lambda k: cmath.exp(1j * math.pi * ((k % two_q) / q)))  # k = shift + pairing < 4q
-    factor = _Table(lambda k: zeta[k] - zeta[-k % two_q])
-    signed = {s: _Table(lambda k, s=s: s * zeta[k]) for s in (1, -1)}
-    return zeta, factor, signed
+phase_tables = functools.lru_cache(maxsize=4)(_PhaseTable)
 
 
 _real, _imag = attrgetter("real"), attrgetter("imag")
@@ -345,7 +338,7 @@ def _fold_terms(columns: Sequence[Iterable[complex]], size: int) -> list[complex
     """Per point, the sum of the orbit's term columns (each ``size`` long) that
     ``orbit_sum`` gives, complex(fsum(re), fsum(im)), bit for bit: no term
     sums to 0; one term is its column (fsum would only turn a -0.0 part into
-    0.0, and the signed tables hold none); two terms add in one IEEE addition
+    0.0, and the signed terms hold none); two terms add in one IEEE addition
     per part, the correctly rounded sum that fsum returns (Shewchuk 1997);
     only three or more terms go through fsum."""
     if not columns:
@@ -365,41 +358,50 @@ def tau_lattice(spec: RealFormSpec, keys: Sequence[GeneratorKey], axes: Sequence
     """``tau_grid`` on the product lattice t = (n_1/q, ..., n_r/q), n_j in axes[j],
     in ``itertools.product`` order, every key on the orbit route: bit for bit
     ``tau_grid``'s values for keys whose ``tau_numerator`` is the orbit, and
-    its errors.  Each root pairing and numerator phase is an integer mod 2q,
-    read from ``phase_tables(q)``:
-    one root factor per root and point, one signed term s zeta^k per orbit
-    term and point, which ``_fold_terms`` sums.  A slab, the points of one n_1
-    (all points at rank 1), adds c_1 n_1 to the pairings over the other axes,
-    which are built once.  Where q | k for a root, zeta[k] and zeta[-k] are one
-    double, so its factor is exactly 0.0 and ``_checked_paths`` stops there
-    with ``_underflow``'s "singular"; for q below 2^52 no other factor is 0.0,
-    so the point, root and message are ``tau_grid``'s."""
+    its errors.  A slab is the points of one n_1 (all points at rank 1); each
+    root and orbit term is a row of 2q/d phases, read once, then rotated and
+    gathered per slab (see the module docstring).  Where q | k for a root,
+    zeta[k] and zeta[-k] are one double, so its factor is exactly 0.0 and
+    ``_checked_paths`` stops there with ``_underflow``'s "singular"; for q
+    below 2^52 no other factor is 0.0, so the point, root and message are
+    ``tau_grid``'s."""
     if not keys:
         return []
     two_q, split = 2 * q, min(1, len(axes) - 1)
-    _, factor, signed = phase_tables(q)
-    inner = list(product(*axes[split:]))
+    zeta = phase_tables(q)
+    d = math.gcd(two_q, *(n - axis[0] for axis in axes for n in axis))
+    size, base = two_q // d, [axis[0] for axis in axes]
+    steps = [[(n - b) // d for n in axis] for axis, b in zip(axes, base)]
+    inner = list(product(*steps[split:]))
     layout = _path_layout(spec)
 
-    def pairings(c2: Sequence[int]) -> tuple[Sequence[int], array]:
-        return c2[:split], array("q", [sum(map(mul, c2[split:], ns)) % two_q for ns in inner])
+    def form(phase: Callable[[int], complex], c: Sequence[int]) -> Callable[[tuple[int, ...]], Sequence]:
+        # the row twice over, so that a rotation by the head's share is one slice
+        offset = sum(map(mul, c, base))
+        row = [phase((offset + d * m) % two_q) for m in range(size)] * 2
+        reduced = [sum(map(mul, c[split:], e)) % size for e in inner]
+        gather = itemgetter(*reduced) if len(reduced) > 1 else lambda r: [r[i] for i in reduced]
 
-    def shift(c2: Sequence[int], head: tuple[int, ...]) -> int:
-        return sum(map(mul, c2, head)) % two_q
+        def column(head: tuple[int, ...]) -> Sequence:
+            h = sum(map(mul, c[:split], head)) % size
+            return gather(row[h : h + size])
+        return column
 
-    roots = [pairings([c // 2 for c in alpha.coords2]) for alpha in spec.positive_system]
+    # a root factor zeta[k] - zeta[-k]; an orbit term s zeta[k], the same product
+    # of an int and a complex as ``orbit_sum``'s (so no part of it is -0.0)
+    roots = [form(lambda k: zeta[k] - zeta[-k % two_q], [c // 2 for c in alpha.coords2])
+             for alpha in spec.positive_system]
     orbits = [wk_orbit(spec, hc_parameter(spec, key)) for key in keys]
-    orbits = [[(signed[s], pairings(u)) for s, u in zip(o.signs, zip(*[iter(o.coords)] * o.rank))]
+    orbits = [[form(lambda k: s * zeta[k], u) for s, u in zip(o.signs, zip(*[iter(o.coords)] * o.rank))]
               for o in orbits]
     values: list[list[complex]] = [[] for _ in keys]
-    for head in product(*axes[:split]):
-        factors = [list(map(factor.__getitem__, map(shift(c2, head).__add__, column))) for c2, column in roots]
-        numers = [_fold_terms([map(term.__getitem__, map(shift(c2, head).__add__, column))
-                               for term, (c2, column) in terms], len(inner)) for terms in orbits]
-        point_at = lambda i: TorusPoint(tuple(Fraction(n, q) for n in head + inner[i]))  # noqa: E731
-        for column, (a, _) in zip(values, _checked_paths(layout, factors, numers, point_at)):
-            column.extend(a)
-    return [tuple(column) for column in values]
+    for head in product(*steps[:split]):
+        factors = [column(head) for column in roots]
+        numers = [_fold_terms([column(head) for column in terms], len(inner)) for terms in orbits]
+        point_at = lambda i: TorusPoint(tuple(Fraction(b + d * e, q) for b, e in zip(base, head + inner[i])))
+        for out, (a, _) in zip(values, _checked_paths(layout, factors, numers, point_at)):
+            out.extend(a)
+    return [tuple(out) for out in values]
 
 
 def tau_generator(spec: RealFormSpec, key: GeneratorKey, g: TorusPoint) -> TauValue:

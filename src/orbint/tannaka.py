@@ -130,8 +130,7 @@ def _check_box(axis_count: int, bound: int) -> None:
 def _axis_points(family: ChiFamily, stride: int = 1) -> tuple[dict, int, list[Sequence[int]]]:
     """The lattice's table zeta[k] = e^{i pi k/q}, 2q, and per axis the
     numerators a_k of its points t = a_k/q, k = 0, stride, 2 stride, ..."""
-    zeta, _, _ = phase_tables(family.q)
-    return zeta, 2 * family.q, [axis[::stride] for axis in family.axes]
+    return phase_tables(family.q), 2 * family.q, [axis[::stride] for axis in family.axes]
 
 
 def axis_twiddles(
@@ -241,23 +240,15 @@ def lattice_fourier(samples: Sequence[complex], twiddles: Sequence) -> dict:
 # recovery
 
 def canonical_sign(w: Weight) -> Weight:
-    for c in w.coords2:
-        if c > 0:
-            return w
-        if c < 0:
-            return -w
-    return w
+    """w or -w, whichever has a positive first nonzero coordinate (w for 0)."""
+    return -w if next((c for c in w.coords2 if c), 0) < 0 else w
 
 
 def candidate_box(rank: int, bound: int) -> tuple[Weight, ...]:
     """Nonzero integral weights with fundamental coordinates in [-bound, bound],
     one representative per +/- pair."""
-    seen = set()
-    for fund in itertools.product(range(-bound, bound + 1), repeat=rank):
-        w = Weight(tuple(2 * f for f in fund))
-        if w.is_zero:
-            continue
-        seen.add(canonical_sign(w))
+    box = itertools.product(range(-bound, bound + 1), repeat=rank)
+    seen = {canonical_sign(Weight(tuple(2 * f for f in fund))) for fund in box if any(fund)}
     return tuple(sorted(seen, key=lambda w: w.coords2))
 
 
@@ -415,7 +406,14 @@ def recover_characters(family: ChiFamily, reference: Weight) -> CharacterRecover
     return CharacterRecovery(reference, char_lattice)
 
 
-def recover_dims(family: ChiFamily, chars: CharacterRecovery) -> dict:
+class Dims(dict):
+    """K-type dimension per label; ``margin`` is the worst distance of a raw
+    dimension from its integer, over DIM_TOL (0.0 for no label)."""
+
+    __slots__ = ("margin",)
+
+
+def recover_dims(family: ChiFamily, chars: CharacterRecovery) -> Dims:
     """K-type dimensions: chi_j / chi_ref at the identity, the sum of its
     Fourier coefficients with fundamental coordinates f in (-n/2, n/2), which
     is the lattice mean of the ratio times the product of the per-axis
@@ -425,13 +423,15 @@ def recover_dims(family: ChiFamily, chars: CharacterRecovery) -> dict:
     zeta, two_q, axes = _axis_points(family)
     width = 2 * ((family.axis_count - 1) // 2) + 1
     dirichlet = [{0: [zeta[width * a % two_q].imag / zeta[a].imag for a in ax]} for ax in axes]
-    dims = {}
+    dims = Dims()
+    dims.margin = 0.0
     for label in family.labels:
         [raw] = lattice_fourier(chars.char_lattice[label], dirichlet).values()
         nearest = round(raw.real)
         if nearest < 1 or abs(raw - nearest) > DIM_TOL:
             raise ReconstructionError(f"dimension {raw!r} of label {label} is not a positive integer")
         dims[label] = nearest
+        dims.margin = max(dims.margin, abs(raw - nearest) / DIM_TOL)
     return dims
 
 
@@ -479,7 +479,7 @@ def recover_highest_weights(
 
 class RecoveryReport(NamedTuple):
     labels: tuple[Weight, ...]
-    dims: dict
+    dims: Dims
     reference_label: Weight
     highest_weights: dict
     noncompact_weights: frozenset
@@ -511,7 +511,9 @@ def run_reconstruction(
     if n**spec.rank > MAX_LATTICE_POINTS:
         raise ValidationError(f"a lattice of {n}^{spec.rank} points exceeds the cap of {MAX_LATTICE_POINTS}")
     family = synth_family(spec, keys, axis_count)
-    nc = recover_noncompact_weights(family, candidate_box(spec.rank, candidate_bound))
+    # 1/chi is read on windows of at most 2n doubled frequencies, and no binomial
+    # of a beta wider than that divides it: the candidate box stops at n - 1
+    nc = recover_noncompact_weights(family, candidate_box(spec.rank, min(candidate_bound, n - 1)))
     chars = recover_characters(family, nc.reference_label)
     dims = recover_dims(family, chars)
     highest = recover_highest_weights(

@@ -23,7 +23,8 @@ import orbint.tannaka
 from orbint.cli import Config, main
 from orbint.jsonio import dumps
 from orbint.ktrace import lds_character, lds_character_sum
-from orbint.rootsys import all_roots
+from orbint.realform import generator_key, real_form
+from orbint.rootsys import Weight, all_roots
 from orbint.toruschar import TorusPoint, parse_torus_point
 from weyl_oracles import painted_forms
 
@@ -723,3 +724,32 @@ def test_reconstruction_bounds_are_refused_before_synthesis(capsys, monkeypatch,
     monkeypatch.setattr(orbint.tannaka, "synth_family", no_synthesis)
     code, out, err = run_cli(capsys, "tannaka", "--preset", "su21", "--lambdas", "0,0;2,0", *extra)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("preset, lambdas", [("su21", "0,0;1,0;0,1"), ("compact(A3)", "0,0,0;1,0,0;0,0,1")])
+def test_verbose_tannaka_adds_the_dim_margin(capsys, preset, lambdas):
+    # -v only appends the worst distance of a raw dimension from its integer,
+    # over DIM_TOL; a margin of 1 or more would have been refused
+    _, plain, _ = run_cli(capsys, "tannaka", "--preset", preset, "--lambdas", lambdas)
+    code, verbose, _ = run_cli(capsys, "-v", "tannaka", "--preset", preset, "--lambdas", lambdas)
+    assert code == 0
+    record = json.loads(verbose)
+    margin = record.pop("dim_margin")
+    assert record == json.loads(plain) and list(record) == list(json.loads(plain))
+    assert 0 <= margin < 1
+
+
+def test_candidate_box_stops_at_the_axis_count(monkeypatch):
+    # no candidate with a fundamental coordinate of n or more divides a
+    # reciprocal read on n points per axis, so the box stops at n - 1 and a
+    # huge candidate bound builds no larger box
+    tannaka = orbint.tannaka
+    spec = real_form("su21")
+    keys = [generator_key(spec, Weight(w)) for w in ((0, 0), (2, 0), (0, 2))]
+    family = tannaka.synth_family(spec, keys, 12)
+    wide = tannaka.recover_noncompact_weights(family, tannaka.candidate_box(2, 40))
+    assert wide == tannaka.recover_noncompact_weights(family, tannaka.candidate_box(2, 11))
+    box, bounds = tannaka.candidate_box, []
+    monkeypatch.setattr(tannaka, "candidate_box", lambda rank, bound: bounds.append(bound) or box(rank, bound))
+    report = tannaka.run_reconstruction(spec, keys, axis_count=12, candidate_bound=10**9)
+    assert bounds == [11] and report.noncompact_weights == wide.weights

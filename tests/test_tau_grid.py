@@ -52,7 +52,7 @@ from orbint.realform import (
 )
 from orbint.rootsys import Weight, weyl_group
 from orbint.stable import lpacket_sum, stable_tau
-from orbint.tannaka import synth_family
+from orbint.tannaka import _grid_offsets, synth_family
 from orbint.toruschar import ConjugacyDescriptor, TorusPoint, is_regular, root_factors
 from orbint.verify import random_class, small_keys
 
@@ -504,3 +504,20 @@ def test_residue_index_finds_the_scanned_singular_point():
             assert got == want
             later += spec.rank > 1 and first_singular(spec, [axes[0][:1]] + axes[1:], q) is None
     assert later >= 20
+
+
+# the benchmark's own lattice shape: synth_family's offsets, every step along
+# an axis a multiple of 97 (so each form's row holds 2n phases, not 2q), at
+# the default axis count and at odd ones, and A3/paint1 on 16^3 points
+SYNTHESIS_CASES = [(spec, n) for spec in LATTICE_FORMS if spec.rank <= 2 for n in (15, 31, 64)]
+SYNTHESIS_CASES += [(LATTICE_FORMS[-1], 16)]
+
+
+@pytest.mark.parametrize("spec, n", SYNTHESIS_CASES, ids=[f"{spec.name}-{n}" for spec, n in SYNTHESIS_CASES])
+def test_lattice_route_matches_tau_grid_on_the_synthesis_lattice(spec, n):
+    keys = lattice_keys(spec)
+    # at rank 3 a key's orbit has three or more terms, so its fold goes through fsum
+    assert spec.rank < 3 or max(len(wk_orbit(spec, hc_parameter(spec, key)).signs) for key in keys) >= 3
+    axes, q = lattice(n, _grid_offsets(spec.datum))
+    want = outcome(lambda: orbit_grid(spec, keys, lattice_points(axes, q)))
+    assert outcome(lambda: tau_lattice(spec, keys, axes, q)) == want
