@@ -42,6 +42,10 @@ from .toruschar import (
     transformed_system,
 )
 
+# argparse takes a value that starts with "-" and is not a plain number (such
+# as -1,0) for an option, so such a value is given with "="
+DASH_VALUE = "; a value that starts with - needs the = spelling, e.g. {}"
+
 # Config fields, their defaults, and the type of value each one's command-line
 # flag produces (a list's item type in a 1-tuple), in JSON order.
 _CONFIG_FIELDS = {
@@ -448,11 +452,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("tau", cmd_tau, "orbital-integral value on one generator")
     p.add_argument("--lambda", dest="lam", required=True,
-                   help="generator highest weight, fundamental coordinates")
+                   help="generator highest weight, fundamental coordinates" + DASH_VALUE.format("--lambda=-1,0"))
     p.add_argument("--t", required=True, help="torus point, e.g. 1/5 or 0.2,0.3")
 
     p = command("stable", cmd_stable, "stable orbital integral of a class")
-    p.add_argument("--lambda", dest="lam", help="single-generator class")
+    p.add_argument("--lambda", dest="lam", help="single-generator class" + DASH_VALUE.format("--lambda=-1,0"))
     p.add_argument("--class", dest="kclass", help="JSON list of {lambda2, coeff}")
     p.add_argument("--t", required=True)
 
@@ -462,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", required=True)
 
     p = command("limit", cmd_limit, "near-identity limit of the stable integral")
-    p.add_argument("--lambda", dest="lam", help="single-generator class")
+    p.add_argument("--lambda", dest="lam", help="single-generator class" + DASH_VALUE.format("--lambda=-1,0"))
     p.add_argument("--class", dest="kclass", help="JSON list of {lambda2, coeff}")
     p.add_argument("--direction", required=True,
                    help="ray direction, rationals or decimals taken exactly, e.g. 1,2/3 or 0.4,1")
@@ -475,7 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("tannaka", cmd_tannaka, "synthesize a tau-family and reconstruct it")
     p.add_argument("--lambdas", required=True,
-                   help="semicolon-separated generator weights, e.g. 0,0;1,0;0,1")
+                   help="semicolon-separated generator weights, e.g. 0,0;1,0;0,1"
+                   + DASH_VALUE.format("--lambdas=-1,0;0,0"))
     p.add_argument("--axis-count", dest="axis_count", type=int, default=None)
     p.add_argument("--bound", type=int, default=None,
                    help="highest-weight search box (default: min(6, (axis count - 1) // 2))")

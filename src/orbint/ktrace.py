@@ -2,58 +2,41 @@
 via the fixed-point character formula, vanishing off the elliptic set, class
 distinguishing by random sampling, and (limits of) discrete-series characters.
 
-Every tau value comes from one column-wise body, ``_checked_paths``: from
-one column of root factors per positive root over a block of points (taken
-with the singular guard), it forms the Weyl denominator and its compact and
-noncompact parts as whole-column products, each seeded with its first
-column, and checks both paths per point.  The path sign (-1)^m spin_sign
-goes into D and D_n once per block, since x / (-d) = -(x / d) exactly.
-Per generator it adds only a numerator column, the alternating sum over a
-cached orbit of the Harish-Chandra parameter, the W_K orbit (``wk_orbit``)
-for tau and the W orbit (``w_orbit``) for the stable integral.  Both orbits
-walk the weight itself through simple reflections
-(``rootsys.reflection_orbit``), so an evaluation builds no group element, and
-a parameter on a wall of the group gets the empty orbit: its alternating sum
-vanishes identically.
+Every tau value at a torus point comes from one column-wise body,
+``_scattered_paths``: from one column of root factors per positive root over
+a block of points (taken with the singular guard), it forms the Weyl
+denominator and its compact and noncompact parts as whole-column products,
+each seeded with its first column, and checks both paths per point.  The
+path sign (-1)^m spin_sign goes into D and D_n once per block, since
+x / (-d) = -(x / d) exactly.  Per generator it adds only a numerator column.
+The numerator phases stay Fractions (``toruschar.orbit_sum``): integer ones
+are faster, but the ``tau_exact`` benchmark keeps every pass's results, so
+its peak RSS would pass its bound.
 
-At scattered points a key's W_K numerator has two routes, chosen per key
-from two exact integers before either structure is built
-(``tau_numerator``).  When the K-type is smaller than W_K
-(dim V_lambda < |W_K|), Weyl's character formula for K gives the numerator
-as chi_V D_c, and chi_V is summed over the K-type's weights with their
-multiplicities (``rootsys.weight_multiplicities``, Freudenthal in integers):
-fewer terms, all of one sign, so no cancellation where D_c is small.
-Otherwise the numerator is the signed W_K orbit, as it stands.  The stable
-integral on a compact form, where W = W_K, takes tau's route; on a
-noncompact form, and on the lattice, every numerator is an orbit.
-
-``tau_grid`` feeds it scattered points as one block, whose numerator phases
-stay Fractions (``toruschar.orbit_sum``): integer ones are faster, but the
-``tau_exact`` benchmark keeps every pass's results, so its peak RSS would pass
-its bound.  ``tau_lattice`` feeds it the synthesis lattice t = n/q a slab at a
-time.  Each root pairing and orbit term's phase is a linear form c.n mod 2q;
-with d = gcd(2q, every step along every axis), n = base + d e and the form
-takes only the 2q/d phases c.base + d (c.e mod 2q/d), 2n on the synthesis
-lattice.  So each form reads its row, root factors or signed terms s zeta[k],
-once per call from ``phase_tables(q)`` (zeta[k] = e^{i pi k/q}, also
-``tannaka``'s twiddles; k/q is one correctly rounded division, so the doubles
-are the same), and per slab rotates it by the head's share and gathers its
-column with one ``operator.itemgetter`` over the inner points' indices c.e
-mod 2q/d.  ``_fold_terms`` sums an orbit's term columns as ``orbit_sum``'s
-fsum does, bit for bit, calling fsum only for three or more terms: one IEEE
-addition of two doubles is already correctly rounded.
+A key's W_K numerator has two routes, chosen per key from two exact integers
+before either structure is built (``tau_numerator``).  When the K-type is
+smaller than W_K (dim V_lambda < |W_K|), Weyl's character formula for K
+gives the numerator as chi_V D_c, and chi_V is summed over the K-type's
+weights with their multiplicities (``rootsys.weight_multiplicities``,
+Freudenthal in integers): fewer terms, all of one sign, so no cancellation
+where D_c is small.  Otherwise the numerator is the alternating sum over the
+cached W_K orbit of the Harish-Chandra parameter (``wk_orbit``), as it
+stands.  The stable integral sums over the W orbit (``w_orbit``), except on
+a compact form, where W = W_K and it takes tau's route.  Both orbits walk the
+weight itself through simple reflections (``rootsys.reflection_orbit``), so
+an evaluation builds no group element, and a parameter on a wall of the
+group gets the empty orbit: its alternating sum vanishes identically.
+``tannaka.synth_family`` takes the same routes on its synthesis lattice.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
-import math
 import random
 from array import array
 from fractions import Fraction
-from itertools import chain, product
-from operator import add, attrgetter, itemgetter, mul, sub, truediv
+from itertools import chain
+from operator import mul, sub, truediv
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import ConsistencyError, SingularPointError, ValidationError
@@ -161,7 +144,8 @@ def w_orbit(spec: RealFormSpec, lam_hc: Weight) -> SignedOrbit:
 
 
 class Numerator(NamedTuple):
-    """How the W_K numerator of a key is summed at scattered points.
+    """How the W_K numerator of a key is summed, at scattered points and on
+    the synthesis lattice.
     ``route`` "weights": ``terms`` is the K-type's weight table, each weight
     with its multiplicity, whose sum is the character chi_V; by Weyl's
     character formula for K the numerator is chi_V D_c.  ``route`` "orbit":
@@ -227,64 +211,32 @@ def _column_product(columns: Sequence[Sequence[complex]], indices: Iterable[int]
 
 @functools.lru_cache(maxsize=None)
 def _path_layout(spec: RealFormSpec) -> tuple:
-    """What ``_checked_paths`` reads of a spec: the compact and noncompact root
-    positions, (-1)^m spin_sign as a complex number, which multiplies a
-    complex value exactly as the int does, and the positive system."""
+    """What ``_scattered_paths`` reads of a spec: the compact and noncompact
+    root positions, and (-1)^m spin_sign as a complex number, which
+    multiplies a complex value exactly as the int does."""
     compact, noncompact, _ = _root_positions(spec)
-    return compact, noncompact, complex((-1) ** (spec.dim_gk // 2) * spec.spin_sign), spec.positive_system
+    return compact, noncompact, complex((-1) ** (spec.dim_gk // 2) * spec.spin_sign)
 
 
 def _underflow(roots: Sequence[Weight], factors: Sequence[complex]) -> SingularPointError:
-    """The error of a point whose root factors multiply to 0.0, for the root of
-    the first smallest factor: singular if that factor is exactly 0 (on the
-    lattice, q | k), numerically singular if the product underflowed."""
+    """The error of a point whose root factors multiply to 0.0 (``root_factors``
+    has refused every factor that is 0.0 itself), for the root of the first
+    smallest factor."""
     i = min(range(len(roots)), key=lambda i: abs(factors[i]))
-    kind = "singular" if factors[i] == 0 else "numerically singular"
-    return SingularPointError(f"torus point is {kind} for root {roots[i]}", root=roots[i])
-
-
-def _checked_paths(layout: tuple, factors: Sequence, numers: Sequence, point_at: Callable,
-                   failure: Exception | None = None) -> list[tuple[list[complex], list[complex]]]:
-    """Each key's (path_a, path_b) columns over a block of points, from a root
-    factor column per root of ``spec.positive_system`` and a numerator column
-    per key, with ``layout = _path_layout(spec)``; path_b is the compact
-    character numer/D_c over the spinor.  A denominator of 0.0 (a zero factor
-    or an underflow) ends the block there, with ``_underflow``'s ``failure``.
-    The first point (then key) whose paths differ beyond DUAL_PATH_TOL raises a
-    ConsistencyError naming ``point_at(i)``; only then is ``failure``, the
-    error of the point after the block, raised."""
-    compact, noncompact, sign, roots = layout
-    size = len(numers[0])
-    # x / (s d) is -(x / d) = (s x) / d exactly for s = -1, so the sign goes
-    # into the two shared denominators once instead of into every numerator
-    denom = list(map(sign.__mul__, _column_product(factors, range(len(factors)), size)))
-    denom_c = _column_product(factors, compact, size)
-    delta_p = list(map(sign.__mul__, _column_product(factors, noncompact, size)))
-    zeros = [column.index(0) for column in (denom, denom_c, delta_p) if 0 in column]
-    if zeros:  # the paths below stop where the numerators do
-        size = min(zeros)
-        failure = _underflow(roots, [column[size] for column in factors])
-        numers = [numer[:size] for numer in numers]
-    paths = [(list(map(truediv, numer, denom)), list(map(truediv, map(truediv, numer, denom_c), delta_p)))
-             for numer in numers]
-    # a screen with the same verdict, as each point's bound is at least DUAL_PATH_TOL
-    if not all(max(map(abs, map(sub, a, b)), default=0.0) <= DUAL_PATH_TOL for a, b in paths):
-        for i in range(size):
-            for a, b in paths:
-                if abs(a[i] - b[i]) > max(DUAL_PATH_TOL, 1e-12 * max(1.0, abs(a[i]), abs(b[i]))):
-                    raise ConsistencyError(f"dual-path disagreement {abs(a[i] - b[i]):.3e} at {point_at(i)}")
-    if failure is not None:
-        raise failure
-    return paths
+    return SingularPointError(f"torus point is numerically singular for root {roots[i]}", root=roots[i])
 
 
 def _scattered_paths(spec: RealFormSpec, keys: Sequence[GeneratorKey], points: Sequence[TorusPoint],
                      numerator_of: NumeratorOf = tau_numerator) -> tuple[list[RootFactors], list]:
-    """``_checked_paths`` at scattered points: each point's ``root_factors``
-    up to the first point that fails, and per key the numerator column that
-    ``numerator_of`` routes (``tau_numerator`` for tau, ``stable_numerator``
-    for the stable integral): ``orbit_sum`` of its terms, times the column of
-    D_c for a weight table."""
+    """Each point's ``root_factors`` up to the first point that fails, and each
+    key's (path_a, path_b) columns over those points; path_b is the compact
+    character numer/D_c over the spinor.  ``numerator_of`` routes a key's
+    numerator (``tau_numerator`` for tau, ``stable_numerator`` for the stable
+    integral): ``orbit_sum`` of its terms, times the column of D_c for a
+    weight table.  A denominator of 0.0 (an underflow) ends the columns there
+    with ``_underflow``'s error.  The first point (then key) whose paths
+    differ beyond DUAL_PATH_TOL raises a ConsistencyError naming it; only then
+    is the error of the point after the columns raised."""
     numerators = [numerator_of(spec, key) for key in keys]
     pos, rows, failure = spec.positive_system, [], None
     for g in points:
@@ -293,13 +245,32 @@ def _scattered_paths(spec: RealFormSpec, keys: Sequence[GeneratorKey], points: S
         except (SingularPointError, ValidationError) as err:
             failure = err
             break
-    numers = [[orbit_sum(n.terms, g) for g in points[: len(rows)]] for n in numerators]
+    size = len(rows)
     factors = [[row.factors[i] for row in rows] for i in range(len(pos))]
-    layout = _path_layout(spec)
-    denom_c = _column_product(factors, layout[0], len(rows))
+    compact, noncompact, sign = _path_layout(spec)
+    # x / (s d) is -(x / d) = (s x) / d exactly for s = -1, so the sign goes
+    # into the two shared denominators once instead of into every numerator
+    denom = list(map(sign.__mul__, _column_product(factors, range(len(pos)), size)))
+    denom_c = _column_product(factors, compact, size)
+    delta_p = list(map(sign.__mul__, _column_product(factors, noncompact, size)))
+    zeros = [column.index(0) for column in (denom, denom_c, delta_p) if 0 in column]
+    if zeros:  # the paths below stop at the first such point
+        size = min(zeros)
+        failure = _underflow(pos, [column[size] for column in factors])
+    numers = [[orbit_sum(n.terms, g) for g in points[:size]] for n in numerators]
     numers = [list(map(mul, numer, denom_c)) if n.route == "weights" else numer
               for n, numer in zip(numerators, numers)]
-    return rows, _checked_paths(layout, factors, numers, points.__getitem__, failure)
+    paths = [(list(map(truediv, numer, denom)), list(map(truediv, map(truediv, numer, denom_c), delta_p)))
+             for numer in numers]
+    # a screen with the same verdict, as each point's bound is at least DUAL_PATH_TOL
+    if not all(max(map(abs, map(sub, a, b)), default=0.0) <= DUAL_PATH_TOL for a, b in paths):
+        for i in range(size):
+            for a, b in paths:
+                if abs(a[i] - b[i]) > max(DUAL_PATH_TOL, 1e-12 * max(1.0, abs(a[i]), abs(b[i]))):
+                    raise ConsistencyError(f"dual-path disagreement {abs(a[i] - b[i]):.3e} at {points[i]}")
+    if failure is not None:
+        raise failure
+    return rows, paths
 
 
 def tau_grid(spec: RealFormSpec, keys: Sequence[GeneratorKey],
@@ -314,94 +285,6 @@ def tau_grid(spec: RealFormSpec, keys: Sequence[GeneratorKey],
     weight table times weyl_denominator(g, R_c^+).  Errors are raised at the
     first failing point, in point order; with no keys nothing is evaluated."""
     return [tuple(a) for a, _ in _scattered_paths(spec, keys, points)[1]] if keys else []
-
-
-class _PhaseTable(dict):
-    """zeta[k] = e^{i pi k/q} for the lattice t = n/q, filled where read;
-    ``phase_tables(q)`` shares one per q across calls (the last four q)."""
-
-    def __init__(self, q: int):
-        self.q = q
-
-    def __missing__(self, k: int) -> complex:
-        value = self[k] = cmath.exp(1j * math.pi * ((k % (2 * self.q)) / self.q))
-        return value
-
-
-phase_tables = functools.lru_cache(maxsize=4)(_PhaseTable)
-
-
-_real, _imag = attrgetter("real"), attrgetter("imag")
-
-
-def _fold_terms(columns: Sequence[Iterable[complex]], size: int) -> list[complex]:
-    """Per point, the sum of the orbit's term columns (each ``size`` long) that
-    ``orbit_sum`` gives, complex(fsum(re), fsum(im)), bit for bit: no term
-    sums to 0; one term is its column (fsum would only turn a -0.0 part into
-    0.0, and the signed terms hold none); two terms add in one IEEE addition
-    per part, the correctly rounded sum that fsum returns (Shewchuk 1997);
-    only three or more terms go through fsum."""
-    if not columns:
-        return [0j] * size
-    if len(columns) == 1:
-        return list(columns[0])
-    if len(columns) == 2:
-        return list(map(add, *columns))
-    columns = [list(column) for column in columns]
-    re = map(math.fsum, zip(*[map(_real, column) for column in columns]))
-    im = map(math.fsum, zip(*[map(_imag, column) for column in columns]))
-    return list(map(complex, re, im))
-
-
-def tau_lattice(spec: RealFormSpec, keys: Sequence[GeneratorKey], axes: Sequence[Sequence[int]],
-                q: int) -> list[tuple[complex, ...]]:
-    """``tau_grid`` on the product lattice t = (n_1/q, ..., n_r/q), n_j in axes[j],
-    in ``itertools.product`` order, every key on the orbit route: bit for bit
-    ``tau_grid``'s values for keys whose ``tau_numerator`` is the orbit, and
-    its errors.  A slab is the points of one n_1 (all points at rank 1); each
-    root and orbit term is a row of 2q/d phases, read once, then rotated and
-    gathered per slab (see the module docstring).  Where q | k for a root,
-    zeta[k] and zeta[-k] are one double, so its factor is exactly 0.0 and
-    ``_checked_paths`` stops there with ``_underflow``'s "singular"; for q
-    below 2^52 no other factor is 0.0, so the point, root and message are
-    ``tau_grid``'s."""
-    if not keys:
-        return []
-    two_q, split = 2 * q, min(1, len(axes) - 1)
-    zeta = phase_tables(q)
-    d = math.gcd(two_q, *(n - axis[0] for axis in axes for n in axis))
-    size, base = two_q // d, [axis[0] for axis in axes]
-    steps = [[(n - b) // d for n in axis] for axis, b in zip(axes, base)]
-    inner = list(product(*steps[split:]))
-    layout = _path_layout(spec)
-
-    def form(phase: Callable[[int], complex], c: Sequence[int]) -> Callable[[tuple[int, ...]], Sequence]:
-        # the row twice over, so that a rotation by the head's share is one slice
-        offset = sum(map(mul, c, base))
-        row = [phase((offset + d * m) % two_q) for m in range(size)] * 2
-        reduced = [sum(map(mul, c[split:], e)) % size for e in inner]
-        gather = itemgetter(*reduced) if len(reduced) > 1 else lambda r: [r[i] for i in reduced]
-
-        def column(head: tuple[int, ...]) -> Sequence:
-            h = sum(map(mul, c[:split], head)) % size
-            return gather(row[h : h + size])
-        return column
-
-    # a root factor zeta[k] - zeta[-k]; an orbit term s zeta[k], the same product
-    # of an int and a complex as ``orbit_sum``'s (so no part of it is -0.0)
-    roots = [form(lambda k: zeta[k] - zeta[-k % two_q], [c // 2 for c in alpha.coords2])
-             for alpha in spec.positive_system]
-    orbits = [wk_orbit(spec, hc_parameter(spec, key)) for key in keys]
-    orbits = [[form(lambda k: s * zeta[k], u) for s, u in zip(o.signs, zip(*[iter(o.coords)] * o.rank))]
-              for o in orbits]
-    values: list[list[complex]] = [[] for _ in keys]
-    for head in product(*steps[:split]):
-        factors = [column(head) for column in roots]
-        numers = [_fold_terms([column(head) for column in terms], len(inner)) for terms in orbits]
-        point_at = lambda i: TorusPoint(tuple(Fraction(b + d * e, q) for b, e in zip(base, head + inner[i])))
-        for out, (a, _) in zip(values, _checked_paths(layout, factors, numers, point_at)):
-            out.extend(a)
-    return [tuple(out) for out in values]
 
 
 def tau_generator(spec: RealFormSpec, key: GeneratorKey, g: TorusPoint) -> TauValue:

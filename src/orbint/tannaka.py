@@ -4,13 +4,17 @@ sign.
 
 Forward synthesis (synth_family) may consult the real-form data to place its
 sample grid away from singular loci; the recovery functions see only labels,
-grid coordinates, and sampled values.  The lattice, t = n/q with q = 97n,
-goes through ``ktrace.tau_lattice`` (integer phases, one slab of points at a
-time); a family holds it as its integer axes and q, and builds no point.
-Every step is one separable transform (``lattice_fourier``) with its own
-per-axis table of factors, each an entry of the lattice's table of
-e^{i pi k/q} (``ktrace.phase_tables``):
+grid coordinates, and sampled values.  The lattice is t = n/q with q = 97n;
+a family holds it as its integer axes and q, and builds no point.  Every step
+is one separable transform, ``synthesize`` onto the lattice and
+``lattice_fourier`` back, with its own per-axis table of factors, each an
+entry of the lattice's table of e^{i pi k/q} (``phase_tables``):
 
+- synthesis (``synthesize``) evaluates a sparse Laurent polynomial, a key's
+  numerator (``ktrace.tau_numerator``: its K-type's weight table or its
+  signed W_K orbit) or a root factor, at every point, one axis at a time;
+  the lattice's regularity rests on its offsets (``_grid_offsets``), and no
+  dual path is checked there, since both paths would divide one numerator;
 - the reference label is the first whose reciprocal is a Laurent polynomial
   with integer coefficients, +-e^mu prod_{beta in S} (e^{beta/2} - e^{-beta/2}),
   read on the coarsest sub-lattice that resolves it; S, the noncompact set, is
@@ -26,6 +30,8 @@ e^{i pi k/q} (``ktrace.phase_tables``):
 
 from __future__ import annotations
 
+import cmath
+import functools
 import itertools
 import math
 import operator
@@ -34,7 +40,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ReconstructionError, ValidationError
-from .ktrace import phase_tables, tau_lattice
+from .ktrace import tau_numerator
 from .realform import GeneratorKey, RealFormSpec
 from .rootsys import CartanDatum, Weight, is_dominant, pairing, positive_roots, rho
 from .toruschar import TorusPoint, is_regular
@@ -96,7 +102,13 @@ def synth_family(
     keys: Sequence[GeneratorKey],
     axis_count: int | None = None,
 ) -> ChiFamily:
-    """Sample chi_j(g) = tau_g(generator_j) over a shifted uniform lattice."""
+    """Sample chi_j(g) = tau_g(generator_j) over a shifted uniform lattice.
+    Each key's numerator is its ``ktrace.tau_numerator``, synthesized on the
+    lattice (``synthesize``): the K-type's weight table, whose sum chi_V is
+    divided by (-1)^m spin_sign D_n, or the signed W_K orbit, divided by
+    (-1)^m spin_sign D.  Each root factor e^{beta/2} - e^{-beta/2} is
+    synthesized as a two-term polynomial, and the factors multiply pointwise;
+    D is only formed when some key is on the orbit route."""
     datum = spec.datum
     n = default_axis_count(datum.rank, axis_count)
     if n < 4:
@@ -104,12 +116,54 @@ def synth_family(
     # coordinate k of an axis with residue r is (97k + r)/q with q = 97n, in [0, 1)
     q = 97 * n
     axes = tuple(tuple(97 * k + r for k in range(n)) for r in _grid_offsets(datum))
-    return ChiFamily(
-        labels=tuple(key.lam for key in keys),
-        axes=axes,
-        q=q,
-        values={key.lam: column for key, column in zip(keys, tau_lattice(spec, keys, axes, q))},
-    )
+    family = ChiFamily(labels=tuple(key.lam for key in keys), axes=axes, q=q, values={})
+    numerators = [tau_numerator(spec, key) for key in keys]
+    if not numerators:
+        return family
+
+    def times_factors(column: list, roots: Sequence[Weight]) -> list:
+        for beta in roots:
+            half = tuple(c // 2 for c in beta.coords2)
+            factor = synthesize(family, [(half, 1), (tuple(-c for c in half), -1)])
+            column = list(map(operator.mul, column, factor))
+        return column
+
+    sign = complex((-1) ** (spec.dim_gk // 2) * spec.spin_sign)
+    denoms = {"weights": times_factors([sign] * family.lattice_size, spec.noncompact_positive)}
+    if any(numer.route == "orbit" for numer in numerators):
+        denoms["orbit"] = times_factors(denoms["weights"], spec.compact_positive)
+    for key, numer in zip(keys, numerators):
+        terms = numer.terms
+        column = synthesize(family, zip(zip(*[iter(terms.coords)] * terms.rank), terms.signs))
+        family.values[key.lam] = tuple(map(operator.truediv, column, denoms[numer.route]))
+    return family
+
+
+def synthesize(family: ChiFamily, terms: Iterable[tuple[tuple[int, ...], int]]) -> list[complex]:
+    """sum_mu c_mu e^mu(t) at every lattice point, in ``itertools.product``
+    order, for terms (mu.coords2, c_mu) with distinct mu: ``lattice_fourier``
+    run backwards.  At t = a/q, e^mu(t) = prod_j zeta[mu2_j a_j], so the axes
+    are contracted one at a time, the last first (sum factorization): the
+    terms that agree on the axes before j are summed into one column over the
+    points of the axes from j on, each term's column times its row of axis j,
+    ``axis_twiddles`` taken at -mu2_j.  A zero exponent's row is all ones, so
+    its column is only repeated."""
+    level = {mu: [complex(c)] for mu, c in terms}
+    if not level:
+        return [0j] * family.lattice_size
+    rows = axis_twiddles(family, [{-mu[j] for mu in level} for j in range(family.rank)])
+    for table in reversed(rows):
+        merged: dict = {}
+        for mu, column in level.items():
+            m = mu[-1]
+            if m:
+                column = list(itertools.chain.from_iterable(map(z.__mul__, column) for z in table[-m]))
+            else:
+                column = column * family.axis_count
+            prefix = mu[:-1]
+            merged[prefix] = list(map(operator.add, merged[prefix], column)) if prefix in merged else column
+        level = merged
+    return level[()]
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +179,21 @@ def _nonzero(values: Sequence, what: str) -> Sequence:
 def _check_box(axis_count: int, bound: int) -> None:
     if axis_count <= 2 * bound:
         raise ValidationError("grid too coarse for the requested frequency box")
+
+
+class _PhaseTable(dict):
+    """zeta[k] = e^{i pi k/q} for the lattice t = n/q, filled where read;
+    ``phase_tables(q)`` shares one per q across calls (the last four q)."""
+
+    def __init__(self, q: int):
+        self.q = q
+
+    def __missing__(self, k: int) -> complex:
+        value = self[k] = cmath.exp(1j * math.pi * ((k % (2 * self.q)) / self.q))
+        return value
+
+
+phase_tables = functools.lru_cache(maxsize=4)(_PhaseTable)
 
 
 def _axis_points(family: ChiFamily, stride: int = 1) -> tuple[dict, int, list[Sequence[int]]]:

@@ -7,13 +7,12 @@ transcendental call per factor; complex values are machine doubles, and a
 phase that rounds to an integer in them is numerically singular.
 ``orbit_sum``'s per-term phases stay Fractions (``ktrace`` says why).
 
-The evaluation kernel of tau, stable sums, packets and synthesis has two
-parts here, which ``ktrace`` combines a block of points at a time (the
-synthesis lattice reads the same doubles from integer phase tables in
-``ktrace.tau_lattice``).  ``root_factors`` pairs a point with each positive
-root once, which gives both the singular verdict and every root factor.  A
-``SignedOrbit`` holds an alternating numerator's orbit as flat integer arrays
-(the W_K orbit of tau or the W orbit of the stable integral, which ``ktrace``
+The evaluation kernel of tau, stable sums and packets has two parts here,
+which ``ktrace`` combines a block of points at a time (the synthesis lattice
+sums the same ``SignedOrbit`` one axis at a time in ``tannaka.synthesize``).
+``root_factors`` pairs a point with each positive root once, which gives
+both the singular verdict and every root factor.  A ``SignedOrbit`` holds an
+alternating numerator's orbit as flat integer arrays (the W_K orbit of tau or the W orbit of the stable integral, which ``ktrace``
 builds by walking the weight with ``rootsys.reflection_orbit``), or a K-type's
 weight table with multiplicities in place of the signs, and ``orbit_sum``
 evaluates either at a point.  Both reproduce ``weyl_denominator`` and

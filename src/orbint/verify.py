@@ -603,18 +603,21 @@ def check_lds_signs(presets=None) -> CheckResult:
     return CheckResult("lds-system-signs", True, "|lds| independent of the system; pair sum vanishes")
 
 
-# form: (generator labels, expected K-type dimensions, axis count); the first
-# label is the reference, and every highest weight is its label minus it
+# form: (generator labels, expected K-type dimensions), each at its default
+# axis count; the first label is the reference, and every highest weight is
+# its label minus it
 TANNAKA_CASES = {
-    "compact(A1)": (((0,), (2,), (4,)), (1, 2, 3), None),
-    "su21": (((0, 0), (2, 0), (0, 2)), (1, 2, 1), None),
-    "sl2r": (((0,), (2,), (4,)), (1, 1, 1), None),
-    "compact(B2)": (((0, 0), (2, 0), (0, 2)), (1, 5, 4), None),
-    "A3/paint1": (((0, 0, 0), (0, 0, 2), (0, 0, 4)), (1, 2, 3), 16),
-    "compact(A3)": (((0, 0, 0), (2, 0, 0), (0, 0, 2)), (1, 4, 4), 16),
-    "compact(B3)": (((0, 0, 0), (2, 0, 0), (0, 0, 2)), (1, 7, 8), 16),
-    "B3/paint0": (((1, 0, 0), (1, 0, 2), (1, 0, 4)), (1, 4, 10), 16),
-    "C3/paint0": (((0, 0, 0), (0, 0, 2), (0, 0, 4)), (1, 10, 42), 16),
+    "compact(A1)": (((0,), (2,), (4,)), (1, 2, 3)),
+    "su21": (((0, 0), (2, 0), (0, 2)), (1, 2, 1)),
+    "sl2r": (((0,), (2,), (4,)), (1, 1, 1)),
+    "compact(B2)": (((0, 0), (2, 0), (0, 2)), (1, 5, 4)),
+    "A3/paint1": (((0, 0, 0), (0, 0, 2), (0, 0, 4)), (1, 2, 3)),
+    "compact(A3)": (((0, 0, 0), (2, 0, 0), (0, 0, 2)), (1, 4, 4)),
+    "compact(B3)": (((0, 0, 0), (2, 0, 0), (0, 0, 2)), (1, 7, 8)),
+    "B3/paint0": (((1, 0, 0), (1, 0, 2), (1, 0, 4)), (1, 4, 10)),
+    "C3/paint0": (((0, 0, 0), (0, 0, 2), (0, 0, 4)), (1, 10, 42)),
+    "compact(B4)": (((0, 0, 0, 0), (2, 0, 0, 0)), (1, 9)),
+    "B4/paint0": (((1, 0, 0, 0), (1, 0, 0, 2), (1, 2, 0, 0)), (1, 8, 7)),
 }
 
 
@@ -623,10 +626,10 @@ def check_tannaka(presets=None) -> CheckResult:
     if not selected:
         return _na("tannaka-round-trip")
     for form in selected:
-        coords, dims, axis_count = TANNAKA_CASES[form]
+        coords, dims = TANNAKA_CASES[form]
         spec = _form(form)
         labels = [Weight(c) for c in coords]
-        report = run_reconstruction(spec, [generator_key(spec, lab) for lab in labels], axis_count)
+        report = run_reconstruction(spec, [generator_key(spec, lab) for lab in labels])
         expected = {
             "dims": dict(zip(labels, dims)),
             "reference_label": labels[0],

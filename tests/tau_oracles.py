@@ -5,8 +5,7 @@ its roots once and sums each key's numerator over a cached weight table or
 W_K orbit.  These are the direct per-key, per-point evaluations it replaced:
 guard, numerator and every denominator recomputed from ``toruschar``'s
 per-weight functions, the numerator on the route ``weight_route`` picks by
-the same dim V < |W_K| rule, or forced onto the orbit (``tau_grid(...,
-route="orbit")`` is what the synthesis lattice evaluates).
+the same dim V < |W_K| rule.
 ``signed_orbit`` is the orbit that ``ktrace.wk_orbit`` and ``ktrace.w_orbit``
 replaced: one image per element of the group, each a matrix-vector product.
 ``stable_tau`` is the coset-translate route that the W-orbit sum replaced,
@@ -62,26 +61,26 @@ def weight_route(spec, key):
     return fraction_is_dominant(datum, lam, pos) and fraction_weyl_dim(datum, lam, pos) < fraction_weyl_order(datum, pos)
 
 
-def numerator(spec, key, g, route=None):
-    """The W_K numerator of a key at g: where ``weight_route`` holds and
-    ``route`` is not "orbit", the K-type's character, summed over its Fraction
-    Freudenthal table, times weyl_denominator over the compact positive
-    roots; otherwise the alternating sum over the elements of W_K."""
-    if route != "orbit" and weight_route(spec, key):
+def numerator(spec, key, g):
+    """The W_K numerator of a key at g: where ``weight_route`` holds, the
+    K-type's character, summed over its Fraction Freudenthal table, times
+    weyl_denominator over the compact positive roots; otherwise the
+    alternating sum over the elements of W_K."""
+    if weight_route(spec, key):
         table = fraction_weight_multiplicities(spec.datum, key.lam, spec.compact_positive)
         chi = _csum(m * eval_weight(mu, g) for mu, m in table.items())
         return chi * weyl_denominator(g, spec.compact_positive)
     return weyl_numerator(hc_parameter(spec, key), g, weyl_k(spec))
 
 
-def tau_paths(spec, key, g, route=None):
+def tau_paths(spec, key, g):
     """(path_a, path_b) of one generator at one point, its numerator from
-    ``numerator`` (``route`` "orbit" forces the orbit)."""
+    ``numerator``."""
     full_pos = spec.positive_system
     guard_nonsingular(g, full_pos)
     m = spec.dim_gk // 2
     sign = (-1) ** m * spec.spin_sign
-    numer = numerator(spec, key, g, route)
+    numer = numerator(spec, key, g)
     path_a = sign * numer / weyl_denominator(g, full_pos)
     chi_v = numer / weyl_denominator(g, spec.compact_positive)
     path_b = (-1) ** m * chi_v / delta_p_char(g, spec)
@@ -91,9 +90,9 @@ def tau_paths(spec, key, g, route=None):
     return path_a, path_b
 
 
-def tau_grid(spec, keys, points, route=None):
+def tau_grid(spec, keys, points):
     """Key-major: every point for the first key, then the next key."""
-    return [tuple(tau_paths(spec, key, g, route)[0] for g in points) for key in keys]
+    return [tuple(tau_paths(spec, key, g)[0] for g in points) for key in keys]
 
 
 def tau_class(spec, x, g):

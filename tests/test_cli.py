@@ -706,6 +706,24 @@ def test_tannaka_painted_a3(capsys):
     assert record["spin_power"] == 4
 
 
+@pytest.mark.parametrize("command, flag, value, out_ok", [
+    (("tannaka", "--preset", "sl2r"), "--lambdas", "-2;0;2", True),
+    # the value reaches the program, which refuses a label not dominant for K
+    (("tau", "--preset", "su21", "--t", "1/5,2/7"), "--lambda", "-1,0", False),
+])
+def test_a_label_that_starts_with_a_dash_needs_the_equals_spelling(capsys, command, flag, value, out_ok):
+    with pytest.raises(SystemExit) as info:
+        main([*command, flag, value])
+    assert info.value.code == 2
+    assert f"argument {flag}: expected one argument" in capsys.readouterr().err
+    code, out, err = run_cli(capsys, *command, f"{flag}={value}")
+    if out_ok:
+        assert code == 0 and err == ""
+        assert [d["lambda2"] for d in json.loads(out)["dims"]] == [[-4], [0], [4]]
+    else:
+        assert code == 2 and out == "" and err == "error: (-1, 0) is not dominant for the compact positive system\n"
+
+
 def test_too_large_frequency_box_exits_2(capsys):
     code, out, err = run_cli(capsys, "tannaka", "--preset", "su21", "--lambdas", "0,0;1,0", "--bound", "40")
     assert code == 2 and out == ""

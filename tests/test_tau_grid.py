@@ -1,21 +1,21 @@
 """The batch kernel reproduces the per-key formulas it replaced, bit for bit.
 
-``tau_grid``, ``tau_generator``, ``tau_class``, ``synth_family`` and
-``lpacket_sum`` are compared ``==`` against the oracles in ``tau_oracles.py``,
-on the five presets and three painted forms, at points of small prime
-denominators and at binary fractions with denominators near 2^60; the
-oracles pick each key's numerator route (K-type weights or W_K orbit) by the
-same dim V < |W_K| rule.  ``tau_lattice``, the integer-phase route of the
-synthesis lattice, sums every key over its W_K orbit: it is compared ``==``
-against ``tau_grid``'s checked paths with every numerator on the orbit route
-(``orbit_grid``) over the same points, errors included, and ``tau_grid``
-itself takes that numerator for every key whose K-type is not smaller than
-W_K.
+``tau_grid``, ``tau_generator``, ``tau_class`` and ``lpacket_sum`` are
+compared ``==`` against the oracles in ``tau_oracles.py``, on the five
+presets and three painted forms, at points of small prime denominators and
+at binary fractions with denominators near 2^60; the oracles pick each key's
+numerator route (K-type weights or W_K orbit) by the same dim V < |W_K| rule.
 ``stable_tau`` sums over the W orbit instead of the coset translates, so it
 is compared within 1e-12 relative to the translate route and to a 40-digit
 W-orbit sum.
+``synth_family`` synthesizes each key's numerator on its lattice one axis at
+a time (``tannaka.synthesize``), which rounds in another order: it is
+compared within 1e-12 relative to the mpmath W_K sum at strided lattice
+points, and to ``tau_grid`` at every lattice point as the dual-path guard
+compares two routes.
 """
 
+import cmath
 import functools
 import itertools
 import math
@@ -29,14 +29,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from weyl_oracles import painted_forms
 
-from orbint import ktrace
+from orbint import ktrace, tannaka
 from orbint.errors import ConsistencyError, SingularPointError
 from orbint.ktrace import (
     random_regular_point,
     tau_class,
     tau_generator,
     tau_grid,
-    tau_lattice,
     w_orbit,
     wk_orbit,
 )
@@ -44,6 +43,7 @@ from orbint.realform import (
     GeneratorKey,
     KClass,
     coset_reps,
+    generator_key,
     hc_parameter,
     is_regular_param,
     real_form,
@@ -52,7 +52,7 @@ from orbint.realform import (
 )
 from orbint.rootsys import Weight, weyl_group
 from orbint.stable import lpacket_sum, stable_tau
-from orbint.tannaka import _grid_offsets, synth_family
+from orbint.tannaka import synth_family
 from orbint.toruschar import ConjugacyDescriptor, TorusPoint, is_regular, root_factors
 from orbint.verify import random_class, small_keys
 
@@ -203,17 +203,6 @@ def test_lpacket_sum_matches(spec):
             assert lpacket_sum(spec, lam_hc, g) == oracle.lpacket_sum(spec, lam_hc, g)
 
 
-@pytest.mark.parametrize(
-    "name, axis_count", [("sl2r", None), ("su21", 24), ("compact(A2)", 12), ("sp4r", 12)]
-)
-def test_synth_family_values_match(name, axis_count):
-    spec = real_form(name)
-    keys = small_keys(spec, 3)
-    family = synth_family(spec, keys, axis_count)
-    expected = oracle.tau_grid(spec, keys, lattice_points(family.axes, family.q), route="orbit")
-    assert [family.values[key.lam] for key in keys] == expected
-
-
 def singular_exact_point(spec):
     """The first point with coordinates in 1/2, 1/7, 2/7 (lexicographic) that
     lands on a root hyperplane."""
@@ -292,16 +281,11 @@ def test_weights_beyond_32_bits():
 
 
 # ---------------------------------------------------------------------------
-# the lattice route
+# the synthesis lattice
 
 LATTICE_FORMS = [real_form(name) for name in ("sl2r", "su21", "sp4r", "compact(A2)")]
 LATTICE_FORMS += painted_forms("G2", [(0,)]) + painted_forms("A3", [(1,)])
 LATTICE_IDS = [spec.name for spec in LATTICE_FORMS]
-
-
-def lattice(n, offsets):
-    """The synthesis lattice's layout: axis j holds 97k + r_j for k < n, over q = 97n."""
-    return [[97 * k + r for k in range(n)] for r in offsets], 97 * n
 
 
 def lattice_points(axes, q):
@@ -309,206 +293,132 @@ def lattice_points(axes, q):
 
 
 def lattice_keys(spec):
-    """Two small keys, one whose lambda_hc is singular (its orbit repeats
-    weights) and one with a coordinate beyond 32 bits."""
+    """Two small keys, one whose lambda_hc is singular (its orbit is empty)
+    and one with a coordinate beyond 32 bits."""
     big = GeneratorKey(Weight((2 * 10**11,) + (2,) * (spec.rank - 1)))
     return small_keys(spec, 2) + [singular_key(spec), big]
 
 
-def orbit_grid(spec, keys, points):
-    """``tau_grid`` with every key's numerator summed over its W_K orbit, as
-    ``tau_lattice`` sums it: the same checked paths, errors included."""
-    def orbit(s, key):
-        return ktrace.Numerator("orbit", wk_orbit(s, hc_parameter(s, key)))
-
-    return [tuple(a) for a, _ in ktrace._scattered_paths(spec, keys, points, orbit)[1]] if keys else []
-
-
-def test_lattice_keys_reach_every_numerator_fold():
-    # tau_lattice folds an orbit of 0, 1, 2 and 3 or more terms by different
-    # code (``ktrace._fold_terms``); the lattice tests must reach all four
-    sizes = {min(len(wk_orbit(spec, hc_parameter(spec, key)).signs), 3)
-             for spec in LATTICE_FORMS for key in lattice_keys(spec)}
-    assert sizes == {0, 1, 2, 3}
-
-
-@pytest.mark.parametrize("terms", [1, 2, 3])
-def test_fold_is_the_fsum_of_the_parts(terms):
-    # bit for bit, signed zeros included (as hex); each column is a random
-    # point of the unit square, or the negation of the previous column's
-    # entry, so that two-term sums cancel exactly
-    rng = random.Random(terms)
-    size = 400
-    columns = []
-    for _ in range(terms):
-        prev = columns[-1] if columns else [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))] * size
-        columns.append([-1 * z if rng.random() < 0.25 else complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                        for z in prev])
-    want = [complex(math.fsum(z.real for z in zs), math.fsum(z.imag for z in zs)) for zs in zip(*columns)]
-    got = ktrace._fold_terms([iter(column) for column in columns], size)
-    assert [(z.real.hex(), z.imag.hex()) for z in got] == [(z.real.hex(), z.imag.hex()) for z in want]
-    assert ktrace._fold_terms([], 3) == [0j] * 3
-
-
-def outcome(fn):
-    """The values, or the error's kind, root and message."""
-    try:
-        return fn()
-    except SingularPointError as err:
-        return ("singular", err.root, str(err))
-    except ConsistencyError as err:
-        return ("consistency", str(err))
+def assert_agrees_with_tau_grid(spec, keys, family):
+    """The synthesized values against ``tau_grid`` at every lattice point, as
+    the dual-path guard compares two routes to one number: within
+    DUAL_PATH_TOL, or 1e-12 relative to the larger value.  The two round in
+    different orders and both err near a wall, so where they differ by more,
+    the synthesized value is held within 1e-12 relative of the mpmath sum."""
+    points = lattice_points(family.axes, family.q)
+    for key, column in zip(keys, tau_grid(spec, keys, points)):
+        got = family.values[key.lam]
+        assert len(got) == len(column) == family.lattice_size
+        for g, a, b in zip(points, got, column):
+            if abs(a - b) > max(ktrace.DUAL_PATH_TOL, 1e-12 * max(1.0, abs(a), abs(b))):
+                ref = oracle.mp_tau(spec, key, g)
+                assert abs(a - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 @st.composite
 def lattice_cases(draw):
     index = draw(st.integers(0, len(LATTICE_FORMS) - 1))
     n = draw(st.integers(4, 12))
-    offsets = tuple(draw(st.integers(1, 96)) for _ in range(LATTICE_FORMS[index].rank))
-    return index, n, offsets
+    picks = draw(st.lists(st.integers(0, 7), min_size=1, max_size=3, unique=True))
+    return index, n, picks
 
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(lattice_cases())
-@example((5, 12, (3, 41, 88)))  # A3/paint1 at the largest axis count
-@example((1, 4, (50, 3)))  # su21: regular at the first point, singular at the second
+@example((5, 12, [0, 7]))  # A3/paint1 at the largest axis count
 def test_lattice_route_matches_tau_grid(case):
-    index, n, offsets = case
+    # random axis counts and small keys: the weight route, the orbit route,
+    # and empty orbits, on synth_family's own regular lattices
+    index, n, picks = case
     spec = LATTICE_FORMS[index]
-    axes, q = lattice(n, offsets)
-    keys = lattice_keys(spec)
-    want = outcome(lambda: orbit_grid(spec, keys, lattice_points(axes, q)))
-    assert outcome(lambda: tau_lattice(spec, keys, axes, q)) == want
+    keys = [small_keys(spec, 8)[i] for i in picks] + lattice_keys(spec)[2:]
+    assert_agrees_with_tau_grid(spec, keys, synth_family(spec, keys, n))
+
+
+def no_weight_table(*args):
+    raise AssertionError("a weight table was built")
 
 
 @pytest.mark.parametrize("spec", LATTICE_FORMS, ids=LATTICE_IDS)
-def test_orbit_route_keys_are_tau_grid_on_the_lattice(spec):
-    # a key whose K-type is not smaller than W_K takes the orbit route at
-    # scattered points too, so there tau_lattice is tau_grid, bit for bit
-    axes, q = lattice(4, (3, 41, 88)[: spec.rank])
+def test_orbit_route_keys_are_tau_grid_on_the_lattice(spec, monkeypatch):
+    # a key whose K-type is not smaller than W_K is synthesized from its W_K
+    # orbit, as tau_grid sums it: no weight table is built on the way
     keys = [key for key in lattice_keys(spec) if not oracle.weight_route(spec, key)]
     assert keys
-    assert tau_lattice(spec, keys, axes, q) == tau_grid(spec, keys, lattice_points(axes, q))
+    ktrace.tau_numerator.cache_clear()
+    monkeypatch.setattr(ktrace, "weight_multiplicities", no_weight_table)
+    assert_agrees_with_tau_grid(spec, keys, synth_family(spec, keys, 4))
 
 
-def test_singular_lattice_raises_the_same_root_and_message():
-    # su21's first root pairs to a = 2n_1 - n_2 = 97(2k_1 - k_2 + 1) here, so
-    # (k_1, k_2) = (0, 1), the second lattice point, is the first singular one
+def test_large_k_types_are_synthesized_from_their_orbit(monkeypatch):
+    # su21 lambda = (200000, 0): a 2-term W_K orbit against a K-type of about
+    # 10^5 weights, so the route rule keeps it on the orbit
     spec = real_form("su21")
-    axes, q = lattice(4, (50, 3))
-    keys = lattice_keys(spec)
-    want = outcome(lambda: orbit_grid(spec, keys, lattice_points(axes, q)))
-    assert want[0] == "singular"
-    assert outcome(lambda: tau_lattice(spec, keys, axes, q)) == want
-    assert outcome(lambda: orbit_grid(spec, keys, lattice_points(axes, q)[:1]))[0] != "singular"
+    key = generator_key(spec, Weight((400000, 0)))
+    ktrace.tau_numerator.cache_clear()
+    monkeypatch.setattr(ktrace, "weight_multiplicities", no_weight_table)
+    family = synth_family(spec, [key], 8)
+    assert ktrace.tau_numerator(spec, key).route == "orbit"
+    assert_agrees_with_tau_grid(spec, [key], family)
 
 
-@pytest.mark.parametrize("spec", LATTICE_FORMS, ids=LATTICE_IDS)
-def test_lattice_dual_path_error_names_the_same_point(spec, monkeypatch):
-    # scaling every product splits path_a (one product) from path_b (two)
-    product = ktrace._column_product
-    monkeypatch.setattr(ktrace, "_column_product", lambda *args: [1.5 * v for v in product(*args)])
-    axes, q = lattice(4, (3, 41, 88)[: spec.rank])
-    keys = small_keys(spec, 2)
-    want = outcome(lambda: orbit_grid(spec, keys, lattice_points(axes, q)))
-    assert want[0] == "consistency"
-    assert outcome(lambda: tau_lattice(spec, keys, axes, q)) == want
+@pytest.mark.parametrize(
+    "name, axis_count",
+    [("sl2r", None), ("su21", 24), ("compact(A2)", 12), ("sp4r", 12), ("compact(B3)", None), ("compact(B4)", None)],
+)
+def test_synth_family_values_match(name, axis_count):
+    """Within 1e-12 relative of the mpmath W_K sum at about 24 strided lattice
+    points, on 32^3 for compact(B3) and 16^4 for compact(B4) (the default axis
+    counts), and at the README's points on those two lattices, where the
+    orbit route printed 0.99977 + 5.1e-5i and 2.977 - 5.461i for the trivial
+    character."""
+    pytest.importorskip("mpmath")
+    spec = real_form(name)
+    keys = small_keys(spec, 3)
+    family = synth_family(spec, keys, axis_count)
+    lattice = list(itertools.product(*family.axes))
+    picks = list(range(0, len(lattice), len(lattice) // 24 + 1))
+    readme = {"compact(B3)": (25, 27, 3), "compact(B4)": (1505, 1509, 1461, 713)}.get(name)
+    if readme:
+        picks.append(lattice.index(tuple(r * family.q // 1552 for r in readme)))
+    for i in picks:
+        g = TorusPoint(tuple(Fraction(m, family.q) for m in lattice[i]))
+        for key in keys:
+            ref = oracle.mp_tau(spec, key, g)
+            assert abs(family.values[key.lam][i] - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
-def fault_at(monkeypatch, spec, point):
-    """Scale D, D_c and D_n by 1.5 wherever the first root's factor is the one
-    at ``point`` (the routes' factors are the same doubles), which splits
-    path_a from path_b at that point on both routes."""
-    target = root_factors(point, spec.positive_system).factors[0]
-    product = ktrace._column_product
+def test_lattice_with_no_keys_evaluates_nothing(monkeypatch):
+    def no_synthesis(*args):
+        raise AssertionError("a column was synthesized")
 
-    def faulty(columns, indices, size):
-        return [1.5 * v if f == target else v for v, f in zip(product(columns, indices, size), columns[0])]
-
-    monkeypatch.setattr(ktrace, "_column_product", faulty)
-
-
-@pytest.mark.parametrize("fault, first", [(0, "consistency"), (2, "singular")])
-def test_lattice_errors_come_in_point_order(fault, first, monkeypatch):
-    # point 1 of this su21 lattice is singular (see above): a fault at point 0
-    # comes before it and wins, one at point 2 comes after it and loses
+    monkeypatch.setattr(tannaka, "synthesize", no_synthesis)
     spec = real_form("su21")
-    axes, q = lattice(4, (50, 3))
-    points = lattice_points(axes, q)
-    keys = small_keys(spec, 2)
-    fault_at(monkeypatch, spec, points[fault])
-    assert outcome(lambda: orbit_grid(spec, keys, points[fault : fault + 1]))[0] == "consistency"
-    want = outcome(lambda: orbit_grid(spec, keys, points))
-    assert want[0] == first
-    assert outcome(lambda: tau_lattice(spec, keys, axes, q)) == want
-
-
-def test_first_singular_point_in_a_later_slab():
-    # here the root (-1, 2) pairs to a = 2n_2 - n_1 = 97(2k_2 - k_1 + 1), so the
-    # first slab (k_1 = 0) is regular and (k_1, k_2) = (1, 0), the first point
-    # of the second slab, is the first singular one
-    spec = real_form("su21")
-    axes, q = lattice(4, (1, 49))
-    points = lattice_points(axes, q)
-    keys = lattice_keys(spec)
-    orbit_grid(spec, keys, points[:4])
-    want = outcome(lambda: orbit_grid(spec, keys, points))
-    assert want[0] == "singular" and want[1] == spec.positive_system[1]
-    assert outcome(lambda: tau_lattice(spec, keys, axes, q)) == want
-
-
-def test_lattice_with_no_keys_evaluates_nothing():
-    spec = real_form("su21")
-    axes, q = lattice(4, (50, 3))  # singular, see above
-    assert tau_lattice(spec, [], axes, q) == tau_grid(spec, [], lattice_points(axes, q)) == []
+    family = synth_family(spec, [], 4)
+    assert family.values == {}
+    assert tau_grid(spec, [], lattice_points(family.axes, family.q)) == []
 
 
 def test_phase_tables_are_kept_per_denominator():
-    # interleaved calls at two denominators, then more denominators than the
-    # cache keeps: every call reads the tables of its own q
-    ktrace.phase_tables.cache_clear()
+    # interleaved calls at several denominators q = 97n, more than the cache
+    # keeps: every call reads the table of its own q, so a repeated axis
+    # count gives the same values
+    tannaka.phase_tables.cache_clear()
     spec = real_form("su21")
     keys = small_keys(spec, 2)
-    for n, offsets in [(4, (1, 3)), (6, (5, 7)), (4, (1, 3)), (6, (11, 13)), (5, (3, 4)), (7, (1, 9)),
-                       (8, (2, 3)), (4, (8, 9)), (6, (5, 7))]:
-        axes, q = lattice(n, offsets)
-        assert tau_lattice(spec, keys, axes, q) == orbit_grid(spec, keys, lattice_points(axes, q))
-    assert ktrace.phase_tables.cache_info().hits >= 2
+    seen = {}
+    for n in (4, 6, 4, 6, 5, 7, 8, 4, 6):
+        family = synth_family(spec, keys, n)
+        values = [family.values[key.lam] for key in keys]
+        assert seen.setdefault(n, values) == values
+        assert_agrees_with_tau_grid(spec, keys, family)
+        zeta = tannaka.phase_tables(family.q)
+        assert zeta.q == family.q and all(zeta[k] == cmath.exp(1j * math.pi * (k % (2 * family.q) / family.q)) for k in zeta)
+    assert tannaka.phase_tables.cache_info().hits >= 2
 
 
-def first_singular(spec, axes, q):
-    """A brute-force scan: the first lattice point, in product order, where some
-    root pairs to a multiple of q, and the first such root."""
-    for ns in itertools.product(*axes):
-        for alpha in spec.positive_system:
-            if sum(c // 2 * n for c, n in zip(alpha.coords2, ns)) % q == 0:
-                return ("singular", alpha, f"torus point is singular for root {alpha}")
-    return None
-
-
-def test_residue_index_finds_the_scanned_singular_point():
-    # random axes and small denominators often put the first singular point in
-    # a later slab; the zero factors must stop the lattice at the scanned one
-    rng = random.Random(15)
-    later = 0
-    for spec in LATTICE_FORMS:
-        keys = small_keys(spec, 2)
-        for _ in range(40):
-            q = rng.choice([5, 7, 9, 12])
-            axes = [sorted(rng.sample(range(2 * q), rng.randint(2, 5))) for _ in range(spec.rank)]
-            want = first_singular(spec, axes, q)
-            got = outcome(lambda: tau_lattice(spec, keys, axes, q))
-            if want is None:
-                assert got == orbit_grid(spec, keys, lattice_points(axes, q))
-                continue
-            assert got == want
-            later += spec.rank > 1 and first_singular(spec, [axes[0][:1]] + axes[1:], q) is None
-    assert later >= 20
-
-
-# the benchmark's own lattice shape: synth_family's offsets, every step along
-# an axis a multiple of 97 (so each form's row holds 2n phases, not 2q), at
-# the default axis count and at odd ones, and A3/paint1 on 16^3 points
+# synth_family's own lattices at the default axis count and at odd ones, and
+# A3/paint1 on 16^3 points
 SYNTHESIS_CASES = [(spec, n) for spec in LATTICE_FORMS if spec.rank <= 2 for n in (15, 31, 64)]
 SYNTHESIS_CASES += [(LATTICE_FORMS[-1], 16)]
 
@@ -516,8 +426,4 @@ SYNTHESIS_CASES += [(LATTICE_FORMS[-1], 16)]
 @pytest.mark.parametrize("spec, n", SYNTHESIS_CASES, ids=[f"{spec.name}-{n}" for spec, n in SYNTHESIS_CASES])
 def test_lattice_route_matches_tau_grid_on_the_synthesis_lattice(spec, n):
     keys = lattice_keys(spec)
-    # at rank 3 a key's orbit has three or more terms, so its fold goes through fsum
-    assert spec.rank < 3 or max(len(wk_orbit(spec, hc_parameter(spec, key)).signs) for key in keys) >= 3
-    axes, q = lattice(n, _grid_offsets(spec.datum))
-    want = outcome(lambda: orbit_grid(spec, keys, lattice_points(axes, q)))
-    assert outcome(lambda: tau_lattice(spec, keys, axes, q)) == want
+    assert_agrees_with_tau_grid(spec, keys, synth_family(spec, keys, n))
