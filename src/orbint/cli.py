@@ -29,7 +29,8 @@ from .realform import (
     real_form,
 )
 from .rootsys import (
-    Weight, build_datum, parse_rational, positive_roots, weight_from_fundamental, weyl_group, weyl_order,
+    Weight, build_datum, parse_rational, poincare_polynomial, positive_roots, weight_from_fundamental, weyl_group,
+    weyl_order,
 )
 from .stable import continuity_check, formal_degree, lpacket_sum, stable_tau
 from .tannaka import run_reconstruction
@@ -227,18 +228,15 @@ def cmd_datum(config: Config, args) -> int:
 
 def cmd_weyl(config: Config, args) -> int:
     datum = resolve_datum(config)
-    group = weyl_group(datum)
-    lengths: dict[int, int] = {}
-    for w in group:
-        lengths[w.length] = lengths.get(w.length, 0) + 1
+    lengths = poincare_polynomial(datum)
     record = {
-        "order": group.order,
-        "length_histogram": {str(k): lengths[k] for k in sorted(lengths)},
+        "order": sum(lengths),
+        "length_histogram": {str(k): count for k, count in enumerate(lengths)},
     }
     if config.verbosity:
         record["elements"] = [
             {"matrix": [list(row) for row in w.matrix], "sign": w.sign, "length": w.length}
-            for w in group
+            for w in weyl_group(datum)
         ]
     emit(record)
     return 0

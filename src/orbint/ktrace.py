@@ -2,16 +2,14 @@
 via the fixed-point character formula, vanishing off the elliptic set, class
 distinguishing by random sampling, and (limits of) discrete-series characters.
 
-Every tau value at a torus point comes from one column-wise body,
-``_scattered_paths``: from one column of root factors per positive root over
-a block of points (taken with the singular guard), it forms the Weyl
-denominator and its compact and noncompact parts as whole-column products,
-each seeded with its first column, and checks both paths per point.  The
-path sign (-1)^m spin_sign goes into D and D_n once per block, since
-x / (-d) = -(x / d) exactly.  Per generator it adds only a numerator column.
-The numerator phases stay Fractions (``toruschar.orbit_sum``): integer ones
-are faster, but the ``tau_exact`` benchmark keeps every pass's results, so
-its peak RSS would pass its bound.
+Every tau value at a torus point comes from one single-point body,
+``_point_paths``: from the point's root factors (taken with the singular
+guard) it forms the Weyl denominator and its compact and noncompact parts as
+scalar products, then each key's numerator and both paths, checked against
+each other.  The path sign (-1)^m spin_sign goes into D and D_n once per
+point, since x / (-d) = -(x / d) exactly.  ``tau_grid`` loops it over its
+points, so the first failing point wins.  The numerator phases stay
+Fractions (``toruschar.orbit_sum``; ``toruschar`` says why).
 
 A key's W_K numerator has two routes, chosen per key from two exact integers
 before either structure is built (``tau_numerator``).  When the K-type is
@@ -36,7 +34,7 @@ import random
 from array import array
 from fractions import Fraction
 from itertools import chain
-from operator import mul, sub, truediv
+from operator import mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import ConsistencyError, SingularPointError, ValidationError
@@ -195,23 +193,9 @@ def _root_positions(spec: RealFormSpec) -> tuple[tuple[int, ...], tuple[int, ...
     return compact, noncompact, index
 
 
-def _column_product(columns: Sequence[Sequence[complex]], indices: Iterable[int], size: int) -> Sequence[complex]:
-    """Pointwise products of the given columns, multiplied in that order: the
-    first column itself (read, never written), then one product per further
-    column; ``size`` ones for no column."""
-    indices = iter(indices)
-    first = next(indices, None)
-    if first is None:
-        return [complex(1.0)] * size
-    product = columns[first]
-    for i in indices:
-        product = list(map(mul, product, columns[i]))
-    return product
-
-
 @functools.lru_cache(maxsize=None)
 def _path_layout(spec: RealFormSpec) -> tuple:
-    """What ``_scattered_paths`` reads of a spec: the compact and noncompact
+    """What ``_point_paths`` reads of a spec: the compact and noncompact
     root positions, and (-1)^m spin_sign as a complex number, which
     multiplies a complex value exactly as the int does."""
     compact, noncompact, _ = _root_positions(spec)
@@ -226,51 +210,40 @@ def _underflow(roots: Sequence[Weight], factors: Sequence[complex]) -> SingularP
     return SingularPointError(f"torus point is numerically singular for root {roots[i]}", root=roots[i])
 
 
-def _scattered_paths(spec: RealFormSpec, keys: Sequence[GeneratorKey], points: Sequence[TorusPoint],
-                     numerator_of: NumeratorOf = tau_numerator) -> tuple[list[RootFactors], list]:
-    """Each point's ``root_factors`` up to the first point that fails, and each
-    key's (path_a, path_b) columns over those points; path_b is the compact
-    character numer/D_c over the spinor.  ``numerator_of`` routes a key's
-    numerator (``tau_numerator`` for tau, ``stable_numerator`` for the stable
-    integral): ``orbit_sum`` of its terms, times the column of D_c for a
-    weight table.  A denominator of 0.0 (an underflow) ends the columns there
-    with ``_underflow``'s error.  The first point (then key) whose paths
-    differ beyond DUAL_PATH_TOL raises a ConsistencyError naming it; only then
-    is the error of the point after the columns raised."""
-    numerators = [numerator_of(spec, key) for key in keys]
-    pos, rows, failure = spec.positive_system, [], None
-    for g in points:
-        try:
-            rows.append(root_factors(g, pos))
-        except (SingularPointError, ValidationError) as err:
-            failure = err
-            break
-    size = len(rows)
-    factors = [[row.factors[i] for row in rows] for i in range(len(pos))]
+def _product(values: Sequence[complex]) -> complex:
+    """The values multiplied in order, seeded with the first; 1.0 for none."""
+    return functools.reduce(mul, values) if values else complex(1.0)
+
+
+def _point_paths(spec: RealFormSpec, numerators: Sequence[Numerator],
+                 g: TorusPoint) -> tuple[RootFactors, list[tuple[complex, complex]]]:
+    """The point's ``root_factors`` and each numerator's (path_a, path_b) at g;
+    path_b is the compact character numer/D_c over the spinor.  A numerator
+    is ``orbit_sum`` of its terms, times D_c for a weight table.  A
+    denominator of 0.0 (an underflow) raises ``_underflow``'s error before any
+    numerator is summed; the first numerator whose paths differ beyond
+    DUAL_PATH_TOL raises a ConsistencyError naming the point."""
+    pos = spec.positive_system
+    row = root_factors(g, pos)
+    factors = row.factors
     compact, noncompact, sign = _path_layout(spec)
     # x / (s d) is -(x / d) = (s x) / d exactly for s = -1, so the sign goes
     # into the two shared denominators once instead of into every numerator
-    denom = list(map(sign.__mul__, _column_product(factors, range(len(pos)), size)))
-    denom_c = _column_product(factors, compact, size)
-    delta_p = list(map(sign.__mul__, _column_product(factors, noncompact, size)))
-    zeros = [column.index(0) for column in (denom, denom_c, delta_p) if 0 in column]
-    if zeros:  # the paths below stop at the first such point
-        size = min(zeros)
-        failure = _underflow(pos, [column[size] for column in factors])
-    numers = [[orbit_sum(n.terms, g) for g in points[:size]] for n in numerators]
-    numers = [list(map(mul, numer, denom_c)) if n.route == "weights" else numer
-              for n, numer in zip(numerators, numers)]
-    paths = [(list(map(truediv, numer, denom)), list(map(truediv, map(truediv, numer, denom_c), delta_p)))
-             for numer in numers]
-    # a screen with the same verdict, as each point's bound is at least DUAL_PATH_TOL
-    if not all(max(map(abs, map(sub, a, b)), default=0.0) <= DUAL_PATH_TOL for a, b in paths):
-        for i in range(size):
-            for a, b in paths:
-                if abs(a[i] - b[i]) > max(DUAL_PATH_TOL, 1e-12 * max(1.0, abs(a[i]), abs(b[i]))):
-                    raise ConsistencyError(f"dual-path disagreement {abs(a[i] - b[i]):.3e} at {points[i]}")
-    if failure is not None:
-        raise failure
-    return rows, paths
+    denom = sign * _product(factors)
+    denom_c = _product([factors[i] for i in compact])
+    delta_p = sign * _product([factors[i] for i in noncompact])
+    if denom == 0 or denom_c == 0 or delta_p == 0:
+        raise _underflow(pos, factors)
+    paths = []
+    for n in numerators:
+        numer = orbit_sum(n.terms, g)
+        if n.route == "weights":
+            numer *= denom_c
+        a, b = numer / denom, numer / denom_c / delta_p
+        if abs(a - b) > max(DUAL_PATH_TOL, 1e-12 * max(1.0, abs(a), abs(b))):
+            raise ConsistencyError(f"dual-path disagreement {abs(a - b):.3e} at {g}")
+        paths.append((a, b))
+    return row, paths
 
 
 def tau_grid(spec: RealFormSpec, keys: Sequence[GeneratorKey],
@@ -284,14 +257,18 @@ def tau_grid(spec: RealFormSpec, keys: Sequence[GeneratorKey],
     route, and for one on the weight route the fsum of m e^mu(g) over its
     weight table times weyl_denominator(g, R_c^+).  Errors are raised at the
     first failing point, in point order; with no keys nothing is evaluated."""
-    return [tuple(a) for a, _ in _scattered_paths(spec, keys, points)[1]] if keys else []
+    if not keys:
+        return []
+    numerators = [tau_numerator(spec, key) for key in keys]
+    rows = [[a for a, _ in _point_paths(spec, numerators, g)[1]] for g in points]
+    return list(zip(*rows)) or [()] * len(keys)
 
 
 def tau_generator(spec: RealFormSpec, key: GeneratorKey, g: TorusPoint) -> TauValue:
     """tau_g on a single Dirac-induction generator, with both routes and the
     point's conditioning.  The point must be regular, in doubles too: no root
     phase that rounds to an integer, no denominator that underflows to 0.0."""
-    [factors], [([path_a], [path_b])] = _scattered_paths(spec, [key], [g])
+    factors, [(path_a, path_b)] = _point_paths(spec, [tau_numerator(spec, key)], g)
     return TauValue(path_a, path_a, path_b, factors.conditioning)
 
 
@@ -299,11 +276,11 @@ def class_sum(
     spec: RealFormSpec, x: KClass, g: TorusPoint, numerator_of: NumeratorOf = tau_numerator
 ) -> complex:
     """sum coeff * path_a over the class's terms at g, each numerator routed by
-    ``numerator_of`` (see ``_scattered_paths``); the zero class evaluates nothing."""
+    ``numerator_of`` (see ``_point_paths``); the zero class evaluates nothing."""
     if x.is_zero:
         return complex(0)
-    _, paths = _scattered_paths(spec, [key for key, _ in x.terms], [g], numerator_of)
-    return _csum(coeff * a for (_, coeff), ([a], _) in zip(x.terms, paths))
+    _, paths = _point_paths(spec, [numerator_of(spec, key) for key, _ in x.terms], g)
+    return _csum(coeff * a for (_, coeff), (a, _) in zip(x.terms, paths))
 
 
 def tau_class(spec: RealFormSpec, x: KClass, descriptor: ConjugacyDescriptor) -> complex:

@@ -15,8 +15,9 @@ Weyl groups and weight orbits come from one breadth-first walk,
 ``reflection_orbit``: W (and W_K) is the walk of the regular vector
 (1, ..., 1), each element's matrix built from its parent's, and the orbits
 that tau and the stable integral sum over are walks of the weight itself.
-Group orders come from a product formula over the positive roots
-(``weyl_order``), which walks no group.
+Group orders and the number of elements of each length come from product
+formulas over the heights of the positive coroots (``weyl_order``,
+``poincare_polynomial``), which walk no group.
 """
 
 from __future__ import annotations
@@ -431,13 +432,16 @@ def simple_steps(datum: CartanDatum) -> tuple:
     return sparse_reflections([_simple_reflection(datum, i) for i in range(datum.rank)])
 
 
-def reflection_orbit(steps: Sequence, start: tuple[int, ...]) -> tuple[list, list, list, list] | None:
+def reflection_orbit(steps: Sequence, start: tuple[int, ...],
+                     free: bool = True) -> tuple[list, list, list, list] | None:
     """Breadth-first walk of ``start`` (coords2) under the sparse reflections
     ``steps``: (images, parent, step, depth), four lists in discovery order,
     where image i > 0 is steps[step[i]] applied to image parent[i] and lies
     depth[i] reflections from image 0.  None as soon as a reflection fixes an
     image; otherwise the group acts freely on the orbit, so image i is w(start)
-    for exactly one w, and depth[i] is the word length of w in the steps."""
+    for exactly one w, and depth[i] is the word length of w in the steps.
+    With ``free`` false a reflection that fixes an image is skipped instead,
+    and the walk lists the whole orbit of a weight on a wall."""
     images, parent, step, depth = [start], [-1], [-1], [0]
     seen = {start}
     indexed = [(s, a_terms, c_terms) for s, (a_terms, c_terms) in enumerate(steps)]
@@ -448,7 +452,9 @@ def reflection_orbit(steps: Sequence, start: tuple[int, ...]) -> tuple[list, lis
             for j, cj in c_terms:
                 k += cj * v[j]
             if k == 0:
-                return None
+                if free:
+                    return None
+                continue
             image = list(v)
             for j, aj in a_terms:
                 image[j] -= k * aj
@@ -489,21 +495,41 @@ def weyl_group(datum: CartanDatum) -> WeylGroup:
     return _reflection_group(datum.rank, simple_steps(datum))
 
 
+def _coroot_heights(datum: CartanDatum, positive: Sequence[Weight]) -> list[int]:
+    """h = <rho_R, alpha^vee> per alpha in ``positive``, the height of alpha^vee
+    in the dual system: with k and n the integers of (rho_R, alpha) and
+    (alpha, alpha), h = 2k/n."""
+    heights = []
+    for alpha, k in zip(positive, integer_pairings(datum, rho(positive, datum.rank), positive)):
+        (n,) = integer_pairings(datum, alpha, (alpha,))
+        heights.append(2 * k // n)
+    return heights
+
+
 def weyl_order(datum: CartanDatum, positive: Sequence[Weight] | None = None) -> int:
     """|W(R)| for the root system R with positive part ``positive`` (default
     R^+), exactly and building no element: the product over alpha in R^+ of
-    (h + 1) / h, h = <rho_R, alpha^vee> the height of the coroot (Macdonald,
-    The Poincare series of a Coxeter group, 1972).  Over a closed subsystem
-    it is the order of the group its reflections generate.  With k and n the
-    integers of (rho_R, alpha) and (alpha, alpha), h = 2k/n, so each factor is
-    (2k + n) / 2k and the product one integer quotient."""
-    positive = positive_roots(datum) if positive is None else positive
-    num = den = 1
-    for alpha, k in zip(positive, integer_pairings(datum, rho(positive, datum.rank), positive)):
-        (n,) = integer_pairings(datum, alpha, (alpha,))
-        num *= 2 * k + n
-        den *= 2 * k
-    return num // den
+    (h + 1) / h, h the height of the coroot (Macdonald, The Poincare series of
+    a Coxeter group, 1972).  Over a closed subsystem it is the order of the
+    group its reflections generate."""
+    heights = _coroot_heights(datum, positive_roots(datum) if positive is None else positive)
+    return math.prod(h + 1 for h in heights) // math.prod(heights)
+
+
+def poincare_polynomial(datum: CartanDatum) -> list[int]:
+    """The number of elements of W of each length, building no element: the
+    Poincare polynomial prod_i (1 + x + ... + x^{e_i}) over the exponents
+    e_i, the partition dual to the number of positive roots of each height
+    (Kostant, 1959).  The coroots have the same exponents, so their heights
+    serve."""
+    heights = _coroot_heights(datum, positive_roots(datum))
+    counts = [heights.count(h) for h in range(1, max(heights) + 1)]
+    coefficients = [1]
+    for j in range(1, counts[0] + 1):
+        exponent = sum(1 for c in counts if c >= j)
+        coefficients = [sum(coefficients[max(0, i - exponent):i + 1])
+                        for i in range(len(coefficients) + exponent)]
+    return coefficients
 
 
 def reflection(datum: CartanDatum, alpha: Weight) -> Reflection:
@@ -643,7 +669,8 @@ def weight_multiplicities(
 ) -> dict[Weight, int]:
     """The weights of the irreducible module with highest weight lam, for the
     root system with positive part ``pos`` (default R^+), with their
-    multiplicities, lam first and then level by level below it.
+    multiplicities: lam first, then by depth below lam (the number of simple
+    roots in lam - mu), each depth in coordinate order.
 
     Freudenthal's formula (Humphreys, Introduction to Lie Algebras and
     Representation Theory, 22.3) in the integers of ``integer_form``: with
@@ -651,9 +678,15 @@ def weight_multiplicities(
     (P(lam+rho, lam+rho) - P(mu+rho, mu+rho)) m(mu)
         = 2 sum_{alpha in pos} sum_{k >= 1} m(mu + k alpha) P(mu + k alpha, alpha),
     where P(mu + k alpha, alpha) = P(mu, alpha) + k P(alpha, alpha) is one dot
-    product with alpha's covector M alpha2, read once per root.  The weights
-    stay doubled, so lam need only be integral for ``pos``: the K-type of a
-    spin-descent form may be half-integral in the coordinates of G.
+    product with alpha's covector M alpha2, read once per root.  It runs on
+    the dominant weights only (Moody and Patera, Fast recursion formula for
+    weight multiplicities, 1982), each m(mu + k alpha) read at the dominant
+    weight of its orbit, and each dominant weight's multiplicity is then
+    spread over its orbit.  Every dominant weight below lam is reached from
+    lam through dominant weights that differ by positive roots (Stembridge,
+    The partial order of dominant weights, 1998).  The weights stay doubled,
+    so lam need only be integral for ``pos``: the K-type of a spin-descent
+    form may be half-integral in the coordinates of G.
     """
     pos = positive_roots(datum) if pos is None else tuple(pos)
     if not is_dominant(datum, lam, pos):
@@ -670,40 +703,65 @@ def weight_multiplicities(
         if 2 * sum(map(mul, lam2, v)) % sum(map(mul, beta.coords2, v)):
             raise ValidationError(f"{lam} is not an integral weight")
     rho2 = rho(pos).coords2
+    steps = sparse_reflections([reflection(datum, beta) for beta in simples])
+    # mu2 . depth_covector is L <mu, rho^vee>, and <beta, rho^vee> = 1 for each simple beta
+    scale = math.lcm(*(norm for _, _, norm in roots))
+    depth_covector = [sum(scale // norm * v[j] for _, v, norm in roots) for j in range(len(lam2))]
+
+    def order(mu: tuple[int, ...]) -> tuple:  # by depth below lam, then coordinates
+        return -sum(map(mul, mu, depth_covector)), mu
 
     def level(mu: tuple[int, ...]) -> int:  # P(mu + rho, mu + rho)
         x = tuple(map(add, mu, rho2))
         return sum(xi * sum(map(mul, row, x)) for xi, row in zip(x, matrix))
 
+    representatives: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def dominant(mu: tuple[int, ...]) -> tuple[int, ...]:  # of mu's orbit, by simple reflections
+        if mu not in representatives:
+            nu = mu
+            while True:
+                for a_terms, c_terms in steps:
+                    k = sum(cj * nu[j] for j, cj in c_terms)
+                    if k < 0:
+                        image = list(nu)
+                        for j, aj in a_terms:
+                            image[j] -= k * aj
+                        nu = tuple(image)
+                        break
+                else:
+                    break
+            representatives[mu] = nu
+        return representatives[mu]
+
+    below, seen = [lam2], {lam2}
+    for mu in below:  # grows behind the loop
+        for alpha, _, _ in roots:
+            nu = tuple(map(sub, mu, alpha))
+            if nu not in seen and dominant(nu) == nu:
+                seen.add(nu)
+                below.append(nu)
     top = level(lam2)
     mult = {lam2: 1}
-    frontier = [lam2]
-    lowering = [beta.coords2 for beta in simples]
-    while frontier:  # each level is lower than the last, inside the ball |mu + rho| < |lam + rho|
-        candidates = sorted({tuple(map(sub, mu, beta)) for mu in frontier for beta in lowering})
-        frontier = []
-        for mu in candidates:
-            if mu in mult:
-                continue
-            acc = 0
-            for alpha, v, norm in roots:
-                p = sum(map(mul, mu, v))
-                above = tuple(map(add, mu, alpha))
-                m = mult.get(above)
-                while m is not None:  # root strings are unbroken
-                    p += norm
-                    acc += m * p
-                    above = tuple(map(add, above, alpha))
-                    m = mult.get(above)
-            if acc == 0:
-                continue
-            denom = top - level(mu)
-            if denom <= 0:
-                raise ValidationError("Freudenthal recursion left the weight polytope")
-            m, rest = divmod(2 * acc, denom)
-            if rest:
-                raise ValidationError("non-integral multiplicity; inconsistent input")
-            if m > 0:
-                mult[mu] = m
-                frontier.append(mu)
-    return {Weight(mu): m for mu, m in mult.items()}
+    # by depth: the dominant weight of each mu + k alpha lies above mu, so it is done
+    for mu in sorted(below[1:], key=order):
+        acc = 0
+        for alpha, v, norm in roots:
+            p = sum(map(mul, mu, v))
+            above = tuple(map(add, mu, alpha))
+            m = mult.get(dominant(above))
+            while m is not None:  # root strings are unbroken
+                p += norm
+                acc += m * p
+                above = tuple(map(add, above, alpha))
+                m = mult.get(dominant(above))
+        denom = top - level(mu)
+        if denom <= 0:
+            raise ValidationError("Freudenthal recursion left the weight polytope")
+        m, rest = divmod(2 * acc, denom)
+        if rest or m < 1:  # every dominant weight below lam is a weight
+            raise ValidationError(f"multiplicity {2 * acc}/{denom} is not a positive integer; inconsistent input")
+        mult[mu] = m
+    table = [(image, m) for mu, m in mult.items() for image in reflection_orbit(steps, mu, free=False)[0]]
+    table.sort(key=lambda item: order(item[0]))
+    return {Weight(mu): m for mu, m in table}

@@ -5,10 +5,13 @@ Torus points are exact (Fractions), and roots pair with t = n/q in integers
 (<alpha/2, t> = a/q: singular iff q | a, phase (a mod 2q)/q) before the one
 transcendental call per factor; complex values are machine doubles, and a
 phase that rounds to an integer in them is numerically singular.
-``orbit_sum``'s per-term phases stay Fractions (``ktrace`` says why).
+``orbit_sum``'s per-term phases stay Fractions.  Integer phases run the
+``tau_exact`` benchmark about 3x faster, but its harness keeps every pass's
+results (about 0.083 MB a pass), so more passes read a higher peak RSS, past
+that metric's bound; they wait on the harness mend of ROADMAP.md item 1.
 
 The evaluation kernel of tau, stable sums and packets has two parts here,
-which ``ktrace`` combines a block of points at a time (the synthesis lattice
+which ``ktrace`` combines one point at a time (the synthesis lattice
 sums the same ``SignedOrbit`` one axis at a time in ``tannaka.synthesize``).
 ``root_factors`` pairs a point with each positive root once, which gives
 both the singular verdict and every root factor.  A ``SignedOrbit`` holds an

@@ -635,6 +635,21 @@ def test_schmid_evaluates_each_system_once(capsys, monkeypatch):
     assert out.endswith(f'"value": {dumps(value)}}}\n')
 
 
+def test_weyl_builds_no_group_without_verbose(capsys, monkeypatch):
+    argv = ("weyl", "--type", "B3")
+    _, want, _ = run_cli(capsys, *argv)
+    assert json.loads(want)["length_histogram"] == {
+        str(k): n for k, n in enumerate([1, 3, 5, 7, 8, 8, 7, 5, 3, 1])
+    }
+
+    def no_group(datum):
+        raise AssertionError("weyl_group was called")
+
+    monkeypatch.setattr(orbint.cli, "weyl_group", no_group)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == want
+
+
 def test_weyl_verbose_elements(capsys):
     code, out, _ = run_cli(capsys, "-v", "weyl", "--type", "A1")
     assert code == 0

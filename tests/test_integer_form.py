@@ -186,6 +186,34 @@ def test_weight_tables_match_the_fraction_route(spec):
     assert any(not lam.is_integral for lam in compared) == (not rho_n(spec).is_integral)
 
 
+# modules whose dominant weights include weights on walls of the subsystem:
+# adjoint and minuscule modules of G, and K-types of painted forms (B4/paint0's
+# is half-integral for G)
+WALL_MODULES = [
+    ("A3", None, (2, 0, 2)), ("B3", None, (0, 0, 2)), ("D4", None, (0, 2, 0, 0)), ("F4", None, (2, 0, 0, 0)),
+    ("B4", 0, (1, 0, 0, 2)), ("C3", 1, (0, 0, 2)), ("G2", 0, (2, 0)),
+]
+
+
+@pytest.mark.parametrize("name, painted, coords2", WALL_MODULES, ids=[f"{m[0]}/{m[1]}/{m[2]}" for m in WALL_MODULES])
+def test_weight_tables_spread_dominant_weights_on_walls(name, painted, coords2):
+    """The table is the Fraction recursion's in its order (lam, then by depth
+    below lam, each depth in coordinate order), although Freudenthal runs on
+    the dominant weights only and a dominant weight on a wall is fixed by a
+    simple reflection of the walk that spreads it."""
+    if painted is None:
+        datum, pos = build_datum(name), None
+    else:
+        (spec,) = painted_forms(name, [(painted,)])
+        datum, pos = spec.datum, spec.compact_positive
+    lam = Weight(coords2)
+    table = weight_multiplicities(datum, lam, pos)
+    assert list(table.items()) == list(fraction_weight_multiplicities(datum, lam, pos).items())
+    simples = rootsys._subsystem_simples(positive_roots(datum) if pos is None else pos)
+    on_walls = [mu for mu in table if min(rootsys.integer_pairings(datum, mu, simples)) == 0]
+    assert any(is_dominant(datum, mu, simples) for mu in on_walls)
+
+
 def test_weight_tables_refuse_what_the_fraction_route_refuses():
     # compact(A2): (1/2, 0) is dominant but not integral, (-1, 0) not dominant;
     # su21 (K = U(2), compact root alpha_1): (-1, 5) is not dominant for K, and

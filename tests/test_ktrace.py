@@ -3,12 +3,14 @@
 import cmath
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 import tau_oracles as oracle
 
-from orbint.errors import SingularPointError, ValidationError
+from orbint import ktrace
+from orbint.errors import ConsistencyError, SingularPointError, ValidationError
 from orbint.ktrace import (
     class_is_zero,
     lds_character,
@@ -16,10 +18,12 @@ from orbint.ktrace import (
     random_regular_point,
     tau_class,
     tau_generator,
+    tau_grid,
     tau_numerator,
 )
 from orbint.realform import KClass, generator_key, real_form
 from orbint.rootsys import Weight
+from orbint.stable import stable_tau
 from orbint.toruschar import (
     ConjugacyDescriptor,
     TorusPoint,
@@ -77,6 +81,32 @@ def test_singular_point_rejected():
     key = generator_key(SL2R, Weight((0,)))
     with pytest.raises(SingularPointError):
         tau_generator(SL2R, key, TorusPoint.exact_point([Fraction(1, 2)]))
+
+
+def test_dual_path_guard_names_the_first_disagreeing_point(monkeypatch):
+    # drop one noncompact root from D_n: path_b becomes path_a times that
+    # root's factor 2i sin(pi <alpha/2, t>), so every nonzero value disagrees
+    compact, noncompact, sign = ktrace._path_layout(SP4R)
+    monkeypatch.setattr(ktrace, "_path_layout", lambda spec: (compact, noncompact[1:], sign))
+    keys = small_keys(SP4R, 2)
+    first, later = (random_regular_point(SP4R.datum, random.Random(seed)) for seed in (71, 72))
+    singular = TorusPoint.exact_point([Fraction(1, 2), Fraction(1, 2)])
+    with pytest.raises(SingularPointError) as info:
+        tau_grid(SP4R, keys, [singular])
+    singular_error = str(info.value)
+    # a disagreement at the first point wins over a later singular point
+    disagreement = rf"^dual-path disagreement \S+ at {re.escape(str(first))}$"
+    for evaluate in (
+        lambda: tau_grid(SP4R, keys, [first, singular, later]),
+        lambda: tau_generator(SP4R, keys[0], first),
+        lambda: tau_class(SP4R, KClass.generator(keys[0]), ConjugacyDescriptor.elliptic(first)),
+        lambda: stable_tau(SP4R, KClass.generator(keys[1]), first),  # keys[0]'s stable value is 0
+    ):
+        with pytest.raises(ConsistencyError, match=disagreement):
+            evaluate()
+    # and a singular point that comes first wins over the disagreement after it
+    with pytest.raises(SingularPointError, match=f"^{re.escape(singular_error)}$"):
+        tau_grid(SP4R, keys, [singular, first])
 
 
 def test_tau_class_vanishing_and_linearity():

@@ -15,6 +15,7 @@ from orbint.rootsys import (
     build_datum,
     pairing,
     parse_rational,
+    poincare_polynomial,
     positive_roots,
     rho,
     weight_from_fundamental,
@@ -104,6 +105,18 @@ def test_weyl_group_orders():
         assert weyl_group(build_datum(name)).order == order
     for name in UP_TO_RANK_4 + ["A6", "D6"]:
         assert weyl_group(build_datum(name)).order == closed_form_order(name)
+
+
+def test_poincare_polynomial_counts_the_walk():
+    # every named type up to rank 5: the exponents from the coroot heights
+    # against the word lengths of the walked group
+    names = UP_TO_RANK_4 + ["A5", "B5", "C5", "D5"]
+    for name in names:
+        datum = build_datum(name)
+        lengths = [0] * (len(positive_roots(datum)) + 1)
+        for w in weyl_group(datum):
+            lengths[w.length] += 1
+        assert poincare_polynomial(datum) == lengths, name
 
 
 def test_weyl_group_matches_matrix_product_closure():
