@@ -289,13 +289,17 @@ def cmd_limit(config: Config, args) -> int:
     # a ray direction, exact and not reduced mod 2: 0.1 is 1/10, 2 is no torus point
     direction = [parse_rational(t) for t in args.direction.split(",") if t.strip()]
     report = continuity_check(spec, x, direction)
+    try:
+        extrapolated, deviation = complex(report.limit), float(report.deviation)
+    except OverflowError as err:  # an exact limit past the float range
+        raise ValidationError(f"the result is not finite: {err}") from err
     emit(
         {
             "direction": [str(c) for c in direction],
             "limit": report.limit,
-            "extrapolated": complex(report.limit),
+            "extrapolated": extrapolated,
             "tau_e": report.tau_e_value,
-            "deviation": float(report.deviation),
+            "deviation": deviation,
             "passed": report.passed,
         }
     )
@@ -497,6 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if [] in vars(args).values():  # argparse before 3.12 reads "--flag=--" as an empty list
+        parser.error("an option was given '--' as its value")
     try:
         config = merge_args(load_config(args.config), args)
         return args.func(config, args)

@@ -168,9 +168,11 @@ def tau_numerator(spec: RealFormSpec, key: GeneratorKey) -> Numerator:
     return Numerator("orbit", wk_orbit(spec, hc_parameter(spec, key)))
 
 
+@functools.lru_cache(maxsize=4096)
 def stable_numerator(spec: RealFormSpec, key: GeneratorKey) -> Numerator:
     """The stable integral's numerator: the signed W orbit, except on a compact
-    form, where W = W_K and the numerator is tau's, by the same route."""
+    form, where W = W_K and the numerator is tau's, by the same route.  Cached
+    per (spec, key), as ``tau_numerator`` is."""
     if spec.is_compact:
         return tau_numerator(spec, key)
     return Numerator("orbit", w_orbit(spec, hc_parameter(spec, key)))

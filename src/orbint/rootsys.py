@@ -150,7 +150,7 @@ class Weight(_Frozen):
     coords2: tuple[int, ...]
 
     def __init__(self, coords2: Iterable[int]):
-        _set(self, "coords2", tuple(int(c) for c in coords2))
+        _set(self, "coords2", tuple(map(int, coords2)))
 
     # the generic _Frozen methods, specialised: weights are dictionary keys in hot loops
     def __eq__(self, other):

@@ -145,9 +145,10 @@ def synthesize(family: ChiFamily, terms: Iterable[tuple[tuple[int, ...], int]]) 
     run backwards.  At t = a/q, e^mu(t) = prod_j zeta[mu2_j a_j], so the axes
     are contracted one at a time, the last first (sum factorization): the
     terms that agree on the axes before j are summed into one column over the
-    points of the axes from j on, each term's column times its row of axis j,
-    ``axis_twiddles`` taken at -mu2_j.  A zero exponent's row is all ones, so
-    its column is only repeated."""
+    points of the axes from j on.  Each term's column grows by its row of axis
+    j (``axis_twiddles`` taken at -mu2_j) as one outer product, row entry times
+    column entry with the row index outer; a zero exponent's row is all ones,
+    so its column is only repeated."""
     level = {mu: [complex(c)] for mu, c in terms}
     if not level:
         return [0j] * family.lattice_size
@@ -156,10 +157,7 @@ def synthesize(family: ChiFamily, terms: Iterable[tuple[tuple[int, ...], int]]) 
         merged: dict = {}
         for mu, column in level.items():
             m = mu[-1]
-            if m:
-                column = list(itertools.chain.from_iterable(map(z.__mul__, column) for z in table[-m]))
-            else:
-                column = column * family.axis_count
+            column = [z * x for z in table[-m] for x in column] if m else column * family.axis_count
             prefix = mu[:-1]
             merged[prefix] = list(map(operator.add, merged[prefix], column)) if prefix in merged else column
         level = merged
@@ -169,11 +167,13 @@ def synthesize(family: ChiFamily, terms: Iterable[tuple[tuple[int, ...], int]]) 
 # ---------------------------------------------------------------------------
 # the transform
 
-def _nonzero(values: Sequence, what: str) -> Sequence:
-    """The values, unless one is zero (recovery divides by them)."""
-    if 0 in values:
-        raise ReconstructionError(f"{what} include a zero")
-    return values
+def _quotients(num: Iterable, den: Sequence[complex], label: Weight) -> tuple:
+    """num / den pointwise, where den holds the lattice samples of ``label``;
+    refused when one of them is zero (complex division raises exactly there)."""
+    try:
+        return tuple(map(operator.truediv, num, den))
+    except ZeroDivisionError:
+        raise ReconstructionError(f"the lattice samples of {label} include a zero") from None
 
 
 def _check_box(axis_count: int, bound: int) -> None:
@@ -196,24 +196,17 @@ class _PhaseTable(dict):
 phase_tables = functools.lru_cache(maxsize=4)(_PhaseTable)
 
 
-def _axis_points(family: ChiFamily, stride: int = 1) -> tuple[dict, int, list[Sequence[int]]]:
-    """The lattice's table zeta[k] = e^{i pi k/q}, 2q, and per axis the
-    numerators a_k of its points t = a_k/q, k = 0, stride, 2 stride, ..."""
-    return phase_tables(family.q), 2 * family.q, [axis[::stride] for axis in family.axes]
-
-
 def axis_twiddles(
     family: ChiFamily, windows: Sequence[Iterable[int]], stride: int = 1, fold: bool = False
 ) -> list:
     """Per axis j and doubled frequency c in windows[j], the factors
-    e^{-pi i c t} = zeta[-c a_k mod 2q] at the points t = a_k/q of every
-    ``stride``-th index (``_axis_points``).  With ``fold``, an axis whose
+    e^{-pi i c t} = zeta[-c a_k mod 2q] (``phase_tables``) at the points
+    t = a_k/q, k = 0, stride, 2 stride, ....  With ``fold``, an axis whose
     window holds only even c (integral weights) gets a ``FoldedAxis``: its
     factors at the first n / 2^folds of its n points, folds as
     ``fold_count(n)``."""
-    zeta, two_q, axes = _axis_points(family, stride)
-    tables = []
-    for window, ax in zip(windows, axes):
+    zeta, two_q, tables = phase_tables(family.q), 2 * family.q, []
+    for window, ax in zip(windows, (axis[::stride] for axis in family.axes)):
         window = tuple(window)
         folds = fold_count(len(ax)) if fold and all(c % 2 == 0 for c in window) else 0
         table = {c: [zeta[-c * a % two_q] for a in ax[: len(ax) >> folds]] for c in window}
@@ -249,9 +242,10 @@ def fold_count(n: int) -> int:
 def _split(vec: list, chunk: int, w: complex) -> tuple[list, list]:
     """Each run of ``chunk`` entries of ``vec`` folded onto its lower half in
     the two ways lower + w * upper and lower - w * upper."""
-    half, starts = chunk // 2, range(0, len(vec), chunk)
-    lo = list(itertools.chain.from_iterable(vec[i : i + half] for i in starts))
-    hi = list(itertools.chain.from_iterable(vec[i + half : i + chunk] for i in starts))
+    half, lo, hi = chunk // 2, [], []
+    for i in range(0, len(vec), chunk):
+        lo += vec[i : i + half]
+        hi += vec[i + half : i + chunk]
     if w != 1:
         hi = list(map(operator.mul, hi, itertools.repeat(w)))
     return list(map(operator.add, lo, hi)), list(map(operator.sub, lo, hi))
@@ -276,33 +270,35 @@ def lattice_fourier(samples: Sequence[complex], twiddles: Sequence) -> dict:
     tables' sizes alone.  A table without a fold takes each coefficient as one
     dot product of length n per line; a ``FoldedAxis`` first folds every line
     into one line of n / 2^folds points per residue of c mod 2^(folds + 1)
-    (``fold_count``), and then takes dot products of that length."""
+    (``fold_count``), and then takes dot products of that length.  The partial
+    sums are one flat list with a run per key, each key a tuple of doubled
+    coordinates in axis order whose slot j is filled when axis j is
+    contracted, so the keys come out in the order the contractions nest,
+    with no sort."""
     tables = [(t.factors, t.folds) if isinstance(t, FoldedAxis) else (t, 0) for t in twiddles]
     shape = [len(next(iter(factors.values()))) << folds for factors, folds in tables]
-    blocks = {(): list(samples)}
+    keys, vec = [(0,) * len(tables)], list(samples)  # one run of vec per key, in key order
     for j in sorted(range(len(tables)), key=lambda j: (len(tables[j][0]), -j)):
         factors, folds = tables[j]
-        n, inner = shape[j], math.prod(shape[j + 1 :])
-        shape[j] = 1
-        new: dict = {}
+        n, inner, shape[j] = shape[j], math.prod(shape[j + 1 :]), 1
         modulus = 2 << folds if folds else 1  # a line folded f times serves c mod 2^(f + 1)
-        for key, vec in blocks.items():
-            lines, chunk = {0: vec}, n * inner
-            for level in range(folds):
-                # a line folded to the residue b of c mod 2^(level + 1) splits
-                # into the residues b and b + 2^(level + 1) of c mod 2^(level + 2),
-                # its upper half weighted by e^{-pi i b / 2^(level + 1)}: 1, or
-                # -1j for b = 2 at the second fold
-                step, split = 2 << level, {}
-                for b, line in lines.items():
-                    split[b], split[b + step] = _split(line, chunk, -1j if b == 2 else 1)
-                lines, chunk = split, chunk // 2
-            rows = {b: _rows(line, n >> folds, inner) for b, line in lines.items()}
-            for c, tw in factors.items():
-                new[((j, c),) + key] = [sum(map(operator.mul, row, tw)) for row in rows[c % modulus]]
-        blocks = new
-    total = len(samples)
-    return {Weight(tuple(c for _, c in sorted(key))): vec[0] / total for key, vec in blocks.items()}
+        lines, chunk = {0: vec}, n * inner
+        for level in range(folds):
+            # a line folded to the residue b of c mod 2^(level + 1) splits
+            # into the residues b and b + 2^(level + 1) of c mod 2^(level + 2),
+            # its upper half weighted by e^{-pi i b / 2^(level + 1)}: 1, or
+            # -1j for b = 2 at the second fold
+            step, split = 2 << level, {}
+            for b, line in lines.items():
+                split[b], split[b + step] = _split(line, chunk, -1j if b == 2 else 1)
+            lines, chunk = split, chunk // 2
+        rows = {b: _rows(line, n >> folds, inner) for b, line in lines.items()}
+        dots = [[sum(map(operator.mul, row, tw)) for row in rows[c % modulus]] for c, tw in factors.items()]
+        # dots[c] runs over (key, line); the new runs are (key, c)
+        per = len(dots[0]) // len(keys)
+        vec = [x for i in range(0, len(dots[0]), per) for d in dots for x in d[i : i + per]]
+        keys = [key[:j] + (c,) + key[j + 1 :] for key in keys for c in factors]
+    return {Weight(key): x / len(samples) for key, x in zip(keys, vec)}
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +311,12 @@ def canonical_sign(w: Weight) -> Weight:
 
 def candidate_box(rank: int, bound: int) -> tuple[Weight, ...]:
     """Nonzero integral weights with fundamental coordinates in [-bound, bound],
-    one representative per +/- pair."""
-    box = itertools.product(range(-bound, bound + 1), repeat=rank)
-    seen = {canonical_sign(Weight(tuple(2 * f for f in fund))) for fund in box if any(fund)}
-    return tuple(sorted(seen, key=lambda w: w.coords2))
+    one representative per +/- pair: the ``canonical_sign`` one, listed in
+    increasing coords2 order directly, as i zeros, a first nonzero coordinate
+    in [1, bound] and any rest, for i from rank - 1 down to 0."""
+    box = range(-2 * bound, 2 * bound + 1, 2)
+    heads = [(0,) * i + (2 * f,) for i in reversed(range(rank)) for f in range(1, bound + 1)]
+    return tuple(Weight(head + rest) for head in heads for rest in itertools.product(box, repeat=rank - len(head)))
 
 
 def divide_binomial(poly: dict, beta: Weight) -> dict | None:
@@ -333,6 +331,8 @@ def divide_binomial(poly: dict, beta: Weight) -> dict | None:
     for e, a in poly.items():
         k = e[j] // b[j]
         lines.setdefault(tuple(x - k * y for x, y in zip(e, b)), {})[k] = a
+    if any(sum(line.values()) for line in lines.values()):
+        return None
     out = {}
     for base, line in lines.items():
         partial = 0
@@ -340,8 +340,6 @@ def divide_binomial(poly: dict, beta: Weight) -> dict | None:
             partial -= line.get(k, 0)
             if partial:
                 out[tuple(x + k * y + y // 2 for x, y in zip(base, b))] = partial
-        if partial:
-            return None
     return out
 
 
@@ -409,7 +407,7 @@ def _integral_reciprocal(family: ChiFamily, label: Weight) -> tuple[dict, float]
         if n % stride == 0:
             m = n // stride
             samples = _sublattice(family.values[label], n, rank, stride)
-            recip = [1 / v for v in _nonzero(samples, f"the lattice samples of {label}")]
+            recip = _quotients(itertools.repeat(1), samples, label)
             windows = [range(-c - m, -c + m) for c in label.coords2]
             twiddles = axis_twiddles(family, windows, stride)
             integral = []
@@ -470,8 +468,8 @@ class CharacterRecovery(NamedTuple):
 
 def recover_characters(family: ChiFamily, reference: Weight) -> CharacterRecovery:
     """Lattice character samples chi_j / chi_ref per label."""
-    v0 = _nonzero(family.values[reference], f"the lattice samples of {reference}")
-    char_lattice = {label: tuple(map(operator.truediv, family.values[label], v0)) for label in family.labels}
+    v0 = family.values[reference]
+    char_lattice = {label: _quotients(family.values[label], v0, reference) for label in family.labels}
     return CharacterRecovery(reference, char_lattice)
 
 
@@ -489,9 +487,9 @@ def recover_dims(family: ChiFamily, chars: CharacterRecovery) -> Dims:
     Dirichlet kernels sum_{|f| <= h} e^{-2 pi i f t} = sin((2h + 1) pi t) / sin(pi t),
     read from the lattice's table.  Each must sit within DIM_TOL of a positive
     integer."""
-    zeta, two_q, axes = _axis_points(family)
+    zeta, two_q = phase_tables(family.q), 2 * family.q
     width = 2 * ((family.axis_count - 1) // 2) + 1
-    dirichlet = [{0: [zeta[width * a % two_q].imag / zeta[a].imag for a in ax]} for ax in axes]
+    dirichlet = [{0: [zeta[width * a % two_q].imag / zeta[a].imag for a in ax]} for ax in family.axes]
     dims = Dims()
     dims.margin = 0.0
     for label in family.labels:

@@ -1,8 +1,10 @@
 """The golden corpus: CLI argument vectors with the exit code and stdout they
 gave when the corpus was captured (``golden_corpus.json``).  It holds the
 README examples, `orbint tannaka` on the reconstruct benchmark's three forms
-and labels and on compact(B4), and the seven cold_query queries of each of
-seeds 1 to 3.  Exit
+and labels and on compact(B4), `orbint -v tannaka` on those three forms
+(compact(A1) 0;1;2, su21 0,0;1,0;0,1 and sl2r 0;1;2, whose dim_margin and
+noncompact_residual pin the synthesis and Fourier transforms' doubles), and
+the seven cold_query queries of each of seeds 1 to 3.  Exit
 codes and every field that is not a float must match exactly; floats within
 4 ulp, because libm may round differently on another host.  A change meant to
 move a printed value shows here as a corpus diff."""
