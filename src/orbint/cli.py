@@ -33,7 +33,7 @@ from .rootsys import (
     weyl_order,
 )
 from .stable import continuity_check, formal_degree, lpacket_sum, stable_tau
-from .tannaka import run_reconstruction
+from .tannaka import DIM_TOL, run_reconstruction
 from .toruschar import (
     TorusPoint,
     _csum,
@@ -370,6 +370,7 @@ def cmd_tannaka(config: Config, args) -> int:
     }
     if config.verbosity:
         record["dim_margin"] = report.dims.margin  # the worst |raw - round(raw)| / DIM_TOL
+        record["spinor_margin"] = report.noncompact_residual / DIM_TOL  # the same for the spinor's coefficients
     emit(record)
     return 0
 

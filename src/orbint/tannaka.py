@@ -21,11 +21,15 @@ entry of the lattice's table of e^{i pi k/q} (``phase_tables``):
   the one candidate set whose binomials divide it exactly down to a unit, and
   |S| is the spin power;
 - a dimension is the value at the identity of chi_j / chi_ref, the sum of its
-  Fourier coefficients: one Dirichlet-kernel contraction;
+  Fourier coefficients: one Dirichlet-kernel dot product, none for the reference;
 - a highest weight is the dominant support weight with the largest
   |w + rho_c|, read from the dominant window of the box only, with each axis
   folded onto a quarter of its points first (``fold_count``); the reference
   label's character is 1, so its weight is 0 without a transform.
+
+A lattice's offsets, twiddle rows and Dirichlet rows are pure functions of
+(q, offsets, axis count), so ``phase_tables(q)`` keeps them as tuples no
+caller can change, and a later call on the same lattice reads the same doubles.
 """
 
 from __future__ import annotations
@@ -115,7 +119,9 @@ def synth_family(
         raise ValidationError("grid too coarse")
     # coordinate k of an axis with residue r is (97k + r)/q with q = 97n, in [0, 1)
     q = 97 * n
-    axes = tuple(tuple(97 * k + r for k in range(n)) for r in _grid_offsets(datum))
+    offsets = phase_tables(q).offsets
+    offsets[datum] = offsets.get(datum) or _grid_offsets(datum)
+    axes = tuple(tuple(97 * k + r for k in range(n)) for r in offsets[datum])
     family = ChiFamily(labels=tuple(key.lam for key in keys), axes=axes, q=q, values={})
     numerators = [tau_numerator(spec, key) for key in keys]
     if not numerators:
@@ -182,11 +188,11 @@ def _check_box(axis_count: int, bound: int) -> None:
 
 
 class _PhaseTable(dict):
-    """zeta[k] = e^{i pi k/q} for the lattice t = n/q, filled where read;
-    ``phase_tables(q)`` shares one per q across calls (the last four q)."""
+    """zeta[k] = e^{i pi k/q} for the lattice t = n/q, filled where read, and the
+    lattice's other constants; ``phase_tables(q)`` shares one per q (the last four q)."""
 
     def __init__(self, q: int):
-        self.q = q
+        self.q, self.offsets, self.rows, self.dirichlet = q, {}, {}, {}
 
     def __missing__(self, k: int) -> complex:
         value = self[k] = cmath.exp(1j * math.pi * ((k % (2 * self.q)) / self.q))
@@ -204,12 +210,14 @@ def axis_twiddles(
     t = a_k/q, k = 0, stride, 2 stride, ....  With ``fold``, an axis whose
     window holds only even c (integral weights) gets a ``FoldedAxis``: its
     factors at the first n / 2^folds of its n points, folds as
-    ``fold_count(n)``."""
+    ``fold_count(n)``.  Each row is built once per lattice (``phase_tables``)."""
     zeta, two_q, tables = phase_tables(family.q), 2 * family.q, []
-    for window, ax in zip(windows, (axis[::stride] for axis in family.axes)):
-        window = tuple(window)
+    for window, axis in zip(windows, family.axes):
+        window, ax = tuple(window), axis[::stride]
         folds = fold_count(len(ax)) if fold and all(c % 2 == 0 for c in window) else 0
-        table = {c: [zeta[-c * a % two_q] for a in ax[: len(ax) >> folds]] for c in window}
+        known, ax = zeta.rows.setdefault((axis[0], len(axis), stride, folds), {}), ax[: len(ax) >> folds]
+        known.update({c: tuple([zeta[-c * a % two_q] for a in ax]) for c in window if c not in known})
+        table = {c: known[c] for c in window}
         tables.append(FoldedAxis(table, folds) if folds else table)
     return tables
 
@@ -467,15 +475,15 @@ class CharacterRecovery(NamedTuple):
 
 
 def recover_characters(family: ChiFamily, reference: Weight) -> CharacterRecovery:
-    """Lattice character samples chi_j / chi_ref per label."""
-    v0 = family.values[reference]
-    char_lattice = {label: _quotients(family.values[label], v0, reference) for label in family.labels}
+    """Lattice character samples chi_j / chi_ref per label, exactly 1 for the reference."""
+    v0, ones = family.values[reference], (1 + 0j,) * family.lattice_size
+    char_lattice = {j: ones if j == reference else _quotients(family.values[j], v0, reference) for j in family.labels}
     return CharacterRecovery(reference, char_lattice)
 
 
 class Dims(dict):
     """K-type dimension per label; ``margin`` is the worst distance of a raw
-    dimension from its integer, over DIM_TOL (0.0 for no label)."""
+    dimension from its integer, over DIM_TOL (0.0 for no label read)."""
 
     __slots__ = ("margin",)
 
@@ -485,15 +493,19 @@ def recover_dims(family: ChiFamily, chars: CharacterRecovery) -> Dims:
     Fourier coefficients with fundamental coordinates f in (-n/2, n/2), which
     is the lattice mean of the ratio times the product of the per-axis
     Dirichlet kernels sum_{|f| <= h} e^{-2 pi i f t} = sin((2h + 1) pi t) / sin(pi t),
-    read from the lattice's table.  Each must sit within DIM_TOL of a positive
-    integer."""
-    zeta, two_q = phase_tables(family.q), 2 * family.q
+    read from the lattice's table, in one dot product with their product; each
+    must sit within DIM_TOL of a positive integer (the reference label's is 1)."""
+    zeta, two_q, ref = phase_tables(family.q), 2 * family.q, chars.reference_label
     width = 2 * ((family.axis_count - 1) // 2) + 1
-    dirichlet = [{0: [zeta[width * a % two_q].imag / zeta[a].imag for a in ax]} for ax in family.axes]
+    kernel = [1.0]
+    for axis in family.axes:
+        if (key := (axis[0], len(axis))) not in zeta.dirichlet:
+            zeta.dirichlet[key] = tuple([zeta[width * a % two_q].imag / zeta[a].imag for a in axis])
+        kernel = [x * y for x in kernel for y in zeta.dirichlet[key]]
     dims = Dims()
     dims.margin = 0.0
     for label in family.labels:
-        [raw] = lattice_fourier(chars.char_lattice[label], dirichlet).values()
+        [raw] = lattice_fourier(chars.char_lattice[label], [{0: kernel}]).values() if label != ref else [1]
         nearest = round(raw.real)
         if nearest < 1 or abs(raw - nearest) > DIM_TOL:
             raise ReconstructionError(f"dimension {raw!r} of label {label} is not a positive integer")
@@ -514,8 +526,7 @@ def recover_highest_weights(
     to the greater coords2.  In an irreducible representation the highest
     weight is the unique weight with the largest |mu + rho|; the greatest
     weight in lexicographic order need not be it.  The reference label's
-    character is its samples over themselves, 1 up to rounding, so its
-    weight is 0 without a transform.
+    character is 1, so its weight is 0 without a transform.
 
     Only the dominant window of the box is transformed: where the simple root
     alpha_j is one of ``dominance_roots``, a dominant weight has

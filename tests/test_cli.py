@@ -762,14 +762,18 @@ def test_reconstruction_bounds_are_refused_before_synthesis(capsys, monkeypatch,
 @pytest.mark.parametrize("preset, lambdas", [("su21", "0,0;1,0;0,1"), ("compact(A3)", "0,0,0;1,0,0;0,0,1")])
 def test_verbose_tannaka_adds_the_dim_margin(capsys, preset, lambdas):
     # -v only appends the worst distance of a raw dimension from its integer,
-    # over DIM_TOL; a margin of 1 or more would have been refused
+    # over DIM_TOL, and the same of the spinor's coefficients; a margin of 1 or
+    # more would have been refused
     _, plain, _ = run_cli(capsys, "tannaka", "--preset", preset, "--lambdas", lambdas)
     code, verbose, _ = run_cli(capsys, "-v", "tannaka", "--preset", preset, "--lambdas", lambdas)
     assert code == 0
     record = json.loads(verbose)
-    margin = record.pop("dim_margin")
+    assert list(record)[-2:] == ["dim_margin", "spinor_margin"]
+    margin, spinor_margin = record.pop("dim_margin"), record.pop("spinor_margin")
     assert record == json.loads(plain) and list(record) == list(json.loads(plain))
     assert 0 <= margin < 1
+    assert 0 <= spinor_margin < 1
+    assert spinor_margin == record["noncompact_residual"] / orbint.tannaka.DIM_TOL
 
 
 def test_candidate_box_stops_at_the_axis_count(monkeypatch):

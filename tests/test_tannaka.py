@@ -16,7 +16,7 @@ from orbint.errors import ReconstructionError, ValidationError
 from orbint.realform import generator_key, real_form
 from orbint.rootsys import Weight, is_dominant, pairing, rho, weight_multiplicities, weyl_dim
 from orbint.toruschar import TorusPoint, is_regular
-from orbint.verify import fourier_multiplicities, small_keys
+from orbint.verify import TANNAKA_CASES, _form, fourier_multiplicities, small_keys
 from weyl_oracles import painted_forms
 
 from orbint.tannaka import (
@@ -572,3 +572,88 @@ def test_integer_twiddles_match_the_float_formula(spec, axis_count, bound):
                 with mpmath.workdps(30):
                     exact = complex(mpmath.expjpi(-2 * f * (k + mpmath.mpf(r) / 97) / n))
                 assert abs(axis[2 * f][k] - exact) <= 2e-15
+
+
+def tannaka_case(name):
+    spec = _form(name)
+    return spec, [generator_key(spec, Weight(c)) for c in TANNAKA_CASES[name][0]]
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [("compact(A1)", "sl2r"), ("A3/paint1", "compact(A3)"), ("compact(B3)", "B3/paint0"), ("compact(B4)", "B4/paint0")],
+)
+def test_kept_lattice_constants_change_nothing(first, second):
+    # two forms on one datum share a lattice: in each order, from cleared
+    # caches, the first runs cold and the second warm, reading what the first
+    # kept; each form's report fields are the same cold and warm
+    cases = [tannaka_case(first), tannaka_case(second)]
+    lattices = [synth_family(spec, []) for spec, _ in cases]
+    assert len({(lattice.axes, lattice.q) for lattice in lattices}) == 1
+    runs = {spec.name: [] for spec, _ in cases}
+    for order in (cases, cases[::-1]):
+        orbint.tannaka.phase_tables.cache_clear()
+        for spec, keys in order:
+            report = run_reconstruction(spec, keys)
+            runs[spec.name].append((*report, report.dims.margin, list(report.dims.items())))
+    for name, (one, other) in runs.items():
+        assert one == other, name
+
+
+@pytest.mark.parametrize("fold", [False, True])
+def test_kept_twiddle_rows_are_the_rows_of_the_phase_table(fold):
+    # at every stride, folded or not: the kept rows are tuples equal to rows
+    # built straight from the lattice's table, and a second call reads them
+    orbint.tannaka.phase_tables.cache_clear()
+    family = synth_family(real_form("su21"), [])
+    zeta, two_q = orbint.tannaka.phase_tables(family.q), 2 * family.q
+    windows = [range(-12, 13, 2), range(-7, 8)]  # an even window folds, an odd one never does
+    for stride in (1, 2, 4, 8):
+        tables = orbint.tannaka.axis_twiddles(family, windows, stride, fold)
+        again = orbint.tannaka.axis_twiddles(family, windows, stride, fold)
+        for table, repeat, axis, window in zip(tables, again, family.axes, windows):
+            folds = table.folds if isinstance(table, orbint.tannaka.FoldedAxis) else 0
+            rows = table.factors if folds else table
+            assert folds == (orbint.tannaka.fold_count(64 // stride) if fold and window.step == 2 else 0)
+            assert list(rows) == list(window)
+            points = axis[::stride][: (64 // stride) >> folds]
+            for c, row in rows.items():
+                assert type(row) is tuple and row == tuple(zeta[-c * a % two_q] for a in points)
+                assert (repeat.factors if folds else repeat)[c] is row
+
+
+def contracted_dim(family, samples):
+    """The per-axis Dirichlet contraction that the one-dot read replaced: one
+    table per axis, contracted by ``lattice_fourier``."""
+    zeta, two_q = orbint.tannaka.phase_tables(family.q), 2 * family.q
+    width = 2 * ((family.axis_count - 1) // 2) + 1
+    dirichlet = [{0: [zeta[width * a % two_q].imag / zeta[a].imag for a in ax]} for ax in family.axes]
+    [raw] = lattice_fourier(samples, dirichlet).values()
+    return raw
+
+
+@pytest.mark.parametrize("name", sorted(TANNAKA_CASES))
+def test_one_dot_dimension_read_matches_the_contraction(monkeypatch, name):
+    # one lattice_fourier call per label but the reference, whose dimension is
+    # 1 unread; each read within 1e-12 relative of the per-axis contraction
+    spec, keys = tannaka_case(name)
+    family = synth_family(spec, keys)
+    ref = family.labels[0]
+    chars = recover_characters(family, ref)
+    assert chars.char_lattice[ref] == (1,) * family.lattice_size
+    reads = []
+    transform = orbint.tannaka.lattice_fourier
+    monkeypatch.setattr(
+        orbint.tannaka, "lattice_fourier", lambda x, tables: reads.append((x, transform(x, tables))) or reads[-1][1]
+    )
+    dims = recover_dims(family, chars)
+    assert dims[ref] == 1 and len(reads) == len(family.labels) - 1
+    raws = []
+    for label, (samples, coeffs) in zip(family.labels[1:], reads):
+        assert samples is chars.char_lattice[label]
+        [raw] = coeffs.values()
+        want = contracted_dim(family, samples)
+        assert abs(raw - want) <= 1e-12 * abs(want), (label, raw, want)
+        assert dims[label] == round(raw.real) == TANNAKA_CASES[name][1][family.labels.index(label)]
+        raws.append(raw)
+    assert dims.margin == max(abs(raw - round(raw.real)) / orbint.tannaka.DIM_TOL for raw in raws)
