@@ -12,8 +12,9 @@ entry of the lattice's table of e^{i pi k/q} (``phase_tables``):
 
 - synthesis (``synthesize``) evaluates a sparse Laurent polynomial, a key's
   numerator (``ktrace.tau_numerator``: its K-type's weight table or its
-  signed W_K orbit) or a root factor, at every point, one axis at a time;
-  the lattice's regularity rests on its offsets (``_grid_offsets``), and no
+  signed W_K orbit), at every point, one axis at a time, and divides it by
+  real sines read from a table of 2n per root (``sine_column``); the
+  lattice's regularity rests on its offsets (``_grid_offsets``), and no
   dual path is checked there, since both paths would divide one numerator;
 - the reference label is the first whose reciprocal is a Laurent polynomial
   with integer coefficients, +-e^mu prod_{beta in S} (e^{beta/2} - e^{-beta/2}),
@@ -27,9 +28,10 @@ entry of the lattice's table of e^{i pi k/q} (``phase_tables``):
   folded onto a quarter of its points first (``fold_count``); the reference
   label's character is 1, so its weight is 0 without a transform.
 
-A lattice's offsets, twiddle rows and Dirichlet rows are pure functions of
-(q, offsets, axis count), so ``phase_tables(q)`` keeps them as tuples no
-caller can change, and a later call on the same lattice reads the same doubles.
+A lattice's offsets, twiddle rows, sine tables and Dirichlet kernel (the largest:
+n^r floats, about 2 MB at 16^4) are pure functions of (q, offsets, axis count), so
+``phase_tables(q)`` keeps them, for the last four q, as tuples no caller can
+change, and a later call on the same lattice reads the same doubles.
 """
 
 from __future__ import annotations
@@ -110,9 +112,10 @@ def synth_family(
     Each key's numerator is its ``ktrace.tau_numerator``, synthesized on the
     lattice (``synthesize``): the K-type's weight table, whose sum chi_V is
     divided by (-1)^m spin_sign D_n, or the signed W_K orbit, divided by
-    (-1)^m spin_sign D.  Each root factor e^{beta/2} - e^{-beta/2} is
-    synthesized as a two-term polynomial, and the factors multiply pointwise;
-    D is only formed when some key is on the orbit route."""
+    (-1)^m spin_sign D.  A root factor is 2i sin(pi <beta/2, t>), so with p the
+    route's root count the exact (-1)^m spin_sign (2i)^p is folded into the
+    numerator's coefficients and the rest is a real product of ``sine_column``s:
+    none for a route with no roots, and D's only when a key is on the orbit route."""
     datum = spec.datum
     n = default_axis_count(datum.rank, axis_count)
     if n < 4:
@@ -127,22 +130,40 @@ def synth_family(
     if not numerators:
         return family
 
-    def times_factors(column: list, roots: Sequence[Weight]) -> list:
-        for beta in roots:
-            half = tuple(c // 2 for c in beta.coords2)
-            factor = synthesize(family, [(half, 1), (tuple(-c for c in half), -1)])
-            column = list(map(operator.mul, column, factor))
+    def times_sines(column: list | None, roots: Sequence[Weight]) -> list | None:
+        for sines in (sine_column(family, beta) for beta in roots):
+            column = sines if column is None else list(map(operator.mul, column, sines))
         return column
 
-    sign = complex((-1) ** (spec.dim_gk // 2) * spec.spin_sign)
-    denoms = {"weights": times_factors([sign] * family.lattice_size, spec.noncompact_positive)}
+    sign, noncompact = (-1) ** (spec.dim_gk // 2) * spec.spin_sign, spec.noncompact_positive
+    denoms = {"weights": (times_sines(None, noncompact), len(noncompact))}
     if any(numer.route == "orbit" for numer in numerators):
-        denoms["orbit"] = times_factors(denoms["weights"], spec.compact_positive)
+        denoms["orbit"] = (times_sines(denoms["weights"][0], spec.compact_positive), len(spec.positive_system))
     for key, numer in zip(keys, numerators):
-        terms = numer.terms
-        column = synthesize(family, zip(zip(*[iter(terms.coords)] * terms.rank), terms.signs))
-        family.values[key.lam] = tuple(map(operator.truediv, column, denoms[numer.route]))
+        terms, (den, p) = numer.terms, denoms[numer.route]
+        unit = sign * (-0.5j) ** p  # 1 / ((-1)^m spin_sign (2i)^p), exactly
+        column = synthesize(family, zip(zip(*[iter(terms.coords)] * terms.rank), map(unit.__mul__, terms.signs)))
+        family.values[key.lam] = tuple(column if den is None else map(operator.truediv, column, den))
     return family
+
+
+def sine_column(family: ChiFamily, beta: Weight) -> list[float]:
+    """sin(pi <beta/2, t>) at every lattice point, in product order.  With b = beta.coords2 // 2,
+    (97k + r)/q pairs to a/q, a = 97 <b, k> + <b, r>, and 97 * 2n = 2q, so its sine is entry
+    <b, k> mod 2n of one table of 2n per <b, r> (``phase_tables``), each (-1)^(a // q) sin(pi x/q)
+    with x the nearer to 0 of a mod q and q - a mod q, which keeps the digits near a wall.  A line
+    of the last axis starts at <b_head, head> mod 2n and steps by b_last mod 2n: one slice of the
+    table repeated (one entry n times for step 0)."""
+    zeta, n, q, b = phase_tables(family.q), family.axis_count, family.q, [c // 2 for c in beta.coords2]
+    if (shift := sum(c * axis[0] for c, axis in zip(b, family.axes))) not in zeta.sines:
+        pairings = range(shift, shift + 2 * q, 97)  # 97m + <b, r> for m in [0, 2n)
+        zeta.sines[shift] = tuple([(-1) ** (a // q) * math.sin(math.pi * min(a % q, q - a % q) / q) for a in pairings])
+    table, starts, step = zeta.sines[shift], [0], b[-1] % (2 * n)
+    for c in b[:-1]:
+        starts = [(x + c * k) % (2 * n) for x in starts for k in range(n)]
+    long = table * (2 + step // 2)
+    lines = {x: long[x : x + step * n : step] if step else (table[x],) * n for x in set(starts)}
+    return list(itertools.chain.from_iterable(map(lines.__getitem__, starts)))
 
 
 def synthesize(family: ChiFamily, terms: Iterable[tuple[tuple[int, ...], int]]) -> list[complex]:
@@ -192,7 +213,7 @@ class _PhaseTable(dict):
     lattice's other constants; ``phase_tables(q)`` shares one per q (the last four q)."""
 
     def __init__(self, q: int):
-        self.q, self.offsets, self.rows, self.dirichlet = q, {}, {}, {}
+        self.q, self.offsets, self.rows, self.dirichlet, self.sines = q, {}, {}, {}, {}
 
     def __missing__(self, k: int) -> complex:
         value = self[k] = cmath.exp(1j * math.pi * ((k % (2 * self.q)) / self.q))
@@ -493,15 +514,14 @@ def recover_dims(family: ChiFamily, chars: CharacterRecovery) -> Dims:
     Fourier coefficients with fundamental coordinates f in (-n/2, n/2), which
     is the lattice mean of the ratio times the product of the per-axis
     Dirichlet kernels sum_{|f| <= h} e^{-2 pi i f t} = sin((2h + 1) pi t) / sin(pi t),
-    read from the lattice's table, in one dot product with their product; each
+    in one dot product with their product, kept per lattice (``phase_tables``); each
     must sit within DIM_TOL of a positive integer (the reference label's is 1)."""
     zeta, two_q, ref = phase_tables(family.q), 2 * family.q, chars.reference_label
     width = 2 * ((family.axis_count - 1) // 2) + 1
-    kernel = [1.0]
-    for axis in family.axes:
-        if (key := (axis[0], len(axis))) not in zeta.dirichlet:
-            zeta.dirichlet[key] = tuple([zeta[width * a % two_q].imag / zeta[a].imag for a in axis])
-        kernel = [x * y for x in kernel for y in zeta.dirichlet[key]]
+    if (offsets := tuple(axis[0] for axis in family.axes)) not in zeta.dirichlet:
+        rows = [[zeta[width * a % two_q].imag / zeta[a].imag for a in axis] for axis in family.axes]
+        zeta.dirichlet[offsets] = tuple(map(math.prod, itertools.product(*rows)))
+    kernel = zeta.dirichlet[offsets]
     dims = Dims()
     dims.margin = 0.0
     for label in family.labels:

@@ -657,3 +657,103 @@ def test_one_dot_dimension_read_matches_the_contraction(monkeypatch, name):
         assert dims[label] == round(raw.real) == TANNAKA_CASES[name][1][family.labels.index(label)]
         raws.append(raw)
     assert dims.margin == max(abs(raw - round(raw.real)) / orbint.tannaka.DIM_TOL for raw in raws)
+
+
+# ---------------------------------------------------------------------------
+# the denominators' sine columns
+
+def brute_sine(a, q):
+    """sin(pi a/q) as (-1)^j sin(pi (a - j q)/q), with j the nearest integer to
+    a/q, so the argument lies in [-pi/2, pi/2]."""
+    j = (2 * a + q) // (2 * q)
+    return (-1) ** j * math.sin(math.pi * (a - j * q) / q)
+
+
+SLICE_CASES = [  # (n, b): last coordinates 0, negative and >= 2n among them
+    (n, b)
+    for n in (4, 5, 7, 16, 64)
+    for b in [(1,), (0,), (-3,), (2 * n + 1,), (2, -1), (-1, 0), (1, 2 * n), (3, 1, -2), (-2, 1, 0), (1, -1, 2, 2 * n + 3)]
+    if n ** len(b) <= orbint.tannaka.MAX_LATTICE_POINTS
+]
+
+
+@pytest.mark.parametrize("n, b", SLICE_CASES, ids=[f"n{n}-{b}" for n, b in SLICE_CASES])
+def test_sine_columns_read_each_points_own_pairing(n, b):
+    # every entry of the sliced column is the sine of the point's own pairing
+    # 97 <b, k> + <b, r>, exactly
+    q, rs = 97 * n, [5, 41, 96, 1][: len(b)]
+    family = orbint.tannaka.ChiFamily((), tuple(tuple(97 * k + r for k in range(n)) for r in rs), q, {})
+    column = orbint.tannaka.sine_column(family, Weight(tuple(2 * c for c in b)))
+    points = list(itertools.product(*family.axes))
+    assert len(column) == len(points)
+    assert column == [brute_sine(sum(c * a for c, a in zip(b, ns)), q) for ns in points]
+
+
+DATUM_CASES = {}  # one TANNAKA_CASES form per datum: forms on one datum share its lattice and roots
+for _name in TANNAKA_CASES:
+    DATUM_CASES.setdefault(_form(_name).datum, []).append(_name)
+
+
+@pytest.mark.parametrize("names", DATUM_CASES.values(), ids=["+".join(names) for names in DATUM_CASES.values()])
+def test_sine_columns_are_the_root_factors(names):
+    # 2i times each column is toruschar's root factor at every point of the
+    # forms' lattice, within 1e-12 relative; the smallest entry of each
+    # column, the point nearest a wall, within 1e-15 relative of mpmath
+    mpmath = pytest.importorskip("mpmath")
+    from orbint.toruschar import root_factors
+
+    spec = _form(names[0])
+    family = synth_family(spec, [])
+    assert all(synth_family(_form(name), []).axes == family.axes for name in names)
+    roots = spec.positive_system
+    columns = {beta: orbint.tannaka.sine_column(family, beta) for beta in roots}
+    for i, ns in enumerate(itertools.product(*family.axes)):
+        factors = root_factors(TorusPoint(tuple(Fraction(m, family.q) for m in ns)), roots).factors
+        for beta, factor in zip(roots, factors):
+            assert abs(2j * columns[beta][i] - factor) <= 1e-12 * abs(factor), (beta, ns)
+    lattice = list(itertools.product(*family.axes))
+    for beta, column in columns.items():
+        i = min(range(len(column)), key=lambda i: abs(column[i]))
+        a = sum(c // 2 * m for c, m in zip(beta.coords2, lattice[i]))
+        with mpmath.workdps(40):
+            exact = float(mpmath.sinpi(mpmath.mpf(a) / family.q))
+        assert abs(column[i] - exact) <= 1e-15 * abs(exact), (beta, lattice[i])
+
+
+def test_only_the_routes_roots_build_columns(monkeypatch):
+    # a compact form whose keys are all on the weight route divides by nothing
+    # and builds no column; su21's weight-route keys build D_n's columns only
+    from orbint.ktrace import tau_numerator
+
+    spec, keys = tannaka_case("compact(B4)")
+    assert all(tau_numerator(spec, key).route == "weights" for key in keys)
+    want = synth_family(spec, keys).values
+    build, built = orbint.tannaka.sine_column, []
+
+    def no_column(*args):
+        raise AssertionError("a sine column was built")
+
+    monkeypatch.setattr(orbint.tannaka, "sine_column", no_column)
+    assert synth_family(spec, keys).values == want
+    su21 = real_form("su21")
+    assert synth_family(su21, []).values == {}
+    keys = [key for key in small_keys(su21, 4) if tau_numerator(su21, key).route == "weights"]
+    assert keys
+    monkeypatch.setattr(orbint.tannaka, "sine_column", lambda family, beta: built.append(beta) or build(family, beta))
+    synth_family(su21, keys)
+    assert built == list(su21.noncompact_positive)
+
+
+def test_dirichlet_kernel_is_kept_per_lattice():
+    # the n^r kernel is built on a lattice's first dimension read, as the
+    # product of the per-axis rows, and a later read of that lattice reuses it
+    orbint.tannaka.phase_tables.cache_clear()
+    spec, keys = tannaka_case("su21")
+    family = synth_family(spec, keys)
+    chars = recover_characters(family, family.labels[0])
+    dims = recover_dims(family, chars)
+    zeta, two_q = orbint.tannaka.phase_tables(family.q), 2 * family.q
+    [kernel] = zeta.dirichlet.values()
+    rows = [[zeta[63 * a % two_q].imag / zeta[a].imag for a in axis] for axis in family.axes]
+    assert type(kernel) is tuple and kernel == tuple(x * y for x in rows[0] for y in rows[1])
+    assert recover_dims(family, chars) == dims and next(iter(zeta.dirichlet.values())) is kernel
