@@ -24,9 +24,12 @@ entry of the lattice's table of e^{i pi k/q} (``phase_tables``):
 - a dimension is the value at the identity of chi_j / chi_ref, the sum of its
   Fourier coefficients: one Dirichlet-kernel dot product, none for the reference;
 - a highest weight is the dominant support weight with the largest
-  |w + rho_c|, read from the dominant window of the box only, with each axis
-  folded onto a quarter of its points first (``fold_count``); the reference
-  label's character is 1, so its weight is 0 without a transform.
+  |w + rho_c|, read from the dominant window of the box only, on the coarsest
+  sub-lattice that resolves it (16 points per axis at the defaults, refined
+  until the window's coefficients are integers), with each axis folded onto a
+  quarter of its points first (``fold_count``); the reference label's
+  character is 1, so its weight is 0 without a transform, and a weight whose
+  Weyl dimension is not its label's is refused.
 
 A lattice's offsets, twiddle rows, sine tables and Dirichlet kernel (the largest:
 n^r floats, about 2 MB at 16^4) are pure functions of (q, offsets, axis count), so
@@ -43,12 +46,12 @@ import math
 import operator
 import random
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ReconstructionError, ValidationError
 from .ktrace import tau_numerator
 from .realform import GeneratorKey, RealFormSpec
-from .rootsys import CartanDatum, Weight, is_dominant, pairing, positive_roots, rho
+from .rootsys import CartanDatum, Weight, is_dominant, pairing, positive_roots, rho, weyl_dim
 from .toruschar import TorusPoint, is_regular
 
 DIM_TOL = 1e-3  # how far a dimension or a spinor coefficient may sit from an integer
@@ -394,8 +397,20 @@ def unit_factorizations(poly: dict, candidates: Sequence[Weight]) -> list[tuple[
     return found
 
 
-def _sublattice(values: Sequence, n: int, rank: int, stride: int) -> list:
+def _strides(n: int, coarsest: int) -> Iterator[int]:
+    """The strides a coarse-to-fine read tries: coarsest, halved down to 1,
+    each that divides n (a sub-lattice of n / stride points per axis)."""
+    while coarsest > 1:
+        if n % coarsest == 0:
+            yield coarsest
+        coarsest //= 2
+    yield 1
+
+
+def _sublattice(values: Sequence, n: int, rank: int, stride: int) -> Sequence:
     """The values at every ``stride``-th point per axis, in product order."""
+    if stride == 1:
+        return values
     index = [0]
     for axis in range(rank):
         step = n ** (rank - 1 - axis)
@@ -431,31 +446,27 @@ def _integral_reciprocal(family: ChiFamily, label: Weight) -> tuple[dict, float]
     is integral, computes one or two coefficients per class and stride rather
     than all (2m)^r of the window."""
     n, rank = family.axis_count, family.rank
-    stride = max(1, n // COARSEST_AXIS)
-    while True:
-        if n % stride == 0:
-            m = n // stride
-            samples = _sublattice(family.values[label], n, rank, stride)
-            recip = _quotients(itertools.repeat(1), samples, label)
-            windows = [range(-c - m, -c + m) for c in label.coords2]
-            twiddles = axis_twiddles(family, windows, stride)
-            integral = []
-            for parity in itertools.product((0, 1), repeat=rank):
-                tables = [{c: tw for c, tw in table.items() if c % 2 == p} for table, p in zip(twiddles, parity)]
-                nearest = [-c + (c + p) % 2 for c, p in zip(label.coords2, parity)]
-                below = nearest[:-1] + [nearest[-1] - 2]
-                if any(_off_integer(recip, tables, ks) for ks in (nearest, below)):
-                    continue
-                coeffs = lattice_fourier(recip, tables)
-                residual = max(abs(c - round(c.real)) for c in coeffs.values())
-                poly = {w.coords2: round(c.real) for w, c in coeffs.items() if round(c.real)}
-                if residual <= DIM_TOL and poly:
-                    integral.append((poly, residual))
-            if len(integral) == 1:
-                return integral[0]
-        if stride == 1:
-            return None
-        stride //= 2
+    for stride in _strides(n, max(1, n // COARSEST_AXIS)):
+        m = n // stride
+        samples = _sublattice(family.values[label], n, rank, stride)
+        recip = _quotients(itertools.repeat(1), samples, label)
+        windows = [range(-c - m, -c + m) for c in label.coords2]
+        twiddles = axis_twiddles(family, windows, stride)
+        integral = []
+        for parity in itertools.product((0, 1), repeat=rank):
+            tables = [{c: tw for c, tw in table.items() if c % 2 == p} for table, p in zip(twiddles, parity)]
+            nearest = [-c + (c + p) % 2 for c, p in zip(label.coords2, parity)]
+            below = nearest[:-1] + [nearest[-1] - 2]
+            if any(_off_integer(recip, tables, ks) for ks in (nearest, below)):
+                continue
+            coeffs = lattice_fourier(recip, tables)
+            residual = max(abs(c - round(c.real)) for c in coeffs.values())
+            poly = {w.coords2: round(c.real) for w, c in coeffs.items() if round(c.real)}
+            if residual <= DIM_TOL and poly:
+                integral.append((poly, residual))
+        if len(integral) == 1:
+            return integral[0]
+    return None
 
 
 class NoncompactRecovery(NamedTuple):
@@ -551,20 +562,35 @@ def recover_highest_weights(
     Only the dominant window of the box is transformed: where the simple root
     alpha_j is one of ``dominance_roots``, a dominant weight has
     f_j = <w, alpha_j^vee> >= 0, so axis j runs over [0, bound] and not
-    [-bound, bound].  Each axis is folded (``fold_count``)."""
-    _check_box(family.axis_count, bound)
+    [-bound, bound].  Each axis is folded (``fold_count``).
+
+    Each label is read on the coarsest sub-lattice first: the largest
+    power-of-two stride that divides n and leaves more than 2 bound points per
+    axis, halved (``_strides``) until every window coefficient sits within
+    DIM_TOL of an integer, and taken as it comes at stride 1.  chi_j / chi_ref
+    is a K-type character times a unit (the reference's K-type is
+    one-dimensional), so its coefficients are integers; a frequency beyond the
+    sub-lattice aliases onto the window times a phase of the offset, r/97, and
+    comes out non-integral rather than wrong, as in ``_integral_reciprocal``."""
+    n = family.axis_count
+    _check_box(n, bound)
     out = {}
     r = rho(dominance_roots, datum.rank)
     compact = set(dominance_roots)
     windows = [
         range(0 if alpha in compact else -2 * bound, 2 * bound + 1, 2) for alpha in positive_roots(datum)[: datum.rank]
     ]
-    twiddles = axis_twiddles(family, windows, fold=True)
+    twiddles = functools.cache(lambda stride: axis_twiddles(family, windows, stride, fold=True))
+    strides = list(_strides(n, 1 << ((n // (2 * bound + 1)).bit_length() - 1)))
     for label in family.labels:
         if label == chars.reference_label:
             out[label] = Weight((0,) * datum.rank)
             continue
-        coeffs = lattice_fourier(chars.char_lattice[label], twiddles)
+        for stride in strides:
+            samples = _sublattice(chars.char_lattice[label], n, family.rank, stride)
+            coeffs = lattice_fourier(samples, twiddles(stride))
+            if stride == 1 or all(abs(c - round(c.real)) <= DIM_TOL for c in coeffs.values()):
+                break
         dominant = [w for w, c in coeffs.items() if abs(c) > 0.5 and is_dominant(datum, w, dominance_roots)]
         if not dominant:
             raise ReconstructionError(f"no dominant weight with a Fourier coefficient above 1/2 for {label}")
@@ -597,7 +623,10 @@ def run_reconstruction(
     resolves, at most 6: min(6, (n - 1) // 2), which is 6 up to rank 4 at the
     default n.  Refused before any synthesis: a negative weight or candidate
     bound, a frequency box the grid cannot resolve, and a lattice of more than
-    MAX_LATTICE_POINTS points."""
+    MAX_LATTICE_POINTS points.  Refused after the read: a highest weight whose
+    Weyl dimension (``rootsys.weyl_dim`` over the compact roots) is not its
+    label's recovered dimension, as when the K-type's weights reach past the
+    box and the largest one inside it is read."""
     if weight_bound is not None and weight_bound < 0:
         raise ValidationError("the weight bound must be nonnegative")
     if candidate_bound < 0:
@@ -617,6 +646,12 @@ def run_reconstruction(
     highest = recover_highest_weights(
         family, chars, weight_bound, spec.datum, spec.compact_positive
     )
+    for label, weight in highest.items():
+        if (dim := weyl_dim(spec.datum, weight, spec.compact_positive)) != dims[label]:
+            raise ReconstructionError(
+                f"label {label}: the highest weight {weight} read in the box of --bound {weight_bound} has "
+                f"dimension {dim}, not the recovered {dims[label]}; its K-type's weights may reach past the box"
+            )
     return RecoveryReport(
         labels=family.labels,
         dims=dims,

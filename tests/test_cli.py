@@ -745,6 +745,22 @@ def test_too_large_frequency_box_exits_2(capsys):
     assert err == "error: grid too coarse for the requested frequency box\n"
 
 
+def test_a_k_type_past_the_weight_box_exits_2_and_a_wider_box_reads_it(capsys):
+    # dimension 11, weights up to 10: at the default --bound 6 the largest weight
+    # in the box, 6, would be read as the highest; a box of 10 holds them all
+    code, out, err = run_cli(capsys, "tannaka", "--preset", "compact(A1)", "--lambdas", "0;10")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: label (10): the highest weight (6) read in the box of --bound 6 has dimension 7, "
+        "not the recovered 11; its K-type's weights may reach past the box\n"
+    )
+    code, out, err = run_cli(capsys, "tannaka", "--preset", "compact(A1)", "--lambdas", "0;10", "--bound", "10")
+    assert code == 0 and err == ""
+    record = json.loads(out)
+    assert record["dims"][1] == {"lambda2": [20], "dim": 11}
+    assert record["highest_weights"][1] == {"lambda2": [20], "weight2": [20]}
+
+
 @pytest.mark.parametrize("extra, message", [
     (("--bound", "-3"), "the weight bound must be nonnegative"),
     (("--candidate-bound", "-1"), "the candidate bound must be nonnegative"),

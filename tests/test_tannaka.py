@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import orbint.tannaka
 from orbint.errors import ReconstructionError, ValidationError
 from orbint.realform import generator_key, real_form
-from orbint.rootsys import Weight, is_dominant, pairing, rho, weight_multiplicities, weyl_dim
+from orbint.rootsys import Weight, is_dominant, pairing, positive_roots, rho, weight_multiplicities, weyl_dim
 from orbint.toruschar import TorusPoint, is_regular
 from orbint.verify import TANNAKA_CASES, _form, fourier_multiplicities, small_keys
 from weyl_oracles import painted_forms
@@ -549,6 +549,89 @@ def test_reference_shortcut_matches_the_full_transform(spec, coords, axis_count,
     coeffs = lattice_fourier(chars.char_lattice[ref], lattice_twiddles(family, bound))
     assert all(abs(c) < 1e-15 for w, c in coeffs.items() if not w.is_zero)
     assert got[chars.reference_label].is_zero
+
+
+def full_lattice_highest_weights(family, chars, bound, datum, dominance_roots):
+    """``recover_highest_weights`` as it was before the sub-lattice read: each
+    label but the reference transformed on the whole lattice, its dominant
+    window folded; None where no dominant coefficient exceeds 1/2."""
+    r = rho(dominance_roots, datum.rank)
+    compact = set(dominance_roots)
+    windows = [
+        range(0 if alpha in compact else -2 * bound, 2 * bound + 1, 2) for alpha in positive_roots(datum)[: datum.rank]
+    ]
+    twiddles = orbint.tannaka.axis_twiddles(family, windows, fold=True)
+    out = {chars.reference_label: Weight((0,) * datum.rank)}
+    for label in family.labels:
+        if label != chars.reference_label:
+            coeffs = lattice_fourier(chars.char_lattice[label], twiddles)
+            dominant = [w for w, c in coeffs.items() if abs(c) > 0.5 and is_dominant(datum, w, dominance_roots)]
+            out[label] = max(dominant, key=lambda w: (pairing(datum, w + r, w + r), w.coords2)) if dominant else None
+    return out
+
+
+SUBLATTICE_SWEEP = [  # (form, largest doubled coordinate, labels that must refine)
+    ("su21", 24, [(0, 20), (20, 0)]),
+    ("compact(A1)", 58, [(20,), (58,)]),
+    ("sl2r", 58, [(20,)]),
+    ("compact(B2)", 12, [(4, 12), (10, 0)]),
+    ("compact(A2)", 12, [(12, 12)]),
+]
+
+
+@pytest.mark.parametrize("name, top, refining", SUBLATTICE_SWEEP, ids=[case[0] for case in SUBLATTICE_SWEEP])
+def test_sub_lattice_highest_weights_match_the_full_lattice_read(monkeypatch, name, top, refining):
+    # every generator label with doubled coordinates in [0, top], at the
+    # default axis count and bound (64 and 6): the same weight as the whole
+    # lattice's read, or the same refusal, labels past the box included; each
+    # read starts on 16 points per axis, and the named labels refine
+    spec = real_form(name)
+    keys = []
+    for coords in itertools.product(range(top + 1), repeat=spec.rank):
+        try:
+            keys.append(generator_key(spec, Weight(coords)))
+        except ValidationError:
+            pass
+    family = synth_family(spec, keys)
+    assert family.axis_count == 64
+    chars = recover_characters(family, recover_noncompact_weights(family, candidate_box(spec.rank, 3)).reference_label)
+    want = full_lattice_highest_weights(family, chars, 6, spec.datum, spec.compact_positive)
+    strides, sublattice = [], orbint.tannaka._sublattice
+    monkeypatch.setattr(orbint.tannaka, "_sublattice", lambda v, n, r, s: strides.append(s) or sublattice(v, n, r, s))
+    refined = set()
+    for label in family.labels:
+        strides.clear()
+        try:
+            got = recover_highest_weights(family._replace(labels=(label,)), chars, 6, spec.datum, spec.compact_positive)
+        except ReconstructionError:
+            got = {label: None}
+        assert got[label] == want[label], label
+        if label != chars.reference_label:
+            assert strides[0] == 4 and strides == sorted(strides, reverse=True), (label, strides)
+            if len(strides) > 1:
+                refined.add(label.coords2)
+    assert set(refining) <= refined
+
+
+def test_a_highest_weight_is_checked_against_its_dimension():
+    # (10) has dimension 11 but weights up to 10: the box of bound 6 holds its
+    # weights up to 6, and the largest of them, read as its highest weight,
+    # would have dimension 7; a box of bound 10 holds them all
+    keys = keys_of(CA1, [(0,), (20,)])
+    with pytest.raises(ReconstructionError, match=r"read in the box of --bound 6 has dimension 7, not the recovered 11"):
+        run_reconstruction(CA1, keys)
+    report = run_reconstruction(CA1, keys, weight_bound=10)
+    assert report.highest_weights[Weight((20,))] == Weight((20,)) and report.dims[Weight((20,))] == 11
+    for name, (coords, dims) in TANNAKA_CASES.items():
+        spec = _form(name)
+        labels = [Weight(c) for c in coords]
+        assert [weyl_dim(spec.datum, lab - labels[0], spec.compact_positive) for lab in labels] == list(dims)
+
+
+def test_strides_run_coarse_to_fine_through_the_divisors():
+    strides = orbint.tannaka._strides
+    assert list(strides(64, 8)) == [8, 4, 2, 1] and list(strides(64, 1)) == [1]
+    assert list(strides(24, 3)) == [3, 1] and list(strides(40, 5)) == [5, 2, 1] and list(strides(15, 4)) == [1]
 
 
 @pytest.mark.parametrize(
