@@ -26,8 +26,7 @@ entry of the lattice's table of e^{i pi k/q} (``phase_tables``):
 - a highest weight is the dominant support weight with the largest
   |w + rho_c|, read from the dominant window of the box only, on the coarsest
   sub-lattice that resolves it (16 points per axis at the defaults, refined
-  until the window's coefficients are integers), with each axis folded onto a
-  quarter of its points first (``fold_count``); the reference label's
+  until the window's coefficients are integers); the reference label's
   character is 1, so its weight is 0 without a transform, and a weight whose
   Weyl dimension is not its label's is refused.
 
@@ -46,7 +45,7 @@ import math
 import operator
 import random
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ReconstructionError, ValidationError
 from .ktrace import tau_numerator
@@ -226,61 +225,17 @@ class _PhaseTable(dict):
 phase_tables = functools.lru_cache(maxsize=4)(_PhaseTable)
 
 
-def axis_twiddles(
-    family: ChiFamily, windows: Sequence[Iterable[int]], stride: int = 1, fold: bool = False
-) -> list:
+def axis_twiddles(family: ChiFamily, windows: Sequence[Collection[int]], stride: int = 1) -> list[dict]:
     """Per axis j and doubled frequency c in windows[j], the factors
     e^{-pi i c t} = zeta[-c a_k mod 2q] (``phase_tables``) at the points
-    t = a_k/q, k = 0, stride, 2 stride, ....  With ``fold``, an axis whose
-    window holds only even c (integral weights) gets a ``FoldedAxis``: its
-    factors at the first n / 2^folds of its n points, folds as
-    ``fold_count(n)``.  Each row is built once per lattice (``phase_tables``)."""
+    t = a_k/q, k = 0, stride, 2 stride, ....  Each row is built once per
+    lattice (``phase_tables``)."""
     zeta, two_q, tables = phase_tables(family.q), 2 * family.q, []
     for window, axis in zip(windows, family.axes):
-        window, ax = tuple(window), axis[::stride]
-        folds = fold_count(len(ax)) if fold and all(c % 2 == 0 for c in window) else 0
-        known, ax = zeta.rows.setdefault((axis[0], len(axis), stride, folds), {}), ax[: len(ax) >> folds]
+        known, ax = zeta.rows.setdefault((axis[0], len(axis), stride), {}), axis[::stride]
         known.update({c: tuple([zeta[-c * a % two_q] for a in ax]) for c in window if c not in known})
-        table = {c: known[c] for c in window}
-        tables.append(FoldedAxis(table, folds) if folds else table)
+        tables.append({c: known[c] for c in window})
     return tables
-
-
-def lattice_twiddles(family: ChiFamily, bound: int) -> list[dict]:
-    """``axis_twiddles`` of the integral weights with fundamental coordinates in
-    [-bound, bound], keyed by doubled coordinate."""
-    _check_box(family.axis_count, bound)
-    return axis_twiddles(family, [range(-2 * bound, 2 * bound + 1, 2)] * family.rank)
-
-
-class FoldedAxis(NamedTuple):
-    """An axis table that carries its fold: the factors of even doubled
-    frequencies c at the first n / 2^folds of the axis's n points."""
-
-    factors: dict
-    folds: int
-
-
-def fold_count(n: int) -> int:
-    """How often an axis of n points folds: twice if 4 | n, once if 2 | n.
-    Axis j holds a_k = 97k + r_j over q = 97n, so a_{k + n/2} = a_k + q/2 and
-    a_{k + n/4} = a_k + q/4, and the factor of doubled frequency c = 2f there
-    is its factor at k times e^{-pi i c/2} = (-1)^f, or e^{-pi i c/4} = (-i)^f:
-    exact, so a row folds by additions, subtractions and products with +-1j.
-    At k + n/8 the factor would be an eighth root of unity, which is not."""
-    return 2 if n % 4 == 0 else 1 if n % 2 == 0 else 0
-
-
-def _split(vec: list, chunk: int, w: complex) -> tuple[list, list]:
-    """Each run of ``chunk`` entries of ``vec`` folded onto its lower half in
-    the two ways lower + w * upper and lower - w * upper."""
-    half, lo, hi = chunk // 2, [], []
-    for i in range(0, len(vec), chunk):
-        lo += vec[i : i + half]
-        hi += vec[i + half : i + chunk]
-    if w != 1:
-        hi = list(map(operator.mul, hi, itertools.repeat(w)))
-    return list(map(operator.add, lo, hi)), list(map(operator.sub, lo, hi))
 
 
 def _rows(vec: list, n: int, inner: int) -> list:
@@ -291,46 +246,31 @@ def _rows(vec: list, n: int, inner: int) -> list:
     return [vec[i + k : i + span : inner] for i in range(0, len(vec), span) for k in range(inner)]
 
 
-def lattice_fourier(samples: Sequence[complex], twiddles: Sequence) -> dict:
+def lattice_fourier(samples: Sequence[complex], twiddles: Sequence[dict]) -> dict:
     """Discrete Fourier inner products <chi, e^mu> over a (sub-)lattice, one per
     choice of a key on each axis of ``twiddles`` (as axis_twiddles'), keyed by
-    the weight with those doubled coordinates; the samples are in
+    the tuple of those doubled coordinates, mu.coords2 (a caller builds a
+    ``Weight`` only for the few coefficients it keeps); the samples are in
     ``itertools.product`` order over the axes' points.
 
     The axes are contracted one at a time, the one with the fewest keys first
     and, among equals, the last first, so the order of the sums depends on the
-    tables' sizes alone.  A table without a fold takes each coefficient as one
-    dot product of length n per line; a ``FoldedAxis`` first folds every line
-    into one line of n / 2^folds points per residue of c mod 2^(folds + 1)
-    (``fold_count``), and then takes dot products of that length.  The partial
-    sums are one flat list with a run per key, each key a tuple of doubled
-    coordinates in axis order whose slot j is filled when axis j is
-    contracted, so the keys come out in the order the contractions nest,
-    with no sort."""
-    tables = [(t.factors, t.folds) if isinstance(t, FoldedAxis) else (t, 0) for t in twiddles]
-    shape = [len(next(iter(factors.values()))) << folds for factors, folds in tables]
-    keys, vec = [(0,) * len(tables)], list(samples)  # one run of vec per key, in key order
-    for j in sorted(range(len(tables)), key=lambda j: (len(tables[j][0]), -j)):
-        factors, folds = tables[j]
+    tables' sizes alone.  Each coefficient is one dot product of length n per
+    line.  The partial sums are one flat list with a run per key, each key a
+    tuple of doubled coordinates in axis order whose slot j is filled when
+    axis j is contracted, so the keys come out in the order the contractions
+    nest, with no sort."""
+    shape = [len(next(iter(table.values()))) for table in twiddles]
+    keys, vec = [(0,) * len(twiddles)], list(samples)  # one run of vec per key, in key order
+    for j in sorted(range(len(twiddles)), key=lambda j: (len(twiddles[j]), -j)):
         n, inner, shape[j] = shape[j], math.prod(shape[j + 1 :]), 1
-        modulus = 2 << folds if folds else 1  # a line folded f times serves c mod 2^(f + 1)
-        lines, chunk = {0: vec}, n * inner
-        for level in range(folds):
-            # a line folded to the residue b of c mod 2^(level + 1) splits
-            # into the residues b and b + 2^(level + 1) of c mod 2^(level + 2),
-            # its upper half weighted by e^{-pi i b / 2^(level + 1)}: 1, or
-            # -1j for b = 2 at the second fold
-            step, split = 2 << level, {}
-            for b, line in lines.items():
-                split[b], split[b + step] = _split(line, chunk, -1j if b == 2 else 1)
-            lines, chunk = split, chunk // 2
-        rows = {b: _rows(line, n >> folds, inner) for b, line in lines.items()}
-        dots = [[sum(map(operator.mul, row, tw)) for row in rows[c % modulus]] for c, tw in factors.items()]
+        rows = _rows(vec, n, inner)
+        dots = [[sum(map(operator.mul, row, tw)) for row in rows] for tw in twiddles[j].values()]
         # dots[c] runs over (key, line); the new runs are (key, c)
         per = len(dots[0]) // len(keys)
         vec = [x for i in range(0, len(dots[0]), per) for d in dots for x in d[i : i + per]]
-        keys = [key[:j] + (c,) + key[j + 1 :] for key in keys for c in factors]
-    return {Weight(key): x / len(samples) for key, x in zip(keys, vec)}
+        keys = [key[:j] + (c,) + key[j + 1 :] for key in keys for c in twiddles[j]]
+    return {key: x / len(samples) for key, x in zip(keys, vec)}
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +401,7 @@ def _integral_reciprocal(family: ChiFamily, label: Weight) -> tuple[dict, float]
                 continue
             coeffs = lattice_fourier(recip, tables)
             residual = max(abs(c - round(c.real)) for c in coeffs.values())
-            poly = {w.coords2: round(c.real) for w, c in coeffs.items() if round(c.real)}
+            poly = {k: round(c.real) for k, c in coeffs.items() if round(c.real)}
             if residual <= DIM_TOL and poly:
                 integral.append((poly, residual))
         if len(integral) == 1:
@@ -562,7 +502,7 @@ def recover_highest_weights(
     Only the dominant window of the box is transformed: where the simple root
     alpha_j is one of ``dominance_roots``, a dominant weight has
     f_j = <w, alpha_j^vee> >= 0, so axis j runs over [0, bound] and not
-    [-bound, bound].  Each axis is folded (``fold_count``).
+    [-bound, bound].
 
     Each label is read on the coarsest sub-lattice first: the largest
     power-of-two stride that divides n and leaves more than 2 bound points per
@@ -580,7 +520,6 @@ def recover_highest_weights(
     windows = [
         range(0 if alpha in compact else -2 * bound, 2 * bound + 1, 2) for alpha in positive_roots(datum)[: datum.rank]
     ]
-    twiddles = functools.cache(lambda stride: axis_twiddles(family, windows, stride, fold=True))
     strides = list(_strides(n, 1 << ((n // (2 * bound + 1)).bit_length() - 1)))
     for label in family.labels:
         if label == chars.reference_label:
@@ -588,12 +527,16 @@ def recover_highest_weights(
             continue
         for stride in strides:
             samples = _sublattice(chars.char_lattice[label], n, family.rank, stride)
-            coeffs = lattice_fourier(samples, twiddles(stride))
+            coeffs = lattice_fourier(samples, axis_twiddles(family, windows, stride))
             if stride == 1 or all(abs(c - round(c.real)) <= DIM_TOL for c in coeffs.values()):
                 break
-        dominant = [w for w, c in coeffs.items() if abs(c) > 0.5 and is_dominant(datum, w, dominance_roots)]
+        heavy = (Weight(k) for k, c in coeffs.items() if abs(c) > 0.5)
+        dominant = [w for w in heavy if is_dominant(datum, w, dominance_roots)]
         if not dominant:
-            raise ReconstructionError(f"no dominant weight with a Fourier coefficient above 1/2 for {label}")
+            raise ReconstructionError(
+                f"label {label}: no dominant weight in the box of --bound {bound} has a Fourier coefficient "
+                "above 1/2; its K-type's weights may lie past the box"
+            )
         out[label] = max(dominant, key=lambda w: (pairing(datum, w + r, w + r), w.coords2))
     return out
 

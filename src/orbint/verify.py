@@ -60,7 +60,7 @@ from .stable import (
     lpacket_sum,
     stable_tau,
 )
-from .tannaka import ChiFamily, canonical_sign, lattice_fourier, lattice_twiddles, run_reconstruction
+from .tannaka import ChiFamily, _check_box, axis_twiddles, canonical_sign, lattice_fourier, run_reconstruction
 from .toruschar import (
     ConjugacyDescriptor,
     TorusPoint,
@@ -170,13 +170,20 @@ def key_from_json(spec: RealFormSpec, data) -> GeneratorKey:
     return generator_key(spec, lam)
 
 
+def lattice_twiddles(family: ChiFamily, bound: int) -> list[dict]:
+    """``tannaka.axis_twiddles`` of the integral weights with fundamental
+    coordinates in [-bound, bound], keyed by doubled coordinate."""
+    _check_box(family.axis_count, bound)
+    return axis_twiddles(family, [range(-2 * bound, 2 * bound + 1, 2)] * family.rank)
+
+
 def fourier_multiplicities(family: ChiFamily, samples: Sequence[complex], bound: int) -> dict:
     """Rounded integer weight multiplicities of a sampled character."""
     out = {}
-    for w, c in lattice_fourier(samples, lattice_twiddles(family, bound)).items():
+    for k, c in lattice_fourier(samples, lattice_twiddles(family, bound)).items():
         nearest = round(c.real)
         if nearest != 0 and abs(c - nearest) < 0.5:
-            out[w] = nearest
+            out[Weight(k)] = nearest
     return out
 
 

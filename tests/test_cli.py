@@ -761,6 +761,22 @@ def test_a_k_type_past_the_weight_box_exits_2_and_a_wider_box_reads_it(capsys):
     assert record["highest_weights"][1] == {"lambda2": [20], "weight2": [20]}
 
 
+def test_a_k_type_wholly_past_the_weight_box_names_the_bound(capsys):
+    # a one-dimensional K-type whose one weight, 10 on the noncompact axis,
+    # lies past the default box of 6: no dominant weight is read at all
+    code, out, err = run_cli(capsys, "tannaka", "--preset", "su21", "--lambdas", "0,0;0,10")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: label (0, 10): no dominant weight in the box of --bound 6 has a Fourier coefficient above 1/2; "
+        "its K-type's weights may lie past the box\n"
+    )
+    code, out, err = run_cli(capsys, "tannaka", "--preset", "su21", "--lambdas", "0,0;0,10", "--bound", "10")
+    assert code == 0 and err == ""
+    record = json.loads(out)
+    assert record["dims"][1] == {"lambda2": [0, 20], "dim": 1}
+    assert record["highest_weights"][1] == {"lambda2": [0, 20], "weight2": [0, 20]}
+
+
 @pytest.mark.parametrize("extra, message", [
     (("--bound", "-3"), "the weight bound must be nonnegative"),
     (("--candidate-bound", "-1"), "the candidate bound must be nonnegative"),

@@ -4,6 +4,7 @@ import cmath
 import functools
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from orbint.errors import ReconstructionError, ValidationError
 from orbint.realform import generator_key, real_form
 from orbint.rootsys import Weight, is_dominant, pairing, positive_roots, rho, weight_multiplicities, weyl_dim
 from orbint.toruschar import TorusPoint, is_regular
-from orbint.verify import TANNAKA_CASES, _form, fourier_multiplicities, small_keys
+from orbint.verify import TANNAKA_CASES, _form, fourier_multiplicities, lattice_twiddles, small_keys
 from weyl_oracles import painted_forms
 
 from orbint.tannaka import (
@@ -25,7 +26,6 @@ from orbint.tannaka import (
     canonical_sign,
     divide_binomial,
     lattice_fourier,
-    lattice_twiddles,
     recover_characters,
     recover_dims,
     recover_highest_weights,
@@ -88,8 +88,8 @@ def test_fourier_coefficient_accuracy():
     family = synth_family(CA1, keys)
     chars = recover_characters(family, Weight((0,)))
     coeffs = lattice_fourier(chars.char_lattice[Weight((2,))], lattice_twiddles(family, 5))
-    for w, c in coeffs.items():
-        expected = 1.0 if w.coords2 in ((2,), (-2,)) else 0.0
+    for k, c in coeffs.items():
+        expected = 1.0 if k in ((2,), (-2,)) else 0.0
         assert abs(c - expected) <= 1e-6
 
 
@@ -256,8 +256,8 @@ def whole_window_reciprocal(family, label):
             windows = [range(-c - m, -c + m) for c in label.coords2]
             coeffs = lattice_fourier(recip, orbint.tannaka.axis_twiddles(family, windows, stride))
             classes = {}
-            for w, c in coeffs.items():
-                classes.setdefault(tuple(x % 2 for x in w.coords2), []).append((w.coords2, c))
+            for k, c in coeffs.items():
+                classes.setdefault(tuple(x % 2 for x in k), []).append((k, c))
             integral = []
             for members in classes.values():
                 residual = max(abs(c - round(c.real)) for _, c in members)
@@ -488,42 +488,46 @@ def full_transform_highest_weights(family, chars, bound, datum, dominance_roots)
     out = {}
     for label in family.labels:
         coeffs = lattice_fourier(chars.char_lattice[label], twiddles)
-        dominant = [w for w, c in coeffs.items() if abs(c) > 0.5 and is_dominant(datum, w, dominance_roots)]
+        heavy = (Weight(k) for k, c in coeffs.items() if abs(c) > 0.5)
+        dominant = [w for w in heavy if is_dominant(datum, w, dominance_roots)]
         out[label] = max(dominant, key=lambda w: (pairing(datum, w + r, w + r), w.coords2))
     return out
 
 
-FOLD_CASES = [  # (form, axis count, folds per axis, window name, windows as fundamental-coordinate ranges)
-    ("su21", n, folds, window, ranges)
-    for n, folds in ((64, 2), (24, 2), (30, 1), (15, 0))
+TRANSFORM_CASES = [  # (form, axis count, window name, windows as fundamental-coordinate ranges, stride)
+    ("su21", n, window, ranges, stride)
+    for n in (64, 24, 30, 15)
     for window, ranges in (("full", [(-6, 6), (-6, 6)]), ("dominant", [(0, 6), (-6, 6)]))
+    for stride in (1, 2, 4)
+    if n % stride == 0
 ]
 # a middle axis contracted first: lines strided across the later axis and chunked by the earlier
-FOLD_CASES += [("A3/paint1", 12, 2, "mixed", [(-2, 2), (0, 1), (-3, 3)])]
+TRANSFORM_CASES += [("A3/paint1", 12, "mixed", [(-2, 2), (0, 1), (-3, 3)], stride) for stride in (1, 2, 4)]
 
 
 @pytest.mark.parametrize(
-    "name, axis_count, folds, window, ranges", FOLD_CASES, ids=[f"{c[0]}-{c[1]}-{c[3]}" for c in FOLD_CASES]
+    "name, axis_count, window, ranges, stride",
+    TRANSFORM_CASES,
+    ids=[f"{c[0]}-{c[1]}-{c[2]}-stride{c[4]}" for c in TRANSFORM_CASES],
 )
-def test_folded_transform_matches_the_plain_sums(name, axis_count, folds, window, ranges):
-    # each coefficient of the folded transform within 1e-13 sum|x|/N of the
-    # plain dot products over the same lattice twiddles, on random samples
+def test_transform_matches_per_coefficient_dot_products(name, axis_count, window, ranges, stride):
+    # each coefficient of the transform on the sub-lattice of every stride-th
+    # point within 1e-13 sum|x|/N of its own dot product, over all N points, of
+    # the samples with the product of its per-axis twiddles, on random samples
     spec = painted_forms("A3", [(1,)])[0] if name == "A3/paint1" else real_form(name)
     family = synth_family(spec, [], axis_count)
     windows = [range(2 * lo, 2 * hi + 1, 2) for lo, hi in ranges]
-    folded = orbint.tannaka.axis_twiddles(family, windows, fold=True)
-    plain = orbint.tannaka.axis_twiddles(family, windows)
-    for table in folded:
-        assert (table.folds if isinstance(table, orbint.tannaka.FoldedAxis) else 0) == folds
-    rng = random.Random(axis_count)
-    samples = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(family.lattice_size)]
-    want = lattice_fourier(samples, plain)
-    got = lattice_fourier(samples, folded)
-    assert set(got) == set(want) == {Weight(c) for c in itertools.product(*windows)}
+    tables = orbint.tannaka.axis_twiddles(family, windows, stride)
+    rng = random.Random(axis_count * stride)
+    samples = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range((axis_count // stride) ** spec.rank)]
+    got = lattice_fourier(samples, tables)
+    assert set(got) == set(itertools.product(*windows))
     tol = 1e-13 * sum(map(abs, samples)) / len(samples)
-    assert all(abs(got[w] - want[w]) <= tol for w in want)
-    # a window with an odd doubled frequency (a half-integral weight) does not fold
-    assert all(isinstance(t, dict) for t in orbint.tannaka.axis_twiddles(family, [range(-1, 2)] * spec.rank, fold=True))
+    for k, coeff in got.items():
+        factors = [1]
+        for table, c in zip(tables, k):
+            factors = [x * y for x in factors for y in table[c]]
+        assert abs(coeff - sum(map(operator.mul, samples, factors)) / len(samples)) <= tol, k
 
 
 HW_CASES = [  # (spec, keys, axis count, weight bound)
@@ -547,25 +551,26 @@ def test_reference_shortcut_matches_the_full_transform(spec, coords, axis_count,
     assert got == full_transform_highest_weights(family, chars, bound, spec.datum, spec.compact_positive)
     # the reference character is 1 up to rounding: its weight 0 is all there is
     coeffs = lattice_fourier(chars.char_lattice[ref], lattice_twiddles(family, bound))
-    assert all(abs(c) < 1e-15 for w, c in coeffs.items() if not w.is_zero)
+    assert all(abs(c) < 1e-15 for k, c in coeffs.items() if any(k))
     assert got[chars.reference_label].is_zero
 
 
 def full_lattice_highest_weights(family, chars, bound, datum, dominance_roots):
     """``recover_highest_weights`` as it was before the sub-lattice read: each
     label but the reference transformed on the whole lattice, its dominant
-    window folded; None where no dominant coefficient exceeds 1/2."""
+    window only; None where no dominant coefficient exceeds 1/2."""
     r = rho(dominance_roots, datum.rank)
     compact = set(dominance_roots)
     windows = [
         range(0 if alpha in compact else -2 * bound, 2 * bound + 1, 2) for alpha in positive_roots(datum)[: datum.rank]
     ]
-    twiddles = orbint.tannaka.axis_twiddles(family, windows, fold=True)
+    twiddles = orbint.tannaka.axis_twiddles(family, windows)
     out = {chars.reference_label: Weight((0,) * datum.rank)}
     for label in family.labels:
         if label != chars.reference_label:
             coeffs = lattice_fourier(chars.char_lattice[label], twiddles)
-            dominant = [w for w, c in coeffs.items() if abs(c) > 0.5 and is_dominant(datum, w, dominance_roots)]
+            heavy = (Weight(k) for k, c in coeffs.items() if abs(c) > 0.5)
+            dominant = [w for w in heavy if is_dominant(datum, w, dominance_roots)]
             out[label] = max(dominant, key=lambda w: (pairing(datum, w + r, w + r), w.coords2)) if dominant else None
     return out
 
@@ -683,26 +688,21 @@ def test_kept_lattice_constants_change_nothing(first, second):
         assert one == other, name
 
 
-@pytest.mark.parametrize("fold", [False, True])
-def test_kept_twiddle_rows_are_the_rows_of_the_phase_table(fold):
-    # at every stride, folded or not: the kept rows are tuples equal to rows
-    # built straight from the lattice's table, and a second call reads them
+def test_kept_twiddle_rows_are_the_rows_of_the_phase_table():
+    # at every stride: the kept rows are tuples equal to rows built straight
+    # from the lattice's table, and a second call reads them
     orbint.tannaka.phase_tables.cache_clear()
     family = synth_family(real_form("su21"), [])
     zeta, two_q = orbint.tannaka.phase_tables(family.q), 2 * family.q
-    windows = [range(-12, 13, 2), range(-7, 8)]  # an even window folds, an odd one never does
+    windows = [range(-12, 13, 2), range(-7, 8)]  # integral weights, then both parities
     for stride in (1, 2, 4, 8):
-        tables = orbint.tannaka.axis_twiddles(family, windows, stride, fold)
-        again = orbint.tannaka.axis_twiddles(family, windows, stride, fold)
+        tables = orbint.tannaka.axis_twiddles(family, windows, stride)
+        again = orbint.tannaka.axis_twiddles(family, windows, stride)
         for table, repeat, axis, window in zip(tables, again, family.axes, windows):
-            folds = table.folds if isinstance(table, orbint.tannaka.FoldedAxis) else 0
-            rows = table.factors if folds else table
-            assert folds == (orbint.tannaka.fold_count(64 // stride) if fold and window.step == 2 else 0)
-            assert list(rows) == list(window)
-            points = axis[::stride][: (64 // stride) >> folds]
-            for c, row in rows.items():
-                assert type(row) is tuple and row == tuple(zeta[-c * a % two_q] for a in points)
-                assert (repeat.factors if folds else repeat)[c] is row
+            assert list(table) == list(window)
+            for c, row in table.items():
+                assert type(row) is tuple and row == tuple(zeta[-c * a % two_q] for a in axis[::stride])
+                assert repeat[c] is row
 
 
 def contracted_dim(family, samples):
