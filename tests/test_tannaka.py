@@ -688,14 +688,18 @@ def test_kept_lattice_constants_change_nothing(first, second):
         assert one == other, name
 
 
-def test_kept_twiddle_rows_are_the_rows_of_the_phase_table():
-    # at every stride: the kept rows are tuples equal to rows built straight
-    # from the lattice's table, and a second call reads them
+@pytest.mark.parametrize("warm", [False, True])
+def test_kept_twiddle_rows_are_the_rows_of_the_phase_table(warm):
+    # at every stride, from a cleared cache or one already holding some of the
+    # rows (an overlapping window kept earlier): the kept rows are tuples equal
+    # to rows built straight from the lattice's table, and a second call reads them
     orbint.tannaka.phase_tables.cache_clear()
     family = synth_family(real_form("su21"), [])
     zeta, two_q = orbint.tannaka.phase_tables(family.q), 2 * family.q
     windows = [range(-12, 13, 2), range(-7, 8)]  # integral weights, then both parities
     for stride in (1, 2, 4, 8):
+        if warm:
+            orbint.tannaka.axis_twiddles(family, [range(-4, 21, 2), range(0, 12)], stride)
         tables = orbint.tannaka.axis_twiddles(family, windows, stride)
         again = orbint.tannaka.axis_twiddles(family, windows, stride)
         for table, repeat, axis, window in zip(tables, again, family.axes, windows):
