@@ -11,6 +11,7 @@ consistency-check failure.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 
@@ -33,7 +34,6 @@ from .rootsys import (
     weyl_order,
 )
 from .stable import continuity_check, formal_degree, lpacket_sum, stable_tau
-from .tannaka import DIM_TOL, run_reconstruction
 from .toruschar import (
     TorusPoint,
     _csum,
@@ -42,6 +42,31 @@ from .toruschar import (
     serialize_torus_point,
     transformed_system,
 )
+
+
+def _lazy_module(name: str):
+    """The module ``name``, whose body runs on its first attribute access.
+
+    The module object enters ``sys.modules`` and its package's namespace at
+    once, as an eager import's does, so code that finds the module there (a
+    later ``import``, or a tool that patches its functions) sees one object.
+    A module already in ``sys.modules`` is returned as it is.
+    """
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+        package, _, child = name.rpartition(".")
+        setattr(sys.modules[package], child, module)
+    return module
+
+
+# Only `orbint tannaka` (and `orbint check`, through verify) reconstructs, so
+# the other subcommands never compile tannaka.py.
+tannaka = _lazy_module(f"{__package__}.tannaka")
 
 # argparse takes a value that starts with "-" and is not a plain number (such
 # as -1,0) for an option, so such a value is given with "="
@@ -352,7 +377,7 @@ def cmd_tannaka(config: Config, args) -> int:
         for token in args.lambdas.split(";")
         if token.strip()
     ]
-    report = run_reconstruction(
+    report = tannaka.run_reconstruction(
         spec, keys, axis_count=args.axis_count, weight_bound=args.bound,
         candidate_bound=args.candidate_bound,
     )
@@ -370,7 +395,7 @@ def cmd_tannaka(config: Config, args) -> int:
     }
     if config.verbosity:
         record["dim_margin"] = report.dims.margin  # the worst |raw - round(raw)| / DIM_TOL
-        record["spinor_margin"] = report.noncompact_residual / DIM_TOL  # the same for the spinor's coefficients
+        record["spinor_margin"] = report.noncompact_residual / tannaka.DIM_TOL  # the same for the spinor's coefficients
     emit(record)
     return 0
 

@@ -4,10 +4,11 @@
 ``orbint`` module, reaching each module through ``sys.modules`` after importing
 only ``orbint.cli``; ``benchmarks/selfcheck.py`` (``check_install``) and
 ``benchmarks/inproc.py`` (``build_groups``) read a few more names.  A rename or
-a lazy import in the program would stop the harness before it measured
-anything.  The check runs in a fresh process that imports ``orbint.cli``,
-loads the tracer's tables by import (writing nothing under ``benchmarks/``)
-and looks every name up the way the tracer does.
+an import that leaves ``orbint.tannaka`` out of ``sys.modules`` would stop the
+harness before it measured anything.  The check runs in a fresh process that
+imports ``orbint.cli``, loads the tracer's tables by import (writing nothing
+under ``benchmarks/``), installs and uninstalls a recorder, and looks every
+name up the way the tracer does.
 """
 
 import json
@@ -34,12 +35,22 @@ import orbint.cli
 spec = importlib.util.spec_from_file_location("tracer", sys.argv[1])
 tracer = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tracer)
+tannaka = sys.modules.get("orbint.tannaka")
+rec = tracer.Recorder()
+rec.install()
+installed = {f: getattr(tannaka, f) for m, f in tracer.SPAN_TARGETS if m == "tannaka"}
+rec.uninstall()
+restored = {f: getattr(tannaka, f) for f in installed}
 pairs = {*tracer.SPAN_TARGETS, *tracer.COUNT_TARGETS, *tracer.GROUP_MAKERS}
 pairs |= {tuple(p) for p in json.loads(sys.argv[2])}
 missing = [f"{m}.{f}" for m, f in sorted(pairs)
            if not callable(getattr(sys.modules.get(f"orbint." + m), f, None))]
 print(json.dumps({"checked": len(pairs), "missing": missing,
-                  "tannaka_loaded": "orbint.tannaka" in sys.modules}))
+                  "tannaka_loaded": "orbint.tannaka" in sys.modules,
+                  "tannaka_targets": len(installed),
+                  "unwrapped": [f for f, fn in installed.items() if not hasattr(fn, "__wrapped__")],
+                  "unrestored": [f for f, fn in restored.items()
+                                 if hasattr(fn, "__wrapped__") or fn is not installed[f].__wrapped__]}))
 """
 
 
@@ -53,3 +64,7 @@ def test_benchmark_hooks_resolve_after_importing_the_cli():
     assert report["missing"] == []
     assert report["checked"] > len(HARNESS_NAMES)  # the tracer's tables were read
     assert report["tannaka_loaded"]
+    # the tracer wraps every tannaka span target, the first lookup loading the
+    # module, and puts the originals back
+    assert report["tannaka_targets"] > 0
+    assert report["unwrapped"] == [] and report["unrestored"] == []

@@ -435,8 +435,9 @@ def test_demo_sl2_refuses_a_singular_point(capsys, t):
 
 
 def test_startup_loads_no_dataclasses_or_identity_suite():
-    # the modules benchmarks/tracer.py indexes are loaded by importing the CLI;
-    # the identity suite and dataclasses are not
+    # the modules benchmarks/tracer.py indexes are in sys.modules after
+    # importing the CLI (tannaka as a lazy module, see test_startup.py); the
+    # identity suite and dataclasses are not
     script = (
         "import sys, orbint.cli; "
         "print(sorted(m for m in sys.modules if m.startswith('orbint') or m == 'dataclasses'))"
