@@ -449,7 +449,7 @@ def cmd_check(config: Config, args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_spec_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--preset", help="real-form preset (sl2r, su21, sp4r, compact(X))")
+    parser.add_argument("--preset", help="real-form preset (sl2r, su21, sp4r, compact(X), X/paint<i>)")
     parser.add_argument("--type", dest="datum", help="Cartan type name, e.g. A2")
     parser.add_argument("--matrix", help="explicit Cartan matrix, rows ; separated")
     parser.add_argument("--symmetrizer", help="comma-separated positive rationals")

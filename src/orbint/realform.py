@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import functools
 import re
-from operator import add
+from operator import add, mul
 from typing import NamedTuple, Sequence
 
 from .errors import ValidationError
@@ -22,6 +22,7 @@ from .rootsys import (
     _subsystem_simples,
     all_roots,
     build_datum,
+    integer_form,
     integer_pairings,
     positive_roots,
     reflection,
@@ -111,32 +112,55 @@ def build_real_form(
     return RealFormSpec(datum, compact_pos, noncompact_pos, spin_sign, lattice, name)
 
 
-_PRESET_TABLE = {
-    # name: (datum, compact positive roots by height index, spin_sign, lattice)
-    "sl2r": ("A1", (), -1, "spin_descent"),
-    "su21": ("A2", (0,), 1, "integral"),
-    "sp4r": ("C2", (0,), 1, "spin_descent"),
+def painted_indices(datum: CartanDatum, painted: Sequence[int]) -> tuple[int, ...]:
+    """Indices into ``all_roots(datum)`` of the roots compact under a Vogan
+    painting: those whose coefficients on the painted simple roots sum to an
+    even number (Knapp, Lie Groups Beyond an Introduction, ch. VI).  The empty
+    painting is the compact form.
+
+    With (M, s) = ``integer_form(datum)``, row i of M dotted with alpha2 is
+    2s (omega_i, alpha) = 2s d_i c_i, c_i the coefficient of alpha on alpha_i.
+    A negative root has the parity of its positive one.
+    """
+    if not all(0 <= i < datum.rank for i in painted):
+        raise ValidationError(f"painted nodes {list(painted)} must lie in 0..{datum.rank - 1}")
+    matrix, s = integer_form(datum)
+    rows = [(matrix[i], 2 * s * datum.symmetrizer[i]) for i in painted]  # (row i of M, 2s d_i)
+
+    def painted_sum(alpha: Weight) -> int:
+        return sum(sum(map(mul, row, alpha.coords2)) * step.denominator // step.numerator for row, step in rows)
+
+    pos = positive_roots(datum)
+    compact = [k for k, alpha in enumerate(pos) if painted_sum(alpha) % 2 == 0]
+    return tuple(compact) + tuple(k + len(pos) for k in compact)
+
+
+_PRESETS = {
+    # name: (Cartan type, painted nodes, spin_sign, lattice)
+    "sl2r": ("A1", (0,), -1, "spin_descent"),
+    "su21": ("A2", (1,), 1, "integral"),
+    "sp4r": ("C2", (1,), 1, "spin_descent"),
 }
 
 
 def real_form(preset: str) -> RealFormSpec:
-    """Shipped presets: sl2r, su21, sp4r, and compact(X) for any Cartan type X."""
+    """A real form by name: sl2r, su21, sp4r, compact(X) (nothing painted), or
+    X/paint<i> (simple root i painted) for any Cartan type X.  Forms other than
+    the first three take spin_sign +1 and the spin-descent lattice."""
     token = preset.strip()
-    match = re.fullmatch(r"compact\((\w+)\)", token, flags=re.IGNORECASE)
-    if match:
-        datum = build_datum(match.group(1))
-        pos = positive_roots(datum)
-        indices = tuple(range(2 * len(pos)))  # every root compact
-        return build_real_form(datum, indices, 1, "spin_descent", f"compact({match.group(1).upper()})")
-    key = token.lower()
-    if key not in _PRESET_TABLE:
+    name, spin_sign, lattice = token.lower(), 1, "spin_descent"
+    if name in _PRESETS:
+        type_name, painted, spin_sign, lattice = _PRESETS[name]
+    elif match := re.fullmatch(r"compact\((\w+)\)", token, flags=re.IGNORECASE | re.ASCII):
+        type_name, painted = match[1], ()
+        name = f"compact({type_name.upper()})"
+    elif match := re.fullmatch(r"(\w+)/paint(\d)", token, flags=re.IGNORECASE | re.ASCII):  # one digit: rank <= 6
+        type_name, painted = match[1], (int(match[2]),)
+        name = f"{type_name.upper()}/paint{match[2]}"
+    else:
         raise ValidationError(f"unknown real-form preset {preset!r}")
-    datum_name, pos_indices, spin_sign, lattice = _PRESET_TABLE[key]
-    datum = build_datum(datum_name)
-    pos = positive_roots(datum)
-    # indices of the chosen positive roots together with their negatives
-    indices = tuple(pos_indices) + tuple(i + len(pos) for i in pos_indices)
-    return build_real_form(datum, indices, spin_sign, lattice, key)
+    datum = build_datum(type_name)
+    return build_real_form(datum, painted_indices(datum, painted), spin_sign, lattice, name)
 
 
 @functools.lru_cache(maxsize=None)
@@ -288,10 +312,6 @@ class KClass(NamedTuple):
         if k == 0:
             return KClass.zero()
         return KClass(tuple((key, k * c) for key, c in self.terms))
-
-
-def kclass_to_json(x: KClass) -> list:
-    return [{"lambda2": list(key.lam.coords2), "coeff": coeff} for key, coeff in x.terms]
 
 
 def kclass_from_json(spec: RealFormSpec, data) -> KClass:

@@ -350,7 +350,10 @@ def build_datum(spec, symmetrizer=None) -> CartanDatum:
         name = spec.strip().upper()
         if len(name) < 2 or name[0] not in _SERIES_MIN_RANK or not name[1:].isdigit():
             raise ValidationError(f"unknown Cartan type {spec!r}")
-        series, n = name[0], int(name[1:])
+        try:
+            series, n = name[0], int(name[1:])
+        except ValueError:  # a digit int() cannot read ("A²"), or past the int-to-str limit
+            raise ValidationError(f"unknown Cartan type {spec!r}") from None
         if n < _SERIES_MIN_RANK[series]:
             raise ValidationError(f"rank {n} too small for series {series}")
         if series in ("G", "F") and n != _SERIES_MIN_RANK[series]:

@@ -20,7 +20,6 @@ import time
 from typing import NamedTuple, Sequence
 
 from .errors import ValidationError
-from .jsonio import read_int
 from .ktrace import (
     class_is_zero,
     lds_character,
@@ -30,13 +29,11 @@ from .ktrace import (
     tau_generator,
 )
 from .realform import (
-    GeneratorKey,
     KClass,
-    RealFormSpec,
-    build_real_form,
     coset_reps,
     generator_key,
     hc_parameter,
+    kclass_from_json,
     real_form,
     rho_n,
     weyl_k,
@@ -60,7 +57,10 @@ from .stable import (
     lpacket_sum,
     stable_tau,
 )
-from .tannaka import ChiFamily, _check_box, axis_twiddles, canonical_sign, lattice_fourier, run_reconstruction
+from .tannaka import (
+    ChiFamily, _check_box, axis_twiddles, canonical_sign, lattice_fourier, recover_characters, recover_dims,
+    run_reconstruction, synth_family,
+)
 from .toruschar import (
     ConjugacyDescriptor,
     TorusPoint,
@@ -77,17 +77,10 @@ from .toruschar import (
 
 DATUM_NAMES = ("A1", "A2", "B2", "C2", "G2")
 PRESET_NAMES = ("sl2r", "su21", "sp4r", "compact(A1)", "compact(A2)")
-# Forms that are no preset, by compact root indices: Vogan diagrams with one
-# painted node, whose compact roots have an even coefficient on the painted
-# simple root.  The compact simple roots of F4/paint0 include its highest root,
-# so its W_K is not a parabolic subgroup.
-PAINTED_FORMS = {
-    "A3/paint1": (0, 2, 6, 8),
-    "B3/paint0": (1, 2, 4, 6, 10, 11, 13, 15),
-    "C3/paint0": (1, 2, 4, 6, 8, 10, 11, 13, 15, 17),
-    "B4/paint0": (1, 2, 3, 5, 6, 8, 9, 11, 13, 17, 18, 19, 21, 22, 24, 25, 27, 29),
-    "F4/paint0": (1, 2, 3, 5, 6, 8, 9, 12, 15, 23, 25, 26, 27, 29, 30, 32, 33, 36, 39, 47),
-}
+# Vogan diagrams with one painted node (``realform.painted_indices``).  The
+# compact simple roots of F4/paint0 include its highest root, so its W_K is not
+# a parabolic subgroup.
+PAINTED_NAMES = ("A3/paint1", "B3/paint0", "C3/paint0", "B4/paint0", "F4/paint0")
 
 
 class CheckResult(NamedTuple):
@@ -130,13 +123,6 @@ def random_class(keys, rng: random.Random) -> KClass:
     return KClass.from_pairs((k, rng.choice([-3, -2, -1, 1, 2, 3])) for k in chosen)
 
 
-def _form(name: str):
-    """A preset, or a form of ``PAINTED_FORMS``."""
-    if name not in PAINTED_FORMS:
-        return real_form(name)
-    return build_real_form(build_datum(name.split("/")[0]), PAINTED_FORMS[name], name=name)
-
-
 def _points(datum, seed: int, count: int) -> list[TorusPoint]:
     rng = random.Random(seed)
     return [random_regular_point(datum, rng) for _ in range(count)]
@@ -158,16 +144,10 @@ def inversion_count(datum: CartanDatum, w: WeylElement) -> int:
     return sum(1 for alpha in pos if w.apply(alpha) not in pos)
 
 
-def key_to_json(key: GeneratorKey) -> dict:
-    return {"lambda2": list(key.lam.coords2)}
-
-
-def key_from_json(spec: RealFormSpec, data) -> GeneratorKey:
-    try:
-        lam = Weight(tuple(map(read_int, data["lambda2"])))
-    except (KeyError, TypeError, ValueError):
-        raise ValidationError(f"malformed generator key {data!r}") from None
-    return generator_key(spec, lam)
+def kclass_to_json(x: KClass) -> list:
+    """The records that ``realform.kclass_from_json``, the parser behind
+    ``--class``, reads back."""
+    return [{"lambda2": list(key.lam.coords2), "coeff": coeff} for key, coeff in x.terms]
 
 
 def lattice_twiddles(family: ChiFamily, bound: int) -> list[dict]:
@@ -461,11 +441,11 @@ def check_injectivity(presets=None) -> CheckResult:
 
 
 def check_coset_partition(presets=None) -> CheckResult:
-    selected = _use(presets, *PRESET_NAMES, *PAINTED_FORMS)
+    selected = _use(presets, *PRESET_NAMES, *PAINTED_NAMES)
     if not selected:
         return _na("coset-partition")
     for preset in selected:
-        spec = _form(preset)
+        spec = real_form(preset)
         tiles = [_matmul(u.matrix, v.matrix) for v in coset_reps(spec) for u in weyl_k(spec)]
         if sorted(tiles) != sorted(w.matrix for w in weyl_group(spec.datum)):  # each element once
             return CheckResult("coset-partition", False, preset)
@@ -523,7 +503,7 @@ def check_continuity(presets=None) -> CheckResult:
         return _na("continuity-at-identity")
     details = []
     for name in selected:
-        spec = _form(name)
+        spec = real_form(name)
         # n = (1, k, k^2, ...) and its reverse: with k = 1 + 2 max |alpha.coords2_j| each
         # root pairing is a nonzero number in balanced base k, so neither lies on a wall
         k = 1 + 2 * max(abs(c) for alpha in spec.positive_system for c in alpha.coords2)
@@ -634,7 +614,7 @@ def check_tannaka(presets=None) -> CheckResult:
         return _na("tannaka-round-trip")
     for form in selected:
         coords, dims = TANNAKA_CASES[form]
-        spec = _form(form)
+        spec = real_form(form)
         labels = [Weight(c) for c in coords]
         report = run_reconstruction(spec, [generator_key(spec, lab) for lab in labels])
         expected = {
@@ -656,9 +636,9 @@ def check_tannaka(presets=None) -> CheckResult:
 
 def check_serialization() -> CheckResult:
     spec = real_form("su21")
-    key = generator_key(spec, Weight((2, 0)))
-    if key_from_json(spec, key_to_json(key)) != key:
-        return CheckResult("serialization-round-trip", False, "generator key")
+    x = KClass.from_pairs([(generator_key(spec, Weight((2, 0))), 2), (generator_key(spec, Weight((0, 0))), -1)])
+    if kclass_from_json(spec, kclass_to_json(x)) != x:
+        return CheckResult("serialization-round-trip", False, "K-class")
     return CheckResult("serialization-round-trip", True, "generator keys round-trip")
 
 
@@ -688,8 +668,6 @@ def check_compact_generators(presets=None) -> CheckResult:
 def check_dims_scale_invariance(presets=None) -> CheckResult:
     if not _use(presets, "compact(A1)"):
         return _na("dims-scale-invariance")
-    from .tannaka import recover_characters, recover_dims, synth_family
-
     spec = real_form("compact(A1)")
     keys = [generator_key(spec, Weight((2 * k,))) for k in range(3)]
     family = synth_family(spec, keys)
@@ -712,8 +690,6 @@ def check_dims_scale_invariance(presets=None) -> CheckResult:
 def check_fourier_extraction(presets=None) -> CheckResult:
     if not _use(presets, "compact(A2)"):
         return _na("fourier-extraction")
-    from .tannaka import recover_characters, synth_family
-
     spec = real_form("compact(A2)")
     keys = [generator_key(spec, Weight(c)) for c in ((0, 0), (2, 2))]
     family = synth_family(spec, keys, axis_count=24)
@@ -757,47 +733,47 @@ def check_eval_modulus() -> CheckResult:
     return CheckResult("exponential-modulus", worst <= 1e-15, f"max | |e^lam| - 1 | = {worst:.2e}")
 
 
-ALL_CHECKS = (
-    check_weyl_orders,
-    check_sign_length,
-    check_multiplicity_totals,
-    check_pairing_invariance,
-    check_denominator_formula,
-    check_numerator_antisymmetry,
-    check_wedge_identity,
-    check_char_oracle,
-    check_ab_vs_quotient,
-    check_dual_path,
-    check_dolbeault_route,
-    check_wk_invariance,
-    check_linearity,
-    check_selberg_vanishing,
-    check_injectivity,
-    check_coset_partition,
-    check_stable_invariance,
-    check_packet_stable,
-    check_continuity,
-    check_formal_degree_consistency,
-    check_char_identity,
-    check_lds_signs,
-    check_tannaka,
-    check_serialization,
-    check_compact_generators,
-    check_dims_scale_invariance,
-    check_fourier_extraction,
-    check_cli_determinism,
-    check_eval_modulus,
-)
+ALL_CHECKS = {  # by the name each prints, in the order they run
+    "weyl-group-orders": check_weyl_orders,
+    "sign-vs-length": check_sign_length,
+    "multiplicity-totals": check_multiplicity_totals,
+    "pairing-invariance": check_pairing_invariance,
+    "denominator-formula": check_denominator_formula,
+    "numerator-antisymmetry": check_numerator_antisymmetry,
+    "wedge-p-identity": check_wedge_identity,
+    "character-oracle": check_char_oracle,
+    "fixed-point-vs-quotient": check_ab_vs_quotient,
+    "dual-path": check_dual_path,
+    "dolbeault-route": check_dolbeault_route,
+    "wk-conjugation-invariance": check_wk_invariance,
+    "tau-linearity": check_linearity,
+    "selberg-vanishing": check_selberg_vanishing,
+    "dirac-injectivity": check_injectivity,
+    "coset-partition": check_coset_partition,
+    "stable-invariance": check_stable_invariance,
+    "packet-stable-agreement": check_packet_stable,
+    "continuity-at-identity": check_continuity,
+    "formal-degree-consistency": check_formal_degree_consistency,
+    "character-identity": check_char_identity,
+    "lds-system-signs": check_lds_signs,
+    "tannaka-round-trip": check_tannaka,
+    "serialization-round-trip": check_serialization,
+    "compact-generators": check_compact_generators,
+    "dims-scale-invariance": check_dims_scale_invariance,
+    "fourier-extraction": check_fourier_extraction,
+    "cli-determinism": check_cli_determinism,
+    "exponential-modulus": check_eval_modulus,
+}
 
 
 def run_checks(names: list[str] | None = None, presets: list[str] | None = None) -> list[CheckResult]:
-    selected = ALL_CHECKS
+    selected = list(ALL_CHECKS.values())
     if names:
         wanted = set(names)
-        selected = [
-            c
-            for c in ALL_CHECKS
-            if c.__name__.removeprefix("check_") in wanted or c.__name__ in wanted
+        selected = [  # a printed name, or the function's name with or without check_
+            check
+            for name, check in ALL_CHECKS.items()
+            if wanted & {name, check.__name__, check.__name__.removeprefix("check_")}
         ]
         if not selected:
             raise ValidationError(f"no checks match {names}")

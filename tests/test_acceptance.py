@@ -12,6 +12,7 @@ import time
 
 from orbint.cli import main as cli_main
 from orbint.verify import (
+    ALL_CHECKS,
     check_ab_vs_quotient,
     check_char_identity,
     check_char_oracle,
@@ -26,6 +27,8 @@ from orbint.verify import (
     check_wedge_identity,
 )
 
+NAMES = {check: name for name, check in ALL_CHECKS.items()}  # each check by the name it prints
+
 
 def report(criterion, passed, detail):
     print(f"{'PASS' if passed else 'FAIL'} {criterion}: {detail}")
@@ -37,6 +40,7 @@ def accept(criterion, *checks, time_limit=None):
     start = time.perf_counter()
     results = [check() for check in checks]
     elapsed = time.perf_counter() - start
+    assert [r.name for r in results] == [NAMES[check] for check in checks]
     passed = all(r.passed for r in results)
     detail = "; ".join(r.detail for r in results)
     if time_limit is not None:

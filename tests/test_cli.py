@@ -482,6 +482,15 @@ def test_check_reports_seconds_on_stderr_only(capsys):
         assert all(re.fullmatch(r"PASS \S+ \(\d+\.\d\d s\): .+", line) for line in lines)
 
 
+def test_check_only_takes_the_names_it_prints(capsys):
+    code, out, err = run_cli(capsys, "check", "--preset", "B4/paint0", "--only", "dirac-injectivity,coset-partition")
+    assert code == 0
+    record = json.loads(out)
+    assert [r["name"] for r in record["results"]] == ["dirac-injectivity", "coset-partition"]
+    assert record["results"][0]["detail"] == "not applicable to the selected presets"
+    assert record["results"][1]["detail"] == "W_K translates of the reps tile W_G exactly"
+
+
 def test_check_preset_scoping(capsys):
     code, out, _ = run_cli(
         capsys, "check", "--preset", "sl2r", "--only", "continuity,lds_signs,char_oracle"

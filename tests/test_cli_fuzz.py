@@ -5,8 +5,9 @@ the shape of ``test_tannaka_cli_fuzz``.
 The command lines run on sl2r, su21, sp4r and compact(A2), and on the forms
 of A1, A2, B2, G2 and A3 given by ``--type`` or by ``--matrix`` and
 ``--symmetrizer``, each with the ``--compact-indices`` of one of its Vogan
-diagrams.  They lean toward inputs that reach the evaluation paths: keys that
-are dominant for K and on each preset's lattice, exact points p/q with q
+diagrams, or by ``--preset X/paint<i>`` with i from -1 to the rank (both ends
+are refused).  They lean toward inputs that reach the evaluation paths: keys
+that are dominant for K and on each preset's lattice, exact points p/q with q
 prime and p/(100 q) near the identity, and directions with positive
 coordinates.  Now and then a value is malformed instead (1/0, nan, a wrong
 rank, an empty string, "--", a matrix that is not a Cartan matrix) or a point
@@ -81,14 +82,16 @@ def joined(draw, parts, rank):
 @st.composite
 def form(draw):
     """(options, key coordinates): a preset half the time, else a Cartan type
-    or its matrix and symmetrizer, with the compact indices of one of its Vogan
-    diagrams; one time in ten an index list, a matrix or a symmetrizer is
-    malformed."""
+    with one painted node i as ``X/paint<i>``, or a Cartan type or its matrix
+    and symmetrizer with the compact indices of one of its Vogan diagrams; one
+    time in ten an index list, a matrix or a symmetrizer is malformed."""
     if draw(st.booleans()):
         preset = draw(st.sampled_from(sorted(KEYS)))
         return ["--preset", preset], KEYS[preset]
     name = draw(st.sampled_from(sorted(PAINTINGS)))
     datum = build_datum(name)
+    if draw(st.integers(0, 2)) == 0:
+        return ["--preset", f"{name}/paint{draw(st.integers(-1, datum.rank))}"], [NONNEGATIVE] * datum.rank
     if draw(st.booleans()):
         options = ["--type", name]
     else:
@@ -136,6 +139,9 @@ B4_PAINT0 = "1,2,3,5,6,8,9,11,13,17,18,19,21,22,24,25,27,29"
 @example(["packet", "--preset", "sl2r", "--Lambda", "3", "--t", "1/7"])
 @example(["limit", "--preset", "sl2r", "--lambda", "3", "--direction", "1.0"])
 @example(["limit", "--type", "G2", "--compact-indices", "1,3,7,9", "--lambda", "2,3", "--direction", "0.37,0.61"])
+@example(["limit", "--preset", "G2/paint0", "--lambda", "2,3", "--direction", "0.37,0.61"])
+@example(["tau", "--preset", "B2/paint2", "--lambda", "0,0", "--t", "1/5,2/7"])  # a node past the rank
+@example(["tau", "--preset", "A1/paint-1", "--lambda", "0", "--t", "1/5"])
 @example(["limit", "--preset", "sl2r", "--lambda=1e400", "--direction=1.0"])  # an exact limit past the float range
 @example(["tau", "--preset", "sl2r", "--lambda=--", "--t=1/7"])  # argparse before 3.12 reads "--" as []
 @example(["schmid", "--preset", "sl2r", "--Lambda", "0", "--systems", "id,neg", "--t", "1/5"])

@@ -10,6 +10,7 @@ from weyl_oracles import (
     painted_forms,
 )
 
+from orbint.cli import main
 from orbint.errors import ValidationError
 from orbint.realform import (
     KClass,
@@ -19,7 +20,7 @@ from orbint.realform import (
     hc_parameter,
     is_regular_param,
     kclass_from_json,
-    kclass_to_json,
+    painted_indices,
     real_form,
     rho_c,
     rho_n,
@@ -27,12 +28,13 @@ from orbint.realform import (
 )
 from orbint.rootsys import (
     Weight,
+    all_roots,
     build_datum,
     positive_roots,
     weyl_group,
     weyl_order,
 )
-from orbint.verify import _matmul, key_from_json, key_to_json
+from orbint.verify import _matmul, kclass_to_json
 
 # every Cartan type up to rank 5
 UP_TO_RANK_5 = (
@@ -41,8 +43,102 @@ UP_TO_RANK_5 = (
 )
 
 
+# every Cartan type up to the rank cap of 6
+UP_TO_RANK_6 = UP_TO_RANK_5 + ["A6", "B6", "C6", "D6"]
+
+
 def single_node_paintings(name):
     return painted_forms(name, [(i,) for i in range(build_datum(name).rank)])
+
+
+# the presets as positive-root indices, each with its negative added: how
+# real_form built them before the painting rule
+INDEX_PRESETS = {
+    "sl2r": ("A1", (), -1, "spin_descent"),
+    "su21": ("A2", (0,), 1, "integral"),
+    "sp4r": ("C2", (0,), 1, "spin_descent"),
+}
+
+
+def index_construction(name):
+    if name in INDEX_PRESETS:
+        type_name, pos_indices, spin_sign, lattice = INDEX_PRESETS[name]
+        datum = build_datum(type_name)
+        n = len(positive_roots(datum))
+        return build_real_form(datum, [*pos_indices, *(i + n for i in pos_indices)], spin_sign, lattice, name)
+    datum = build_datum(name.removeprefix("compact(").removesuffix(")"))
+    return build_real_form(datum, range(len(all_roots(datum))), 1, "spin_descent", name)  # every root compact
+
+
+@pytest.mark.parametrize("name", [*INDEX_PRESETS, *(f"compact({t})" for t in UP_TO_RANK_6)])
+def test_presets_are_the_index_construction(name):
+    assert real_form(name) == index_construction(name)
+    assert real_form(f" {name.upper()} ") == index_construction(name)  # names are read case-blind
+
+
+def fraction_rule_indices(spec):
+    """The indices into all_roots of a ``weyl_oracles.painted_forms`` spec's
+    compact roots, read from its Fraction coefficients."""
+    compact = set(spec.compact_positive)
+    return tuple(k for k, alpha in enumerate(all_roots(spec.datum)) if {alpha, -alpha} & compact)
+
+
+@pytest.mark.parametrize("name", UP_TO_RANK_6)
+def test_painted_indices_follow_the_fraction_rule(name):
+    # every painting up to rank 4, every single node above it
+    rank = build_datum(name).rank
+    if rank <= 4:
+        paintings = [tuple(i for i in range(rank) if mask >> i & 1) for mask in range(2**rank)]
+    else:
+        paintings = [()] + [(i,) for i in range(rank)]
+    for painted, spec in zip(paintings, painted_forms(name, paintings)):
+        assert painted_indices(spec.datum, painted) == fraction_rule_indices(spec), (name, painted)
+    for i, spec in enumerate(single_node_paintings(name)):
+        assert real_form(f"{name}/paint{i}") == spec  # spin_sign +1, spin-descent lattice
+        assert real_form(f"{name.lower()}/PAINT{i}") == spec
+
+
+def test_painted_forms_of_the_identity_checks():
+    # the compact-root indices the checks once listed by hand
+    pinned = {
+        "A3/paint1": (0, 2, 6, 8),
+        "B3/paint0": (1, 2, 4, 6, 10, 11, 13, 15),
+        "C3/paint0": (1, 2, 4, 6, 8, 10, 11, 13, 15, 17),
+        "B4/paint0": (1, 2, 3, 5, 6, 8, 9, 11, 13, 17, 18, 19, 21, 22, 24, 25, 27, 29),
+        "F4/paint0": (1, 2, 3, 5, 6, 8, 9, 12, 15, 23, 25, 26, 27, 29, 30, 32, 33, 36, 39, 47),
+    }
+    for name, indices in pinned.items():
+        datum = build_datum(name[:2])
+        assert painted_indices(datum, (int(name[-1]),)) == indices, name
+        assert real_form(name) == build_real_form(datum, indices, name=name)
+
+
+@pytest.mark.parametrize("name", [
+    "B4/paint4", "B4/paint-1", "B4/paintx", "B4/paint", "B4/paint10", "Q4/paint0", "B7/paint0", "B/paint0",
+    "/paint0", pytest.param("A" + "1" * 5000 + "/paint0", id="a-rank-past-the-int-to-str-limit"),
+])
+def test_painted_names_that_name_no_form_exit_2(capsys, name):
+    with pytest.raises(ValidationError):
+        real_form(name)
+    assert main(["datum", "--preset", name]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_painted_indices_refuse_a_node_past_the_rank():
+    with pytest.raises(ValidationError, match="painted nodes"):
+        painted_indices(build_datum("A2"), (2,))
+    with pytest.raises(ValidationError, match="painted nodes"):
+        painted_indices(build_datum("A2"), (-1,))
+
+
+def test_a_painted_preset_prints_what_its_compact_indices_print(capsys):
+    # G2 with alpha1 painted is the README's --compact-indices 1,3,7,9
+    argv = ["limit", "--lambda", "2,3", "--direction", "0.37,0.61"]
+    assert main([*argv, "--preset", "G2/paint0"]) == 0
+    painted = capsys.readouterr().out
+    assert main([*argv, "--type", "G2", "--compact-indices", "1,3,7,9"]) == 0
+    assert capsys.readouterr().out == painted
 
 
 def test_preset_sl2r():
@@ -218,17 +314,16 @@ def test_kclass_arithmetic():
 def test_serialization_round_trips():
     spec = real_form("su21")
     key = generator_key(spec, Weight((2, 0)))
-    assert key_from_json(spec, key_to_json(key)) == key
     x = KClass.generator(key, 2) + KClass.generator(generator_key(spec, Weight((0, 0))), -1)
     assert kclass_from_json(spec, kclass_to_json(x)) == x
     with pytest.raises(ValidationError):
         kclass_from_json(spec, [{"lambda2": [1, 0], "coeff": 1}])  # off-lattice
     # an integral float keeps its reading; a fraction or a boolean is refused
     assert kclass_from_json(spec, [{"lambda2": [2.0, 0], "coeff": 2.0}]) == KClass.generator(key, 2)
-    assert key_from_json(spec, {"lambda2": [2.0, 0.0]}) == key
-    for bad in ([2.5, 0], [True, 0]):
-        with pytest.raises(ValidationError, match="malformed generator key"):
-            key_from_json(spec, {"lambda2": bad})
+    assert kclass_from_json(spec, [{"lambda2": [2.0, 0.0], "coeff": 1}]) == KClass.generator(key)
+    for lam2, coeff in (([2.5, 0], 1), ([True, 0], 1), ([2, 0], 2.5), ([2, 0], True)):
+        with pytest.raises(ValidationError, match="malformed K-class term"):
+            kclass_from_json(spec, [{"lambda2": lam2, "coeff": coeff}])
 
 
 def test_sl2r_coset_count():

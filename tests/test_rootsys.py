@@ -268,6 +268,14 @@ def test_rank_cap_and_unknown_types():
     assert weyl_group(build_datum("A3")).order == 24
 
 
+@pytest.mark.parametrize("name", ["A\u00b2", "A" + "1" * 5000])
+def test_type_names_int_cannot_read_are_refused(name):
+    # a superscript digit passes str.isdigit, and 5000 digits pass the
+    # int-to-str limit; both are a ValidationError, not a ValueError
+    with pytest.raises(ValidationError, match="unknown Cartan type"):
+        build_datum(name)
+
+
 def test_rho_empty_subset():
     from orbint.rootsys import rho
 

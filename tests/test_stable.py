@@ -13,9 +13,9 @@ from orbint.cli import main
 from orbint.errors import LimitPathError, ValidationError
 from orbint.ktrace import random_regular_point, w_orbit, wk_orbit
 from orbint.realform import (
-    KClass, coset_reps, generator_key, hc_parameter, is_regular_param, real_form, rho_c, weyl_k,
+    KClass, coset_reps, generator_key, hc_parameter, is_regular_param, painted_indices, real_form, rho_c, weyl_k,
 )
-from orbint.rootsys import Weight, pairing, rho, positive_roots, weyl_dim, weyl_group
+from orbint.rootsys import Weight, build_datum, pairing, rho, positive_roots, weyl_dim, weyl_group
 from orbint.stable import (
     continuity_check,
     formal_degree,
@@ -25,7 +25,7 @@ from orbint.stable import (
     tau_e,
 )
 from orbint.toruschar import TorusPoint, weyl_act_point
-from orbint.verify import PAINTED_FORMS, char_identity_check
+from orbint.verify import char_identity_check
 
 SL2R = real_form("sl2r")
 SU21 = real_form("su21")
@@ -96,7 +96,8 @@ def test_packets_build_no_weyl_group(monkeypatch, capsys):
     for spec, big2, t, expected in cases:
         g = TorusPoint.exact_point(Fraction(c) for c in t)
         assert lpacket_sum(spec, Weight(big2), g) == expected, spec.name
-    code = main(["packet", "--type", "B4", "--compact-indices", ",".join(map(str, PAINTED_FORMS["B4/paint0"])),
+    indices = ",".join(map(str, painted_indices(build_datum("B4"), (0,))))
+    code = main(["packet", "--type", "B4", "--compact-indices", indices,
                  "--Lambda=-4,2,3,1", "--t=18/59,58/59,23/59,31/59"])
     out = capsys.readouterr().out
     assert code == 0 and '"value": {"re": 10.833723522859959, "im": 1.1546319456101628e-13}' in out

@@ -17,7 +17,7 @@ from orbint.errors import ReconstructionError, ValidationError
 from orbint.realform import generator_key, real_form
 from orbint.rootsys import Weight, is_dominant, pairing, positive_roots, rho, weight_multiplicities, weyl_dim
 from orbint.toruschar import TorusPoint, is_regular
-from orbint.verify import TANNAKA_CASES, _form, fourier_multiplicities, lattice_twiddles, small_keys
+from orbint.verify import TANNAKA_CASES, fourier_multiplicities, lattice_twiddles, small_keys
 from weyl_oracles import painted_forms
 
 from orbint.tannaka import (
@@ -514,7 +514,7 @@ def test_transform_matches_per_coefficient_dot_products(name, axis_count, window
     # each coefficient of the transform on the sub-lattice of every stride-th
     # point within 1e-13 sum|x|/N of its own dot product, over all N points, of
     # the samples with the product of its per-axis twiddles, on random samples
-    spec = painted_forms("A3", [(1,)])[0] if name == "A3/paint1" else real_form(name)
+    spec = real_form(name)
     family = synth_family(spec, [], axis_count)
     windows = [range(2 * lo, 2 * hi + 1, 2) for lo, hi in ranges]
     tables = orbint.tannaka.axis_twiddles(family, windows, stride)
@@ -628,7 +628,7 @@ def test_a_highest_weight_is_checked_against_its_dimension():
     report = run_reconstruction(CA1, keys, weight_bound=10)
     assert report.highest_weights[Weight((20,))] == Weight((20,)) and report.dims[Weight((20,))] == 11
     for name, (coords, dims) in TANNAKA_CASES.items():
-        spec = _form(name)
+        spec = real_form(name)
         labels = [Weight(c) for c in coords]
         assert [weyl_dim(spec.datum, lab - labels[0], spec.compact_positive) for lab in labels] == list(dims)
 
@@ -663,7 +663,7 @@ def test_integer_twiddles_match_the_float_formula(spec, axis_count, bound):
 
 
 def tannaka_case(name):
-    spec = _form(name)
+    spec = real_form(name)
     return spec, [generator_key(spec, Weight(c)) for c in TANNAKA_CASES[name][0]]
 
 
@@ -778,7 +778,7 @@ def test_sine_columns_read_each_points_own_pairing(n, b):
 
 DATUM_CASES = {}  # one TANNAKA_CASES form per datum: forms on one datum share its lattice and roots
 for _name in TANNAKA_CASES:
-    DATUM_CASES.setdefault(_form(_name).datum, []).append(_name)
+    DATUM_CASES.setdefault(real_form(_name).datum, []).append(_name)
 
 
 @pytest.mark.parametrize("names", DATUM_CASES.values(), ids=["+".join(names) for names in DATUM_CASES.values()])
@@ -789,9 +789,9 @@ def test_sine_columns_are_the_root_factors(names):
     mpmath = pytest.importorskip("mpmath")
     from orbint.toruschar import root_factors
 
-    spec = _form(names[0])
+    spec = real_form(names[0])
     family = synth_family(spec, [])
-    assert all(synth_family(_form(name), []).axes == family.axes for name in names)
+    assert all(synth_family(real_form(name), []).axes == family.axes for name in names)
     roots = spec.positive_system
     columns = {beta: orbint.tannaka.sine_column(family, beta) for beta in roots}
     for i, ns in enumerate(itertools.product(*family.axes)):

@@ -15,26 +15,36 @@ from orbint.rootsys import Weight
 from orbint.verify import ALL_CHECKS, run_checks, small_keys
 
 CRITERION_CHECKS = [check for checks in CRITERIA.values() for check in checks]
-OTHER_CHECKS = [check for check in ALL_CHECKS if check not in CRITERION_CHECKS]
+OTHER_NAMES = [name for name, check in ALL_CHECKS.items() if check not in CRITERION_CHECKS]
 
 
 def test_every_check_passes():
-    results = run_checks([check.__name__ for check in OTHER_CHECKS])
+    results = run_checks(OTHER_NAMES)
     failures = [f"{r.name}: {r.detail}" for r in results if not r.passed]
     assert not failures, "\n".join(failures)
-    assert len(results) == len(OTHER_CHECKS)
+    assert [r.name for r in results] == OTHER_NAMES
 
 
 def test_criteria_and_other_checks_cover_all_checks_once():
-    combined = CRITERION_CHECKS + OTHER_CHECKS
-    assert len(set(ALL_CHECKS)) == len(ALL_CHECKS)
-    assert set(combined) <= set(ALL_CHECKS)
-    assert sorted(combined, key=ALL_CHECKS.index) == list(ALL_CHECKS)
+    checks = list(ALL_CHECKS.values())
+    combined = CRITERION_CHECKS + [ALL_CHECKS[name] for name in OTHER_NAMES]
+    assert len(set(checks)) == len(checks)
+    assert set(combined) <= set(checks)
+    assert sorted(combined, key=checks.index) == checks
+
+
+def test_each_check_is_keyed_by_the_name_it_prints():
+    # an empty preset selection makes every preset-dependent check report
+    # "not applicable" under its name without running; the others run
+    assert [r.name for r in run_checks(presets=[])] == list(ALL_CHECKS)
 
 
 def test_check_selection():
     results = run_checks(["weyl_orders"])
     assert len(results) == 1 and results[0].name == "weyl-group-orders"
+    # printed names and function names, with or without check_, mix
+    selected = run_checks(["dirac-injectivity", "check_eval_modulus", "weyl_orders"], presets=[])
+    assert [r.name for r in selected] == ["weyl-group-orders", "dirac-injectivity", "exponential-modulus"]
     with pytest.raises(ValidationError):
         run_checks(["nonsense"])
 
